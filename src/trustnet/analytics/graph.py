@@ -1,9 +1,11 @@
 """Trust-graph construction and structural metrics.
 
-All metrics are pure functions of the graph. The undirected non-self edge
-set is deduplicated; self-loops live in their own set and enter only the
-"api" degree mode (where each one adds 2, matching the registry's
-trust_links convention).
+All metrics are pure functions of the graph. A TrustGraph numbers its
+vertices 0..n-1 in insertion order and keeps one integer core: adjacency
+sets of ids, the ids carrying a self-loop, and an ``edges`` list holding
+each undirected non-self pair exactly once. Metrics read that core directly
+instead of re-deduplicating; self-loops enter only the "api" degree mode
+(where each one adds 2, matching the registry's trust_links convention).
 """
 
 from __future__ import annotations
@@ -18,62 +20,100 @@ from ..snapshot import StatsSnapshot
 
 @dataclass
 class TrustGraph:
-    """Undirected trust graph with self-loops held separately."""
+    """Undirected trust graph over integer vertex ids.
 
-    vertices: set[VirtualAddress] = field(default_factory=set)
-    nonself_adjacency: dict[VirtualAddress, set[VirtualAddress]] = field(
-        default_factory=dict
-    )
-    self_loops: set[VirtualAddress] = field(default_factory=set)
+    ``addresses[i]`` is the address of vertex i and ``ids`` maps back.
+    ``adjacency[i]`` holds the non-self neighbor ids of i, ``self_loop_ids``
+    the ids with a self-loop, and ``edges`` every non-self pair exactly
+    once, in first-insertion order. The address-based methods below are
+    the public view of the same data.
+    """
 
-    def add_vertex(self, vertex: VirtualAddress) -> None:
-        self.vertices.add(vertex)
-        self.nonself_adjacency.setdefault(vertex, set())
+    addresses: list[VirtualAddress] = field(default_factory=list)
+    ids: dict[VirtualAddress, int] = field(default_factory=dict)
+    adjacency: list[set[int]] = field(default_factory=list)
+    self_loop_ids: set[int] = field(default_factory=set)
+    edges: list[tuple[int, int]] = field(default_factory=list)
+
+    def add_vertex(self, vertex: VirtualAddress) -> int:
+        """Add the vertex if new; return its id either way."""
+        vid = self.ids.get(vertex)
+        if vid is None:
+            vid = self.ids[vertex] = len(self.addresses)
+            self.addresses.append(vertex)
+            self.adjacency.append(set())
+        return vid
 
     def add_edge(self, a: VirtualAddress, b: VirtualAddress) -> None:
-        self.add_vertex(a)
-        self.add_vertex(b)
-        if a == b:
-            self.self_loops.add(a)
-        else:
-            self.nonself_adjacency[a].add(b)
-            self.nonself_adjacency[b].add(a)
+        self.link(self.add_vertex(a), self.add_vertex(b))
+
+    def link(self, i: int, j: int) -> None:
+        """Add the edge between vertex ids i and j (once, however often called)."""
+        if i == j:
+            self.self_loop_ids.add(i)
+        elif j not in self.adjacency[i]:
+            self.adjacency[i].add(j)
+            self.adjacency[j].add(i)
+            self.edges.append((i, j))
+
+    @property
+    def vertices(self) -> set[VirtualAddress]:
+        """The address set, filled in insertion order."""
+        return set(self.addresses)
 
     def neighbors(self, vertex: VirtualAddress) -> set[VirtualAddress]:
-        return self.nonself_adjacency.get(vertex, set())
+        vid = self.ids.get(vertex)
+        if vid is None:
+            return set()
+        return {self.addresses[j] for j in self.adjacency[vid]}
 
     def degree_nonself(self, vertex: VirtualAddress) -> int:
-        return len(self.neighbors(vertex))
+        vid = self.ids.get(vertex)
+        return 0 if vid is None else len(self.adjacency[vid])
 
     def degree_api(self, vertex: VirtualAddress) -> int:
-        bonus = 2 if vertex in self.self_loops else 0
-        return self.degree_nonself(vertex) + bonus
+        vid = self.ids.get(vertex)
+        return 0 if vid is None else self._degree_api(vid)
+
+    def _degree_api(self, vid: int) -> int:
+        return len(self.adjacency[vid]) + (2 if vid in self.self_loop_ids else 0)
 
     @property
     def node_count(self) -> int:
-        return len(self.vertices)
+        return len(self.addresses)
 
     @property
     def edge_count_nonself(self) -> int:
-        return sum(len(adj) for adj in self.nonself_adjacency.values()) // 2
+        return len(self.edges)
 
     @property
     def self_loop_count(self) -> int:
-        return len(self.self_loops)
+        return len(self.self_loop_ids)
 
     def sorted_vertices(self) -> list[VirtualAddress]:
-        return sorted(self.vertices)
+        return sorted(self.addresses)
 
 
 def build_graph(snapshot: StatsSnapshot) -> TrustGraph:
-    """Vertices come from the node list; edges are deduplicated."""
+    """Vertices come from the node list; edges are deduplicated.
+
+    Each distinct address text is parsed once. An edge endpoint absent from
+    the node list still becomes a vertex, and differently-written texts of
+    one address map to one vertex.
+    """
     graph = TrustGraph()
+    by_text: dict[str, int] = {}
+
+    def vertex_id(text: str) -> int:
+        vid = by_text.get(text)
+        if vid is None:
+            vid = by_text[text] = graph.add_vertex(VirtualAddress.from_text(text))
+        return vid
+
     for node in snapshot.nodes:
-        graph.add_vertex(VirtualAddress.from_text(node.address))
+        vertex_id(node.address)
     for a_text, b_text in snapshot.trust_edges:
-        graph.add_edge(
-            VirtualAddress.from_text(a_text), VirtualAddress.from_text(b_text)
-        )
+        graph.link(vertex_id(a_text), vertex_id(b_text))
     return graph
 
 
@@ -85,8 +125,8 @@ def degree_histogram(graph: TrustGraph, mode: str = "nonself") -> dict[int, int]
     if mode not in ("api", "nonself"):
         raise ValueError(f"unknown degree mode {mode!r}")
     histogram: dict[int, int] = {}
-    for vertex in graph.vertices:
-        k = graph.degree_api(vertex) if mode == "api" else graph.degree_nonself(vertex)
+    for vid, adjacent in enumerate(graph.adjacency):
+        k = graph._degree_api(vid) if mode == "api" else len(adjacent)
         histogram[k] = histogram.get(k, 0) + 1
     return dict(sorted(histogram.items()))
 
@@ -158,9 +198,8 @@ class ComponentCensus:
 
 def components(graph: TrustGraph) -> ComponentCensus:
     """Connected components over non-self edges (union-find)."""
-    vertices = graph.sorted_vertices()
-    index = {vertex: i for i, vertex in enumerate(vertices)}
-    parent = list(range(len(vertices)))
+    n = graph.node_count
+    parent = list(range(n))
 
     def find(i: int) -> int:
         root = i
@@ -170,17 +209,11 @@ def components(graph: TrustGraph) -> ComponentCensus:
             parent[i], i = root, parent[i]
         return root
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for vertex in vertices:
-        for neighbor in graph.neighbors(vertex):
-            union(index[vertex], index[neighbor])
+    for i, j in graph.edges:
+        parent[find(j)] = find(i)
 
     tally: dict[int, int] = {}
-    for i in range(len(vertices)):
+    for i in range(n):
         root = find(i)
         tally[root] = tally.get(root, 0) + 1
     sizes = tuple(sorted(tally.values(), reverse=True))
@@ -191,7 +224,7 @@ def components(graph: TrustGraph) -> ComponentCensus:
         pairs=sum(1 for s in sizes if s == 2),
         triples=sum(1 for s in sizes if s == 3),
         giant_size=giant,
-        giant_fraction=giant / len(vertices) if vertices else 0.0,
+        giant_fraction=giant / n if n else 0.0,
     )
 
 
@@ -219,43 +252,37 @@ class ClusteringStats:
 
 
 def clustering(graph: TrustGraph) -> ClusteringStats:
-    triangles_at: dict[VirtualAddress, int] = {}
-    local: dict[VirtualAddress, float] = {}
+    adjacency = graph.adjacency
+    # closed[w]: edges among w's neighbors, i.e. triangles through w
+    closed = [0] * graph.node_count
+    for i, j in graph.edges:
+        for w in adjacency[i] & adjacency[j]:
+            closed[w] += 1
+    triangle_total = sum(closed) // 3
     connected_triples = 0
+    local: list[float] = []
+    eligible: list[float] = []
+    # Float sums depend on summation order. They run in the iteration order
+    # of the address set because the golden metrics digests lock their
+    # last bits.
     for vertex in graph.vertices:
-        neighbors = graph.neighbors(vertex)
-        k = len(neighbors)
+        vid = graph.ids[vertex]
+        k = len(adjacency[vid])
         pairs = k * (k - 1) // 2
         connected_triples += pairs
         if pairs == 0:
-            triangles_at[vertex] = 0
-            local[vertex] = 0.0
+            local.append(0.0)
             continue
-        closed = 0
-        neighbor_list = list(neighbors)
-        for i, a in enumerate(neighbor_list):
-            adj_a = graph.neighbors(a)
-            for b in neighbor_list[i + 1 :]:
-                if b in adj_a:
-                    closed += 1
-        triangles_at[vertex] = closed
-        local[vertex] = closed / pairs
-    triangle_total = sum(triangles_at.values()) // 3
+        local.append(closed[vid] / pairs)
+        eligible.append(local[-1])
     open_triples = connected_triples - 3 * triangle_total
-    n = len(graph.vertices)
-    avg_all = sum(local.values()) / n if n else 0.0
-    eligible = [c for v, c in local.items() if graph.degree_nonself(v) >= 2]
+    n = graph.node_count
+    avg_all = sum(local) / n if n else 0.0
     avg_positive = sum(eligible) / len(eligible) if eligible else 0.0
     if connected_triples > 0:
         transitivity_standard = 3 * triangle_total / connected_triples
     else:
         transitivity_standard = 0.0
-    if open_triples > 0:
-        transitivity_open_ratio = triangle_total / open_triples
-    elif triangle_total > 0:
-        transitivity_open_ratio = float("inf")
-    else:
-        transitivity_open_ratio = 0.0
     return ClusteringStats(
         avg_all=avg_all,
         avg_positive=avg_positive,
@@ -264,7 +291,9 @@ def clustering(graph: TrustGraph) -> ClusteringStats:
         connected_triples=connected_triples,
         open_triples=open_triples,
         transitivity_standard=transitivity_standard,
-        transitivity_open_ratio=transitivity_open_ratio,
+        transitivity_open_ratio=transitivity_from_counts(
+            triangle_total, open_triples
+        ),
     )
 
 
@@ -280,10 +309,7 @@ def transitivity_from_counts(triangles: int, open_triples: int) -> float:
 
 def density(graph: TrustGraph) -> float:
     """2E / (V (V-1)) over non-self edges."""
-    n = graph.node_count
-    if n < 2:
-        raise DegenerateGraphError(f"density needs at least 2 nodes, got {n}")
-    return 2.0 * graph.edge_count_nonself / (n * (n - 1))
+    return density_from_counts(graph.node_count, graph.edge_count_nonself)
 
 
 def density_from_counts(node_count: int, edge_count_nonself: int) -> float:
@@ -321,18 +347,14 @@ class AddressDeltaStats:
 def address_delta_histogram(graph: TrustGraph, within: int = 10) -> AddressDeltaStats:
     histogram: dict[int, int] = {}
     excluded = 0
-    seen: set[tuple[VirtualAddress, VirtualAddress]] = set()
-    for vertex in graph.vertices:
-        for neighbor in graph.neighbors(vertex):
-            pair = (min(vertex, neighbor), max(vertex, neighbor))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            if vertex.network_id != neighbor.network_id:
-                excluded += 1
-                continue
-            delta = abs(vertex.node_id - neighbor.node_id)
-            histogram[delta] = histogram.get(delta, 0) + 1
+    addresses = graph.addresses
+    for i, j in graph.edges:
+        a, b = addresses[i], addresses[j]
+        if a.network_id != b.network_id:
+            excluded += 1
+            continue
+        delta = abs(a.node_id - b.node_id)
+        histogram[delta] = histogram.get(delta, 0) + 1
     total = sum(histogram.values())
     mean_delta = (
         sum(d * n for d, n in histogram.items()) / total if total else 0.0
@@ -401,27 +423,19 @@ def hub_table(
     tags_by_address: dict[str, tuple[str, ...]] = {}
     if snapshot is not None:
         tags_by_address = {node.address: tuple(node.tags) for node in snapshot.nodes}
-    ranked = sorted(
-        graph.vertices, key=lambda v: (-graph.degree_api(v), v)
-    )
-    rows = tuple(
-        HubRow(
-            address=vertex.to_text(),
-            degree_api=graph.degree_api(vertex),
-            tags=tags_by_address.get(vertex.to_text(), ()),
-        )
-        for vertex in ranked[:top_n]
-    )
-    top5 = ranked[:5]
-    degree_sum = sum(graph.degree_api(v) for v in top5)
-    incident: set[tuple[VirtualAddress, VirtualAddress]] = set()
-    for vertex in top5:
-        for neighbor in graph.neighbors(vertex):
-            incident.add((min(vertex, neighbor), max(vertex, neighbor)))
+    addresses = graph.addresses
+    degree = [graph._degree_api(vid) for vid in range(graph.node_count)]
+    ranked = sorted(range(graph.node_count), key=lambda v: (-degree[v], addresses[v]))
+    rows = []
+    for vid in ranked[:top_n]:
+        text = addresses[vid].to_text()
+        rows.append(HubRow(text, degree[vid], tags_by_address.get(text, ())))
+    top5 = set(ranked[:5])
+    incident = sum(1 for i, j in graph.edges if i in top5 or j in top5)
     edges = graph.edge_count_nonself
     return HubTable(
-        rows=rows,
-        top5_degree_sum=degree_sum,
-        top5_incident_edges=len(incident),
-        top5_share=len(incident) / edges if edges else 0.0,
+        rows=tuple(rows),
+        top5_degree_sum=sum(degree[v] for v in top5),
+        top5_incident_edges=incident,
+        top5_share=incident / edges if edges else 0.0,
     )

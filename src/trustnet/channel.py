@@ -38,7 +38,6 @@ from .errors import (
     LowOrderPointError,
     ReplayDetectedError,
     ResponderDeclinedError,
-    ResponderUnknownError,
     SignatureInvalidError,
 )
 from .overlay import PacketHeader, VirtualAddress
@@ -411,11 +410,6 @@ class HandshakeInitiator:
 
     def on_decline(self) -> None:
         raise ResponderDeclinedError(f"{self.responder} declined the handshake")
-
-    def on_error(self, body: bytes) -> None:
-        if body and body[0] == ERROR_UNKNOWN_DESTINATION:
-            raise ResponderUnknownError(f"{self.responder} is not registered")
-        raise HandshakeError(f"relay error code {body[:1].hex() or 'empty'}")
 
 
 class HandshakeResponder:

@@ -201,7 +201,7 @@ def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
         )
     click.echo(render_table(report))
     if audit:
-        findings = consistency_audit(snapshot)
+        findings = consistency_audit(snapshot, report)
         if findings:
             for finding in findings:
                 click.echo(f"audit: {finding}")
@@ -230,6 +230,19 @@ def report(metrics_path: str, charts_dir: str) -> None:
 
 
 # --- sweep ---
+
+
+SWEEP_COLUMNS = (
+    "value",
+    "seed",
+    "node_count",
+    "edges_nonself",
+    "self_loops",
+    "mean_degree_nonself",
+    "giant_fraction",
+    "avg_clustering",
+    "gamma",
+)
 
 
 def _parse_values(text: str) -> list[float]:
@@ -279,32 +292,20 @@ def sweep(parameter, values, preset_name, config_path, seeds, out_path):
     rows = []
     for value, seed, metrics in growth.sweep(base, parameter, value_list, seed_list):
         fit = metrics.powerlaw_fit
-        rows.append(
-            {
-                "value": value,
-                "seed": seed,
-                "node_count": metrics.node_count,
-                "edges_nonself": metrics.edge_count_nonself,
-                "self_loops": metrics.self_loop_count,
-                "mean_degree_nonself": f"{metrics.mean_degree_nonself:.6f}",
-                "giant_fraction": f"{metrics.giant_fraction:.6f}",
-                "avg_clustering": f"{metrics.avg_clustering_all:.6f}",
-                "gamma": f"{fit.gamma:.6f}" if fit is not None else "",
-            }
+        cells = (
+            value,
+            seed,
+            metrics.node_count,
+            metrics.edge_count_nonself,
+            metrics.self_loop_count,
+            f"{metrics.mean_degree_nonself:.6f}",
+            f"{metrics.giant_fraction:.6f}",
+            f"{metrics.avg_clustering_all:.6f}",
+            f"{fit.gamma:.6f}" if fit is not None else "",
         )
-    columns = [
-        "value",
-        "seed",
-        "node_count",
-        "edges_nonself",
-        "self_loops",
-        "mean_degree_nonself",
-        "giant_fraction",
-        "avg_clustering",
-        "gamma",
-    ]
+        rows.append(dict(zip(SWEEP_COLUMNS, cells)))
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(sweep_csv(rows, columns), encoding="utf-8")
+    out.write_text(sweep_csv(rows, SWEEP_COLUMNS), encoding="utf-8")
     click.echo(f"wrote {out} ({len(rows)} rows)")
 
 

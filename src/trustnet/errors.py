@@ -68,16 +68,8 @@ class ResponderDeclinedError(HandshakeError):
     """Responder's trust policy rejected the request."""
 
 
-class ResponderUnknownError(HandshakeError):
-    """Relay reported the responder address as unregistered."""
-
-
 class SignatureInvalidError(HandshakeError):
     """Transcript signature did not verify against the registered key."""
-
-
-class HandshakeTimeoutError(HandshakeError):
-    """No response within the timeout after all retries."""
 
 
 # --- registry ---
@@ -97,10 +89,6 @@ class HostnameNotFoundError(RegistryError):
 
 class UnknownNodeError(RegistryError):
     """Address is not registered."""
-
-
-class UnknownDestinationError(RegistryError):
-    """Relay target is not registered."""
 
 
 # --- snapshots and analytics ---

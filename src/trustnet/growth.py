@@ -14,7 +14,7 @@ Duplicate pairs are rejected (consuming the stub). Tags come from a weighted
 vocabulary with a Zipf-like tail so that type/token statistics resemble an
 organically grown capability market.
 
-Two deliberate structural choices keep fragmentation possible (without them
+Three deliberate structural choices keep fragmentation possible (without them
 every non-isolate attaches to one giant cluster and small detached
 communities can never form):
 

@@ -474,11 +474,38 @@ class TestTailFit:
             assert fit_heavy_tail(hist, k_min=10).gamma > 1.0
 
 
+def random_snapshot() -> StatsSnapshot:
+    rng = random.Random(17)
+    n, edges = random_edge_list(rng, max_nodes=40)
+    return snapshot_from(n, edges, tags={0: ("analytics",), 1: ("writing",)})
+
+
+def absent_endpoint_snapshot() -> StatsSnapshot:
+    """Edges naming addresses missing from the node list still add vertices."""
+    snap = snapshot_from(3, [(0, 1)])
+    snap.trust_edges.extend(
+        [(addr(1).to_text(), addr(5).to_text()), (addr(7).to_text(),) * 2]
+    )
+    return snap
+
+
+def noncanonical_node_snapshot() -> StatsSnapshot:
+    """A lowercase-hex node and its canonical edge text are one vertex."""
+    snap = snapshot_from(12, [(9, 10), (10, 11), (9, 9)])
+    node = snap.nodes[9]
+    assert node.address.endswith("A")
+    snap.nodes[9] = NodeView(
+        address=node.address.lower(),
+        tags=node.tags,
+        online=node.online,
+        trust_links=node.trust_links,
+    )
+    return snap
+
+
 class TestReportAndAudit:
     def make_snapshot(self):
-        rng = random.Random(17)
-        n, edges = random_edge_list(rng, max_nodes=40)
-        return snapshot_from(n, edges, tags={0: ("analytics",), 1: ("writing",)})
+        return random_snapshot()
 
     def test_report_is_deterministic_and_order_independent(self):
         snap = self.make_snapshot()
@@ -538,15 +565,26 @@ class TestReportAndAudit:
         assert findings[0].delta == 1
 
     def test_report_fields_recomputable(self):
-        snap = self.make_snapshot()
-        report = analyze_snapshot(snap)
-        graph = build_graph(snap)
-        assert report.edge_count_nonself == graph.edge_count_nonself
-        assert report.self_loop_count == graph.self_loop_count
-        assert report.mean_degree_nonself == pytest.approx(
-            2 * graph.edge_count_nonself / graph.node_count
-        )
-        assert sum(report.component_sizes) == graph.node_count
+        # (snapshot, expected vertex, non-self edge and self-loop counts)
+        cases = [
+            (random_snapshot(), (35, 75, 5)),
+            (absent_endpoint_snapshot(), (5, 2, 1)),
+            (noncanonical_node_snapshot(), (12, 2, 1)),
+        ]
+        for snap, counts in cases:
+            report = analyze_snapshot(snap)
+            graph = build_graph(snap)
+            assert (
+                graph.node_count,
+                graph.edge_count_nonself,
+                graph.self_loop_count,
+            ) == counts
+            assert report.edge_count_nonself == graph.edge_count_nonself
+            assert report.self_loop_count == graph.self_loop_count
+            assert report.mean_degree_nonself == pytest.approx(
+                2 * graph.edge_count_nonself / graph.node_count
+            )
+            assert sum(report.component_sizes) == graph.node_count
 
     def test_render_table_contains_headline_rows(self):
         table = render_table(analyze_snapshot(self.make_snapshot()))

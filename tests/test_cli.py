@@ -4,6 +4,9 @@ import json
 
 import pytest
 
+import trustnet.analytics.report
+import trustnet.cli
+from trustnet.analytics.report import analyze_snapshot
 from trustnet.cli import main
 from trustnet.snapshot import StatsSnapshot
 
@@ -202,6 +205,18 @@ class TestAnalyzeAndReport:
         assert main(["analyze", str(snapshot_path), "--audit"]) == 0
         assert "audit: no findings" in capsys.readouterr().out
 
+    def test_audit_reuses_the_report(self, snapshot_path, monkeypatch):
+        calls = []
+
+        def counted(snapshot, **kwargs):
+            calls.append(snapshot)
+            return analyze_snapshot(snapshot, **kwargs)
+
+        monkeypatch.setattr(trustnet.cli, "analyze_snapshot", counted)
+        monkeypatch.setattr(trustnet.analytics.report, "analyze_snapshot", counted)
+        assert main(["analyze", str(snapshot_path), "--audit"]) == 0
+        assert len(calls) == 1
+
     def test_missing_snapshot_is_input_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing.json")]) == 2
 
@@ -242,6 +257,15 @@ class TestSweep:
         loops_on = [int(r[4]) for r in rows if r[0] == "1.0"]
         assert all(v == 0 for v in loops_off)
         assert all(v == 40 for v in loops_on)
+        # an empty value list still writes the header line
+        empty = tmp_path / "empty.csv"
+        code = main(["sweep", "mix.triadic", ",", "--out", str(empty)])
+        assert code == 0
+        assert empty.read_text() == lines[0] + "\n"
+        assert lines[0] == (
+            "value,seed,node_count,edges_nonself,self_loops,"
+            "mean_degree_nonself,giant_fraction,avg_clustering,gamma"
+        )
 
     def test_range_syntax_expands_inclusively(self, tmp_path):
         config = tmp_path / "growth.json"
