@@ -200,6 +200,10 @@ class MechanismMix:
     def weights(self) -> tuple[float, float, float, float]:
         return (self.propinquity, self.preferential, self.triadic, self.uniform)
 
+    def draw(self, rng: random.Random) -> str:
+        """Pick one mechanism name with these weights (one rng call)."""
+        return rng.choices(MECHANISMS, weights=self.weights())[0]
+
     def validate(self) -> None:
         for name, value in zip(MECHANISMS, self.weights()):
             if value < 0:
@@ -269,6 +273,22 @@ class GrowthConfig:
     connector_stub_mean: float = 0.0
 
     def validate(self) -> None:
+        for name in ("n", "window", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigInvalidError(f"{name} must be an integer")
+        for name in (
+            "self_loop_probability",
+            "isolate_probability",
+            "untagged_probability",
+            "stub_mean",
+            "session_mean",
+            "connector_fraction",
+            "connector_stub_mean",
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigInvalidError(f"{name} must be a number")
         if self.n < 2:
             raise ConfigInvalidError("n must be at least 2")
         for name in (
@@ -486,7 +506,6 @@ class GrowthTrace:
     def replay(self) -> StatsSnapshot:
         """Rebuild the output snapshot from nothing but the trace."""
         edges: list[tuple[str, str]] = []
-        edge_set: set[tuple[str, str]] = set()
         degree: dict[str, int] = {}
         loops: set[str] = set()
         tags: dict[str, tuple[str, ...]] = {}
@@ -497,7 +516,6 @@ class GrowthTrace:
             if event.self_loop:
                 pair = (event.address, event.address)
                 edges.append(pair)
-                edge_set.add(pair)
                 loops.add(event.address)
             for attempt in event.attempts:
                 if attempt.target is None:
@@ -507,7 +525,6 @@ class GrowthTrace:
                     continue
                 pair = tuple(sorted((event.address, attempt.target)))
                 edges.append(pair)
-                edge_set.add(pair)
                 degree[event.address] += 1
                 degree[attempt.target] += 1
         n = len(self.events)
@@ -537,68 +554,61 @@ class GrowthTrace:
 # --- generation ---
 
 
-class _GraphState:
-    """Mutable growth state shared by the mechanism samplers."""
+class AttachmentGraph:
+    """Graph state the attachment sampler reads; nodes are any hashable ids."""
 
     def __init__(self) -> None:
-        self.adjacency: dict[int, set[int]] = {}
-        self.degree: dict[int, int] = {}
-        self.attachable: list[int] = []  # prior non-isolate arrivals, in order
+        self.adjacency: dict = {}
+        self.degree: dict = {}  # len(adjacency[v]), kept for cheap weights
+        self.attachable: list = []  # nodes open to new links, in arrival order
 
-    def add_node(self, node: int) -> None:
+    def add_node(self, node) -> None:
         self.adjacency[node] = set()
         self.degree[node] = 0
 
-    def connect(self, a: int, b: int) -> None:
+    def connect(self, a, b) -> None:
         self.adjacency[a].add(b)
         self.adjacency[b].add(a)
         self.degree[a] += 1
         self.degree[b] += 1
 
 
-def _select_target(
+def pick_target(
     mechanism: str,
-    node: int,
-    state: _GraphState,
-    pool: Sequence[int],
-    fallback_pool: Sequence[int],
     rng: random.Random,
-) -> Optional[int]:
-    """Pick an attachment target, or None when the mechanism has no candidate."""
+    node,
+    graph: AttachmentGraph,
+    recent: Sequence,
+    pool: Sequence,
+    exclude: Union[set, frozenset] = frozenset(),
+):
+    """Draw one attachment target for ``node``, or None without a candidate.
+
+        propinquity   uniform over ``recent``
+        uniform       uniform over ``pool``
+        preferential  over ``pool``, weighted by degree + 1
+        triadic       uniform over sorted(two-hop neighbors - {node})
+
+    ``exclude`` filters every candidate list first; an empty list returns
+    None without drawing from ``rng``.
+    """
     if mechanism == "propinquity":
-        if not pool:
-            return None
-        return rng.choice(list(pool))
-    if mechanism == "uniform":
-        if not state.attachable:
-            return None
-        return rng.choice(state.attachable)
+        candidates = recent
+    elif mechanism == "uniform" or mechanism == "preferential":
+        candidates = pool
+    elif mechanism == "triadic":
+        two_hop = set().union(*(graph.adjacency[v] for v in graph.adjacency[node]))
+        candidates = sorted(two_hop - {node})
+    else:
+        raise UnknownParameterError(f"unknown mechanism {mechanism!r}")
+    if exclude:
+        candidates = [v for v in candidates if v not in exclude]
+    if not candidates:
+        return None
     if mechanism == "preferential":
-        if not state.attachable:
-            return None
-        weights = [state.degree[v] + 1 for v in state.attachable]
-        return rng.choices(state.attachable, weights=weights)[0]
-    if mechanism == "triadic":
-        neighbors = state.adjacency[node]
-        if not neighbors:
-            # A neighborless node has no two-hop horizon; the stub fails
-            # rather than silently becoming a global attachment.
-            return None
-        two_hop: set[int] = set()
-        for neighbor in neighbors:
-            two_hop.update(state.adjacency[neighbor])
-        two_hop.discard(node)
-        if not two_hop:
-            # Degree-weighted fallback within the node's visibility horizon,
-            # so a referral dead-end cannot silently bridge an otherwise
-            # detached community into the core.
-            candidates = [v for v in fallback_pool if v != node]
-            if not candidates:
-                return None
-            weights = [state.degree[v] + 1 for v in candidates]
-            return rng.choices(candidates, weights=weights)[0]
-        return rng.choice(sorted(two_hop))
-    raise UnknownParameterError(f"unknown mechanism {mechanism!r}")
+        degree = graph.degree
+        return rng.choices(candidates, weights=[degree[v] + 1 for v in candidates])[0]
+    return rng.choice(candidates)
 
 
 def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
@@ -606,8 +616,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
     config.validate()
     rng = random.Random(config.seed)
     tag_model = config.build_tag_model()
-    state = _GraphState()
-    edge_set: set[tuple[int, int]] = set()
+    graph = AttachmentGraph()
     events: list[GrowthEvent] = []
     session_pool: list[int] = []
     session_left = 0
@@ -615,7 +624,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
 
     for node in range(1, config.n + 1):
         address = VirtualAddress(0, node).to_text()
-        state.add_node(node)
+        graph.add_node(node)
         if use_sessions:
             if session_left == 0:
                 session_left = geometric(rng, config.session_mean)
@@ -634,40 +643,31 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
                 stubs = geometric(rng, config.connector_stub_mean)
             else:
                 stubs = one_plus_poisson(rng, config.stub_mean)
-            recent = session_pool if use_sessions else state.attachable
+            recent = session_pool if use_sessions else graph.attachable
+            window = recent[-config.window :]
             for _ in range(stubs):
                 # Connectors attach globally by degree; ordinary arrivals
                 # draw a mechanism from the configured mix.
-                if connector:
-                    mechanism = "preferential"
-                else:
-                    mechanism = rng.choices(
-                        MECHANISMS, weights=config.mix.weights()
-                    )[0]
-                target = _select_target(
-                    mechanism,
-                    node,
-                    state,
-                    recent[-config.window :],
-                    recent,
-                    rng,
+                mechanism = "preferential" if connector else config.mix.draw(rng)
+                target = pick_target(
+                    mechanism, rng, node, graph, window, graph.attachable
                 )
+                if target is None and mechanism == "triadic" and graph.adjacency[node]:
+                    # Degree-weighted fallback within the node's visibility
+                    # horizon, so a referral dead-end cannot silently bridge
+                    # an otherwise detached community into the core. A
+                    # neighborless node's triadic stub fails instead.
+                    target = pick_target(
+                        "preferential", rng, node, graph, window, recent
+                    )
                 if target is None:
                     attempts.append(LinkAttempt(mechanism, None, False))
                     continue
-                pair = (min(node, target), max(node, target))
-                if pair in edge_set:
-                    attempts.append(
-                        LinkAttempt(
-                            mechanism, VirtualAddress(0, target).to_text(), False
-                        )
-                    )
-                    continue
-                edge_set.add(pair)
-                state.connect(node, target)
-                attempts.append(
-                    LinkAttempt(mechanism, VirtualAddress(0, target).to_text(), True)
-                )
+                accepted = target not in graph.adjacency[node]
+                if accepted:
+                    graph.connect(node, target)
+                text = VirtualAddress(0, target).to_text()
+                attempts.append(LinkAttempt(mechanism, text, accepted))
         tags = tag_model.draw(rng)
         events.append(
             GrowthEvent(
@@ -680,7 +680,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
             )
         )
         if not isolate:
-            state.attachable.append(node)
+            graph.attachable.append(node)
             if use_sessions:
                 session_pool.append(node)
 
@@ -698,11 +698,9 @@ def set_parameter(config: GrowthConfig, parameter: str, value) -> GrowthConfig:
         updated = replace(config, mix=config.mix.with_weight(mechanism, float(value)))
     elif parameter in GrowthConfig.__dataclass_fields__:
         current = getattr(config, parameter)
-        if parameter == "n" or parameter == "window":
+        if parameter in ("n", "window", "seed"):
             value = int(value)
-        elif parameter == "seed":
-            value = int(value)
-        elif isinstance(current, float):
+        elif isinstance(current, (int, float)):  # may hold a JSON int
             value = float(value)
         updated = replace(config, **{parameter: value})
     else:

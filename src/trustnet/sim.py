@@ -48,7 +48,13 @@ from .channel import (
     SecureSession,
 )
 from .errors import BeaconUnavailableError, ConfigInvalidError
-from .growth import MECHANISMS, MechanismMix, TagModel, default_tag_model
+from .growth import (
+    AttachmentGraph,
+    MechanismMix,
+    TagModel,
+    default_tag_model,
+    pick_target,
+)
 from .overlay import (
     PORT_SECURE_CHANNEL,
     PORT_TRUST_HANDSHAKE,
@@ -543,7 +549,7 @@ class _SimAgent:
             "arrival", index=self.index, address=self.address.to_text(), nat=self.nat
         )
         sc.log("register", address=self.address.to_text(), tags=list(tags))
-        sc.agents_arrived.append(self)
+        sc.graph.add_node(self.address)
         sc.by_address[self.address] = self
         sc.loop.schedule(behavior.heartbeat_interval, self.heartbeat)
         if self.rng.random() < behavior.self_trust_probability:
@@ -551,6 +557,7 @@ class _SimAgent:
         count = behavior.target_links.sample_count(self.rng)
         for target in sc.select_targets(self, count):
             self.start_handshake(target)
+        sc.graph.attachable.append(self.address)
 
     def heartbeat(self) -> None:
         sc = self.scenario
@@ -689,9 +696,8 @@ class _Scenario:
         self.beacon = Beacon()
         self.events: list[dict] = []
         self.pings: list[tuple[str, str, bytes]] = []
-        self.agents_arrived: list[_SimAgent] = []
         self.by_address: dict[VirtualAddress, _SimAgent] = {}
-        self.neighbors: dict[VirtualAddress, set[VirtualAddress]] = {}
+        self.graph = AttachmentGraph()  # completed non-self handshakes
         self.scenario_rng = _split_rng(config.seed, "scenario")
         self.transport_rng = _split_rng(config.seed, "transport")
 
@@ -701,9 +707,9 @@ class _Scenario:
         self.events.append({"t": self.loop.now, "event": kind, **fields})
 
     def note_edge(self, a: VirtualAddress, b: VirtualAddress) -> None:
+        # Each pair completes at most once, so connect never double-counts.
         if a != b:
-            self.neighbors.setdefault(a, set()).add(b)
-            self.neighbors.setdefault(b, set()).add(a)
+            self.graph.connect(a, b)
 
     # -- arrivals --
 
@@ -721,56 +727,24 @@ class _Scenario:
 
         Each unordered pair is attempted at most once across the scenario
         because only the newest agent ever initiates and its choices are
-        deduplicated here.
+        deduplicated here. Targets come from the growth model's sampler over
+        earlier arrivals. Triadic never yields one: no handshake of the
+        newcomer has completed yet, so it has no two-hop neighbors.
         """
-        pool = [a for a in self.agents_arrived if a is not agent]
+        behavior = self.config.behavior
+        earlier = self.graph.attachable
+        recent = earlier[-behavior.window :]
         chosen: list[VirtualAddress] = []
         taken: set[VirtualAddress] = set()
         for _ in range(count):
-            target = self._select_one(agent, pool, taken)
+            mechanism = behavior.peer_selection.draw(agent.rng)
+            target = pick_target(
+                mechanism, agent.rng, agent.address, self.graph, recent, earlier, taken
+            )
             if target is not None:
                 taken.add(target)
                 chosen.append(target)
         return chosen
-
-    def _select_one(
-        self,
-        agent: _SimAgent,
-        pool: list[_SimAgent],
-        taken: set[VirtualAddress],
-    ) -> Optional[VirtualAddress]:
-        mix = self.config.behavior.peer_selection
-        mechanism = agent.rng.choices(MECHANISMS, weights=mix.weights())[0]
-        if mechanism == "propinquity":
-            window = self.config.behavior.window
-            candidates = [
-                a.address for a in pool[-window:] if a.address not in taken
-            ]
-            return agent.rng.choice(candidates) if candidates else None
-        if mechanism == "preferential":
-            candidates = [a.address for a in pool if a.address not in taken]
-            if not candidates:
-                return None
-            degree_weights = [
-                len(self.neighbors.get(addr, ())) + 1 for addr in candidates
-            ]
-            return agent.rng.choices(candidates, weights=degree_weights)[0]
-        if mechanism == "triadic":
-            # Two-hop closure over settled edges and the newcomer's own
-            # in-flight attempts; a fresh arrival usually has neither, and
-            # an empty candidate set skips the draw rather than redirecting.
-            first_hop = set(self.neighbors.get(agent.address, set()))
-            first_hop.update(agent.attempts)
-            two_hop: set[VirtualAddress] = set()
-            for mid in first_hop:
-                two_hop.update(self.neighbors.get(mid, ()))
-            two_hop -= {agent.address}
-            two_hop -= first_hop
-            two_hop -= taken
-            candidates = sorted(two_hop)
-            return agent.rng.choice(candidates) if candidates else None
-        candidates = [a.address for a in pool if a.address not in taken]
-        return agent.rng.choice(candidates) if candidates else None
 
     # -- transport legs --
 

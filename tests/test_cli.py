@@ -147,6 +147,19 @@ class TestGenerate:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n": "10"}, {"n": 50, "window": 2.5}, {"n": 50, "seed": 1.5}],
+    )
+    def test_mistyped_config_is_input_error(self, tmp_path, capsys, doc):
+        config = tmp_path / "growth.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+        # rejected before the header is printed or anything is written
+        assert "resolved configuration" not in capsys.readouterr().out
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_snapshot_and_ground_truth(self, tmp_path):

@@ -13,23 +13,32 @@ import pytest
 
 from trustnet.cli import main
 
-PAPER_2026 = {
-    0: {
+# Keyed by pytest id: a paper-2026 seed, or a GROWTH_CONFIGS entry.
+GENERATE_DIGESTS = {
+    "0": {
         "snapshot": "8ac2ed69bf56170714b59620e5648d855244356d74264b7ac7586a37f2612f1a",
         "trace": "23bde3ed197e7e651b9ad8317b89f0897cd2154463de6141c6df3459d0632ec6",
         "metrics": "930c21044243296b0b6bd3b885a5c7ae06143e8f243fe81c7e16daa3350ed64b",
     },
-    7: {
+    "7": {
         "snapshot": "d7fe24de66f3f2f888be0fb453a7ff715c808bf691a0e5679ba48e46ee3a3ed9",
         "trace": "9c7729e3cc9e9fd7ec3c1bde746af9619ad188e2da2187658b0beb59cbf1bf52",
         "metrics": "c37fc8044c954a189a1b43f47e72bc0f3610da565a92916b7d88b173e72987b9",
     },
-    2026: {
+    "2026": {
         "snapshot": "899fc9d00010d13cbef2dfa881b1ffa8e4ed6bc3915954a514b1086d032f1e6f",
         "trace": "1fb2423d68ae399365035479269048075db7c84fe8ddb9339d8d6ad74cf2c0a3",
         "metrics": "55643476961be9357c9932b233a223d04aa2a775d161ff5de86c897b313907d9",
     },
+    "config-n2000-seed5": {
+        "snapshot": "5ba0ec46da1431d6bedaca535b70af38e3c170d286851a8eeff9e73174ff4da1",
+        "trace": "e7233dd147c30f5ed265c7f9d61d4b147f63626a38d60f89a7178477b750e44f",
+        "metrics": "e047cc69ccca6acca8c863f74ac9f27b6e5cd35affe02fc1f7b57e986afe2ec6",
+    },
 }
+
+# Growth without sessions or connectors, which the preset never runs.
+GROWTH_CONFIGS = {"config-n2000-seed5": {"n": 2000, "seed": 5}}
 
 LOSSY_SCENARIO = {
     "agent_count": 40,
@@ -46,6 +55,26 @@ LOSSY_DIGESTS = {
     "metrics": "24ba3b65437dd94d33f56e4da9bd24a325b7a6f67f6bdd06302a25bffee4bdda",
 }
 
+# Three links per arrival over a 5-wide window, so each pick excludes the
+# targets already chosen for that arrival.
+WIDE_SCENARIO = {
+    "agent_count": 120,
+    "arrival_schedule": {"kind": "fixed", "value": 2.0},
+    "loss_rate": 0.05,
+    "behavior": {
+        "self_trust_probability": 0.64,
+        "target_links": {"kind": "fixed", "value": 3.0},
+        "window": 5,
+    },
+    "seed": 3,
+}
+
+WIDE_DIGESTS = {
+    "snapshot": "69652a0fe4bbd7e56732bf15906a9c31a84c00db8bf2f147fe5b6ab2b6c74aa9",
+    "events": "a53b8a0ef4f4dc11ab09480de38b62e146794f20342905feede5e9783b7e7122",
+    "metrics": "1bbad92edf0d4162eea2ef7de28fb575d21e2b3d659d1290a28a22d326fa22cd",
+}
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -55,23 +84,19 @@ def analyze_to(snapshot, metrics) -> None:
     assert main(["analyze", str(snapshot), "--out", str(metrics)]) == 0
 
 
-@pytest.mark.parametrize("seed", sorted(PAPER_2026))
-def test_paper_preset_digests(tmp_path, seed):
+@pytest.mark.parametrize("case", sorted(GENERATE_DIGESTS))
+def test_paper_preset_digests(tmp_path, case):
     snapshot = tmp_path / "snapshot.json"
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
+    if case in GROWTH_CONFIGS:
+        config = tmp_path / "growth.json"
+        config.write_text(json.dumps(GROWTH_CONFIGS[case]))
+        source = ["--config", str(config)]
+    else:
+        source = ["--preset", "paper-2026", "--seed", case]
     code = main(
-        [
-            "generate",
-            "--preset",
-            "paper-2026",
-            "--seed",
-            str(seed),
-            "--out",
-            str(snapshot),
-            "--trace",
-            str(trace),
-        ]
+        ["generate", *source, "--out", str(snapshot), "--trace", str(trace)]
     )
     assert code == 0
     analyze_to(snapshot, metrics)
@@ -80,12 +105,12 @@ def test_paper_preset_digests(tmp_path, seed):
         "trace": sha256(trace),
         "metrics": sha256(metrics),
     }
-    assert observed == PAPER_2026[seed]
+    assert observed == GENERATE_DIGESTS[case]
 
 
-def test_lossy_simulation_digests(tmp_path):
+def simulate_digests(tmp_path, scenario) -> dict:
     config = tmp_path / "scenario.json"
-    config.write_text(json.dumps(LOSSY_SCENARIO))
+    config.write_text(json.dumps(scenario))
     snapshot = tmp_path / "sim.json"
     events = tmp_path / "sim.events.jsonl"
     metrics = tmp_path / "metrics.json"
@@ -102,9 +127,16 @@ def test_lossy_simulation_digests(tmp_path):
     )
     assert code == 0
     analyze_to(snapshot, metrics)
-    observed = {
+    return {
         "snapshot": sha256(snapshot),
         "events": sha256(events),
         "metrics": sha256(metrics),
     }
-    assert observed == LOSSY_DIGESTS
+
+
+def test_lossy_simulation_digests(tmp_path):
+    assert simulate_digests(tmp_path, LOSSY_SCENARIO) == LOSSY_DIGESTS
+
+
+def test_wide_simulation_digests(tmp_path):
+    assert simulate_digests(tmp_path, WIDE_SCENARIO) == WIDE_DIGESTS

@@ -13,6 +13,8 @@ from trustnet.errors import (
     UnknownPresetError,
 )
 from trustnet.growth import (
+    MECHANISMS,
+    AttachmentGraph,
     GrowthConfig,
     GrowthTrace,
     MechanismMix,
@@ -22,6 +24,7 @@ from trustnet.growth import (
     generate,
     geometric,
     one_plus_poisson,
+    pick_target,
     poisson,
     preset,
     preset_names,
@@ -175,6 +178,113 @@ class TestMechanismMix:
         with pytest.raises(ConfigInvalidError):
             MechanismMix.from_dict({"propinquity": 1.0, "teleport": 0.0})
 
+    def test_draw_is_one_weighted_choice(self):
+        mix = MechanismMix(propinquity=0.1, preferential=0.2, triadic=0.3,
+                           uniform=0.4)
+        rng, twin = random.Random(5), random.Random(5)
+        for _ in range(50):
+            expected = twin.choices(MECHANISMS, weights=mix.weights())[0]
+            assert mix.draw(rng) == expected
+
+    def test_draw_never_picks_zero_weight(self):
+        mix = MechanismMix(propinquity=0.0, preferential=0.0, triadic=1.0,
+                           uniform=0.0)
+        rng = random.Random(0)
+        assert {mix.draw(rng) for _ in range(100)} == {"triadic"}
+
+
+def attachment_graph() -> AttachmentGraph:
+    """Nodes 1-6 attachable; newcomer 7 already linked to 2; 8 neighborless."""
+    graph = AttachmentGraph()
+    for node in range(1, 9):
+        graph.add_node(node)
+    for a, b in [(1, 2), (1, 3), (2, 4), (3, 5), (2, 6), (4, 5), (7, 2)]:
+        graph.connect(a, b)
+    graph.attachable.extend(range(1, 7))
+    return graph
+
+
+RECENT = [5, 6]
+TWO_HOP_OF_7 = [1, 4, 6]  # neighbors of 2, minus 7 itself
+
+
+def drawn(mechanism, exclude=frozenset(), node=7, seed=3, count=400) -> set:
+    graph = attachment_graph()
+    rng = random.Random(seed)
+    return {
+        pick_target(mechanism, rng, node, graph, RECENT, graph.attachable, exclude)
+        for _ in range(count)
+    }
+
+
+class TestPickTarget:
+    @pytest.mark.parametrize(
+        "mechanism, candidates",
+        [
+            ("propinquity", set(RECENT)),
+            ("uniform", set(range(1, 7))),
+            ("preferential", set(range(1, 7))),
+            ("triadic", set(TWO_HOP_OF_7)),
+        ],
+    )
+    def test_candidate_sets(self, mechanism, candidates):
+        assert drawn(mechanism) == candidates
+        assert drawn(mechanism, exclude={6}) == candidates - {6}
+
+    @pytest.mark.parametrize(
+        "mechanism, node, recent, pool, exclude",
+        [
+            ("propinquity", 7, [], [1, 2], frozenset()),
+            ("propinquity", 7, [5, 6], [1, 2], {5, 6}),
+            ("uniform", 7, [5], [], frozenset()),
+            ("preferential", 7, [5], [], frozenset()),
+            ("preferential", 7, [5], [1, 2], {1, 2}),
+            ("triadic", 8, [5], [1, 2], frozenset()),
+            ("triadic", 7, [5], [1, 2], set(TWO_HOP_OF_7)),
+        ],
+    )
+    def test_empty_candidates_return_none_without_a_draw(
+        self, mechanism, node, recent, pool, exclude
+    ):
+        rng = random.Random(11)
+        before = rng.getstate()
+        graph = attachment_graph()
+        assert pick_target(mechanism, rng, node, graph, recent, pool, exclude) is None
+        assert rng.getstate() == before
+
+    def test_preferential_weights_degree_plus_one(self):
+        graph = attachment_graph()
+        pool = graph.attachable
+        rng, twin = random.Random(9), random.Random(9)
+        weights = [graph.degree[v] + 1 for v in pool]
+        assert weights == [3, 5, 3, 3, 3, 2]
+        for _ in range(100):
+            expected = twin.choices(pool, weights=weights)[0]
+            assert pick_target("preferential", rng, 7, graph, RECENT, pool) == expected
+
+    def test_triadic_draws_from_sorted_two_hop(self):
+        graph = attachment_graph()
+        rng, twin = random.Random(9), random.Random(9)
+        for _ in range(100):
+            expected = twin.choice(TWO_HOP_OF_7)
+            assert pick_target("triadic", rng, 7, graph, RECENT, [1]) == expected
+
+    def test_uniform_and_propinquity_are_one_choice(self):
+        graph = attachment_graph()
+        rng, twin = random.Random(4), random.Random(4)
+        for _ in range(50):
+            assert pick_target("uniform", rng, 7, graph, RECENT, [1, 3]) == (
+                twin.choice([1, 3])
+            )
+            assert pick_target("propinquity", rng, 7, graph, RECENT, [1]) == (
+                twin.choice(RECENT)
+            )
+
+    def test_unknown_mechanism(self):
+        graph = attachment_graph()
+        with pytest.raises(UnknownParameterError):
+            pick_target("gravity", random.Random(0), 7, graph, RECENT, [1])
+
 
 class TestGrowthConfig:
     def test_defaults_validate(self):
@@ -196,6 +306,15 @@ class TestGrowthConfig:
             {"tags_per_tagged": (0.5, 0.5)},
             {"tags_per_tagged": (-0.1, 0.5, 0.6)},
             {"tag_vocabulary": ()},
+            {"n": "10"},
+            {"n": 10.0},
+            {"n": True},
+            {"window": 2.5},
+            {"seed": 1.5},
+            {"seed": "7"},
+            {"stub_mean": "3"},
+            {"self_loop_probability": None},
+            {"connector_fraction": False},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -428,6 +547,10 @@ class TestSetParameterAndSweep:
         assert config.n == 80 and isinstance(config.n, int)
         config = set_parameter(config, "window", 4.0)
         assert config.window == 4
+
+    def test_set_float_field_read_as_int(self):
+        config = GrowthConfig.from_dict({"n": 50, "stub_mean": 3})
+        assert set_parameter(config, "stub_mean", "2").stub_mean == 2.0
 
     def test_set_mix_component_renormalizes(self):
         config = set_parameter(small_config(), "mix.triadic", 0.7)
