@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -185,6 +186,94 @@ def default_tag_model(
     )
 
 
+# --- configuration documents ---
+
+
+def _is_number(value) -> bool:
+    """An int or a finite float, not a bool (Python's json reads NaN and Infinity)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max  # false for NaN, Infinity, a huge int
+    )
+
+
+# Field annotation -> test of a value and its name in an error. The
+# annotations are strings because of ``from __future__ import annotations``.
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def check_field_types(config) -> None:
+    """Reject an int, float or str field holding a value _FIELD_TYPES refuses."""
+    for f in fields(config):
+        if f.type in _FIELD_TYPES:
+            accepts, noun = _FIELD_TYPES[f.type]
+            if not accepts(getattr(config, f.name)):
+                raise ConfigInvalidError(f"{f.name} must be {noun}")
+
+
+def config_from_dict(cls, doc, what: str, **readers):
+    """Build and validate a config dataclass from its JSON object form.
+
+    Keys are the fields; one without a default is required. A key in
+    ``readers`` goes through that function; a JSON int for a float field is
+    stored as a float, so ``2`` and ``2.0`` give the same config.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigInvalidError(f"{what} must be an object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(doc) - set(types)
+    if unknown:
+        raise ConfigInvalidError(f"unknown {what} keys {sorted(unknown)}")
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+            raise ConfigInvalidError(f"{what} requires {f.name}")
+    kwargs = {}
+    for name, value in doc.items():
+        if name in readers:
+            value = readers[name](value)
+        elif types[name] == "float" and _is_number(value):
+            value = float(value)
+        kwargs[name] = value
+    config = cls(**kwargs)
+    config.validate()
+    return config
+
+
+def config_to_dict(config, omit: tuple[str, ...] = ()) -> dict:
+    """One key per field: a nested config as its to_dict, a tuple as a list."""
+    names = [f.name for f in fields(config) if f.name not in omit]
+    doc = {name: getattr(config, name) for name in names}
+    for name, value in doc.items():
+        if hasattr(value, "to_dict"):
+            doc[name] = value.to_dict()
+        elif isinstance(value, tuple):
+            doc[name] = list(value)
+    return doc
+
+
+def _read_weights(doc) -> tuple[float, ...]:
+    if not isinstance(doc, list) or not all(map(_is_number, doc)):
+        raise ConfigInvalidError("tags_per_tagged must be a list of numbers")
+    return tuple(map(float, doc))
+
+
+def _read_vocabulary(doc) -> tuple[tuple[str, float], ...]:
+    if not isinstance(doc, list) or not all(
+        isinstance(pair, list)
+        and len(pair) == 2
+        and isinstance(pair[0], str)
+        and _is_number(pair[1])
+        for pair in doc
+    ):
+        raise ConfigInvalidError("tag_vocabulary must be [tag, weight] pairs")
+    return tuple((tag, float(weight)) for tag, weight in doc)
+
+
 # --- configuration ---
 
 
@@ -205,6 +294,7 @@ class MechanismMix:
         return rng.choices(MECHANISMS, weights=self.weights())[0]
 
     def validate(self) -> None:
+        check_field_types(self)
         for name, value in zip(MECHANISMS, self.weights()):
             if value < 0:
                 raise ConfigInvalidError(f"mix.{name} may not be negative")
@@ -235,16 +325,11 @@ class MechanismMix:
         return MechanismMix(**scaled)
 
     def to_dict(self) -> dict:
-        return dict(zip(MECHANISMS, self.weights()))
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "MechanismMix":
-        unknown = set(doc) - set(MECHANISMS)
-        if unknown:
-            raise ConfigInvalidError(f"unknown mix keys {sorted(unknown)}")
-        mix = cls(**{name: float(doc[name]) for name in doc})
-        mix.validate()
-        return mix
+        return config_from_dict(cls, doc, "mix")
 
 
 @dataclass(frozen=True)
@@ -273,22 +358,7 @@ class GrowthConfig:
     connector_stub_mean: float = 0.0
 
     def validate(self) -> None:
-        for name in ("n", "window", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigInvalidError(f"{name} must be an integer")
-        for name in (
-            "self_loop_probability",
-            "isolate_probability",
-            "untagged_probability",
-            "stub_mean",
-            "session_mean",
-            "connector_fraction",
-            "connector_stub_mean",
-        ):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigInvalidError(f"{name} must be a number")
+        check_field_types(self)
         if self.n < 2:
             raise ConfigInvalidError("n must be at least 2")
         for name in (
@@ -313,63 +383,35 @@ class GrowthConfig:
             raise ConfigInvalidError(
                 "connector_stub_mean must be at least 1 when connectors are enabled"
             )
-        if len(self.tags_per_tagged) != 3 or any(
-            p < 0 for p in self.tags_per_tagged
-        ):
+        weights = self.tags_per_tagged
+        if len(weights) != 3 or min(weights) < 0 or not sum(weights):
             raise ConfigInvalidError(
-                "tags_per_tagged must be three non-negative weights"
+                "tags_per_tagged must be three non-negative weights, not all 0"
             )
-        if not self.tag_vocabulary:
-            raise ConfigInvalidError("tag_vocabulary may not be empty")
+        if not self.tag_vocabulary or min(w for _, w in self.tag_vocabulary) <= 0:
+            raise ConfigInvalidError("tag_vocabulary needs positive tag weights")
         self.mix.validate()
 
     def build_tag_model(self) -> TagModel:
         return TagModel(
-            vocabulary=tuple(
-                (str(tag), float(weight)) for tag, weight in self.tag_vocabulary
-            ),
+            vocabulary=self.tag_vocabulary,
             untagged_probability=self.untagged_probability,
-            count_distribution=tuple(self.tags_per_tagged),
+            count_distribution=self.tags_per_tagged,
         )
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "self_loop_probability": self.self_loop_probability,
-            "isolate_probability": self.isolate_probability,
-            "stub_mean": self.stub_mean,
-            "window": self.window,
-            "mix": self.mix.to_dict(),
-            "untagged_probability": self.untagged_probability,
-            "tags_per_tagged": list(self.tags_per_tagged),
-            "seed": self.seed,
-            "session_mean": self.session_mean,
-            "connector_fraction": self.connector_fraction,
-            "connector_stub_mean": self.connector_stub_mean,
-        }
+        return config_to_dict(self, omit=("tag_vocabulary",))
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GrowthConfig":
-        if not isinstance(doc, dict):
-            raise ConfigInvalidError("growth config must be an object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigInvalidError(f"unknown growth fields {sorted(unknown)}")
-        kwargs = dict(doc)
-        if "mix" in kwargs:
-            kwargs["mix"] = MechanismMix.from_dict(kwargs["mix"])
-        if "tags_per_tagged" in kwargs:
-            kwargs["tags_per_tagged"] = tuple(
-                float(p) for p in kwargs["tags_per_tagged"]
-            )
-        if "tag_vocabulary" in kwargs:
-            kwargs["tag_vocabulary"] = tuple(
-                (str(tag), float(weight)) for tag, weight in kwargs["tag_vocabulary"]
-            )
-        config = cls(**kwargs)
-        config.validate()
-        return config
+        return config_from_dict(
+            cls,
+            doc,
+            "growth config",
+            mix=MechanismMix.from_dict,
+            tags_per_tagged=_read_weights,
+            tag_vocabulary=_read_vocabulary,
+        )
 
 
 # Shipped calibration targeting the observed 626-agent topology. Structural
@@ -691,18 +733,30 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
 # --- parameter sweeps ---
 
 
+def _parse_scalar(name: str, kind: str, value) -> Union[int, float]:
+    """Read a --set text or a sweep number for an int or float field."""
+    try:
+        if kind == "float":
+            return float(value)
+        number = int(value) if isinstance(value, str) else value
+        if kind == "int" and number == int(number):  # 3.0 from a sweep, not 2.5
+            return int(number)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if kind not in ("int", "float"):
+        raise ConfigInvalidError(f"{name} is not a number field")
+    raise ConfigInvalidError(f"{name} must be {_FIELD_TYPES[kind][1]}, got {value!r}")
+
+
 def set_parameter(config: GrowthConfig, parameter: str, value) -> GrowthConfig:
-    """Return a copy of config with one (possibly dotted) field replaced."""
+    """Return a copy of config with one (possibly dotted) number field replaced."""
     if parameter.startswith("mix."):
         mechanism = parameter.split(".", 1)[1]
-        updated = replace(config, mix=config.mix.with_weight(mechanism, float(value)))
+        weight = _parse_scalar(parameter, "float", value)
+        updated = replace(config, mix=config.mix.with_weight(mechanism, weight))
     elif parameter in GrowthConfig.__dataclass_fields__:
-        current = getattr(config, parameter)
-        if parameter in ("n", "window", "seed"):
-            value = int(value)
-        elif isinstance(current, (int, float)):  # may hold a JSON int
-            value = float(value)
-        updated = replace(config, **{parameter: value})
+        kind = GrowthConfig.__dataclass_fields__[parameter].type
+        updated = replace(config, **{parameter: _parse_scalar(parameter, kind, value)})
     else:
         raise UnknownParameterError(f"unknown growth parameter {parameter!r}")
     updated.validate()

@@ -51,7 +51,9 @@ from .errors import BeaconUnavailableError, ConfigInvalidError
 from .growth import (
     AttachmentGraph,
     MechanismMix,
-    TagModel,
+    check_field_types,
+    config_from_dict,
+    config_to_dict,
     default_tag_model,
     pick_target,
 )
@@ -114,6 +116,7 @@ class Distribution:
         return cls(kind="exponential", mean=float(mean))
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.kind not in DISTRIBUTION_KINDS:
             raise ConfigInvalidError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "fixed" and self.value < 0:
@@ -145,29 +148,10 @@ class Distribution:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Distribution":
-        if not isinstance(doc, dict) or "kind" not in doc:
-            raise ConfigInvalidError("distribution must be an object with a kind")
-        kind = doc["kind"]
-        allowed = {
-            "fixed": {"kind", "value"},
-            "uniform": {"kind", "low", "high"},
-            "exponential": {"kind", "mean"},
-        }.get(kind)
-        if allowed is None:
-            raise ConfigInvalidError(f"unknown distribution kind {kind!r}")
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ConfigInvalidError(
-                f"unknown {kind} distribution keys {sorted(unknown)}"
-            )
-        dist = cls(
-            kind=kind,
-            value=float(doc.get("value", 0.0)),
-            low=float(doc.get("low", 0.0)),
-            high=float(doc.get("high", 0.0)),
-            mean=float(doc.get("mean", 0.0)),
-        )
-        dist.validate()
+        dist = config_from_dict(cls, doc, "distribution")
+        keys = dist.to_dict().keys()
+        if doc.keys() != keys:
+            raise ConfigInvalidError(f"{dist.kind} keys must be {sorted(keys)}")
         return dist
 
 
@@ -262,7 +246,9 @@ class BehaviorPolicy:
     """Behavioral knobs shared by every simulated agent.
 
     `window` bounds the propinquity pool to the most recent arrivals;
-    responders accept every handshake request.
+    `untagged_probability` is the chance that an agent registers without
+    tags (otherwise it draws 1-3 from the default vocabulary); responders
+    accept every handshake request.
     """
 
     self_trust_probability: float = 0.0
@@ -270,11 +256,12 @@ class BehaviorPolicy:
     target_links: Distribution = field(
         default_factory=lambda: Distribution.fixed(2.0)
     )
-    tag_model: TagModel = field(default_factory=default_tag_model)
+    untagged_probability: float = 0.42
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
     window: int = 10
 
     def validate(self) -> None:
+        check_field_types(self)
         if not 0 <= self.self_trust_probability <= 1:
             raise ConfigInvalidError("self_trust_probability must lie in [0, 1]")
         self.peer_selection.validate()
@@ -283,64 +270,21 @@ class BehaviorPolicy:
             raise ConfigInvalidError("heartbeat_interval must be positive")
         if self.window < 1:
             raise ConfigInvalidError("window must be at least 1")
-        if not 0 <= self.tag_model.untagged_probability <= 1:
+        if not 0 <= self.untagged_probability <= 1:
             raise ConfigInvalidError("untagged_probability must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "self_trust_probability": self.self_trust_probability,
-            "peer_selection": self.peer_selection.to_dict(),
-            "target_links": self.target_links.to_dict(),
-            "untagged_probability": self.tag_model.untagged_probability,
-            "heartbeat_interval": self.heartbeat_interval,
-            "window": self.window,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BehaviorPolicy":
-        if not isinstance(doc, dict):
-            raise ConfigInvalidError("behavior must be an object")
-        known = {
-            "self_trust_probability",
-            "peer_selection",
-            "target_links",
-            "untagged_probability",
-            "heartbeat_interval",
-            "window",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigInvalidError(f"unknown behavior keys {sorted(unknown)}")
-        defaults = cls()
-        policy = cls(
-            self_trust_probability=float(
-                doc.get("self_trust_probability", defaults.self_trust_probability)
-            ),
-            peer_selection=(
-                MechanismMix.from_dict(doc["peer_selection"])
-                if "peer_selection" in doc
-                else defaults.peer_selection
-            ),
-            target_links=(
-                Distribution.from_dict(doc["target_links"])
-                if "target_links" in doc
-                else defaults.target_links
-            ),
-            tag_model=default_tag_model(
-                untagged_probability=float(
-                    doc.get(
-                        "untagged_probability",
-                        defaults.tag_model.untagged_probability,
-                    )
-                )
-            ),
-            heartbeat_interval=float(
-                doc.get("heartbeat_interval", defaults.heartbeat_interval)
-            ),
-            window=int(doc.get("window", defaults.window)),
+        return config_from_dict(
+            cls,
+            doc,
+            "behavior",
+            peer_selection=MechanismMix.from_dict,
+            target_links=Distribution.from_dict,
         )
-        policy.validate()
-        return policy
 
 
 @dataclass(frozen=True)
@@ -362,89 +306,34 @@ class SimConfig:
     ping_marker: str = ""
 
     def validate(self) -> None:
-        if (
-            isinstance(self.agent_count, bool)
-            or not isinstance(self.agent_count, int)
-            or self.agent_count < 1
-        ):
+        check_field_types(self)
+        if self.agent_count < 1:
             raise ConfigInvalidError("agent_count must be a positive integer")
         if not 0 <= self.loss_rate <= 1:
             raise ConfigInvalidError("loss_rate must lie in [0, 1]")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigInvalidError("seed must be an integer")
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalidError("seed must fit in 64 bits")
         if self.duration <= 0:
             raise ConfigInvalidError("duration must be positive")
         if not 0 <= self.symmetric_nat_fraction <= 1:
             raise ConfigInvalidError("symmetric_nat_fraction must lie in [0, 1]")
-        if not isinstance(self.ping_marker, str):
-            raise ConfigInvalidError("ping_marker must be a string")
         self.arrival_schedule.validate()
         self.latency.validate()
         self.behavior.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "agent_count": self.agent_count,
-            "arrival_schedule": self.arrival_schedule.to_dict(),
-            "loss_rate": self.loss_rate,
-            "latency": self.latency.to_dict(),
-            "behavior": self.behavior.to_dict(),
-            "seed": self.seed,
-            "duration": self.duration,
-            "symmetric_nat_fraction": self.symmetric_nat_fraction,
-            "ping_marker": self.ping_marker,
-        }
+        return config_to_dict(self)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
-        if not isinstance(doc, dict):
-            raise ConfigInvalidError("scenario must be an object")
-        if "agent_count" not in doc:
-            raise ConfigInvalidError("scenario requires agent_count")
-        known = {
-            "agent_count",
-            "arrival_schedule",
-            "loss_rate",
-            "latency",
-            "behavior",
-            "seed",
-            "duration",
-            "symmetric_nat_fraction",
-            "ping_marker",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigInvalidError(f"unknown scenario keys {sorted(unknown)}")
-        base = cls(agent_count=1)
-        config = cls(
-            agent_count=doc["agent_count"],
-            arrival_schedule=(
-                Distribution.from_dict(doc["arrival_schedule"])
-                if "arrival_schedule" in doc
-                else base.arrival_schedule
-            ),
-            loss_rate=float(doc.get("loss_rate", base.loss_rate)),
-            latency=(
-                Distribution.from_dict(doc["latency"])
-                if "latency" in doc
-                else base.latency
-            ),
-            behavior=(
-                BehaviorPolicy.from_dict(doc["behavior"])
-                if "behavior" in doc
-                else base.behavior
-            ),
-            seed=doc.get("seed", base.seed),
-            duration=float(doc.get("duration", base.duration)),
-            symmetric_nat_fraction=float(
-                doc.get("symmetric_nat_fraction", base.symmetric_nat_fraction)
-            ),
-            ping_marker=doc.get("ping_marker", base.ping_marker),
+        return config_from_dict(
+            cls,
+            doc,
+            "scenario",
+            arrival_schedule=Distribution.from_dict,
+            latency=Distribution.from_dict,
+            behavior=BehaviorPolicy.from_dict,
         )
-        config.validate()
-        return config
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "SimConfig":
@@ -538,7 +427,7 @@ class _SimAgent:
             if self.rng.random() < config.symmetric_nat_fraction
             else "cone"
         )
-        tags = behavior.tag_model.draw(self.rng)
+        tags = sc.tag_model.draw(self.rng)
         self.identity.address = sc.registry.register(
             self.identity.public_key, tags=tags
         )
@@ -698,6 +587,7 @@ class _Scenario:
         self.pings: list[tuple[str, str, bytes]] = []
         self.by_address: dict[VirtualAddress, _SimAgent] = {}
         self.graph = AttachmentGraph()  # completed non-self handshakes
+        self.tag_model = default_tag_model(config.behavior.untagged_probability)
         self.scenario_rng = _split_rng(config.seed, "scenario")
         self.transport_rng = _split_rng(config.seed, "transport")
 

@@ -149,7 +149,16 @@ class TestGenerate:
 
     @pytest.mark.parametrize(
         "doc",
-        [{"n": "10"}, {"n": 50, "window": 2.5}, {"n": 50, "seed": 1.5}],
+        [
+            {"n": "10"},
+            {"n": 50, "window": 2.5},
+            {"n": 50, "seed": 1.5},
+            {"n": 50, "mix": {"triadic": "x"}},
+            {"n": 50, "tags_per_tagged": ["a", 1, 1]},
+            {"n": 50, "tags_per_tagged": 5},
+            {"n": 50, "tag_vocabulary": [["a", "x"]]},
+            {"n": 50, "tag_vocabulary": [1]},
+        ],
     )
     def test_mistyped_config_is_input_error(self, tmp_path, capsys, doc):
         config = tmp_path / "growth.json"
@@ -159,6 +168,13 @@ class TestGenerate:
         # rejected before the header is printed or anything is written
         assert "resolved configuration" not in capsys.readouterr().out
         assert not out.exists()
+
+    def test_header_echoes_float_fields_as_floats(self, tmp_path, capsys):
+        config = tmp_path / "growth.json"
+        config.write_text(json.dumps({"n": 50, "stub_mean": 2}))
+        out = tmp_path / "x.json"
+        assert main(["generate", "--config", str(config), "--out", str(out)]) == 0
+        assert '"stub_mean": 2.0,' in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -184,8 +200,9 @@ class TestSimulate:
 
     def test_invalid_scenario_is_input_error(self, tmp_path):
         config = tmp_path / "scenario.json"
-        config.write_text(json.dumps({"agent_count": 0}))
-        assert main(["simulate", "--config", str(config)]) == 2
+        for doc in ({"agent_count": 0}, {"agent_count": 5, "loss_rate": "x"}):
+            config.write_text(json.dumps(doc))
+            assert main(["simulate", "--config", str(config)]) == 2
 
 
 class TestAnalyzeAndReport:
@@ -320,6 +337,24 @@ class TestExitCodes:
 
     def test_bad_bind_is_usage_error(self):
         assert main(["serve-registry", "--bind", "nonsense"]) == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["generate", "--preset", "paper-2026", "--set", "window=2.5"],
+            ["generate", "--preset", "paper-2026", "--set", "mix.triadic=x"],
+            ["generate", "--preset", "paper-2026", "--set", "n=abc"],
+            ["generate", "--preset", "paper-2026", "--set", "session_mean=inf"],
+            ["generate", "--preset", "paper-2026", "--set", "stub_mean=nan"],
+            ["sweep", "window", "2.5", "--seeds", "0"],
+            ["sweep", "session_mean", "inf", "--seeds", "0"],
+        ],
+    )
+    def test_non_number_override_is_input_error(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_malformed_json_config_is_input_error(self, tmp_path):
         config = tmp_path / "broken.json"

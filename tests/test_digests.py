@@ -35,10 +35,26 @@ GENERATE_DIGESTS = {
         "trace": "e7233dd147c30f5ed265c7f9d61d4b147f63626a38d60f89a7178477b750e44f",
         "metrics": "e047cc69ccca6acca8c863f74ac9f27b6e5cd35affe02fc1f7b57e986afe2ec6",
     },
+    "config-n1500-seed4": {
+        "snapshot": "a175a88dfe8e8fce268b4c6901d4b3818db7993f6f12fedbba59357273c3b133",
+        "trace": "70055b6c1bf77167ab640004b21d0c7a1778627efc93ddd07a1e9169c01f993a",
+        "metrics": "329d5692ac09fefdeefa04f64f641ee1fd95f5f0fc404df176def6007a346662",
+    },
 }
 
-# Growth without sessions or connectors, which the preset never runs.
-GROWTH_CONFIGS = {"config-n2000-seed5": {"n": 2000, "seed": 5}}
+GROWTH_CONFIGS = {
+    # Growth without sessions or connectors, which the preset never runs.
+    "config-n2000-seed5": {"n": 2000, "seed": 5},
+    # Float fields written as JSON integers.
+    "config-n1500-seed4": {
+        "n": 1500,
+        "seed": 4,
+        "stub_mean": 2,
+        "session_mean": 4,
+        "connector_fraction": 0.02,
+        "connector_stub_mean": 20,
+    },
+}
 
 LOSSY_SCENARIO = {
     "agent_count": 40,
@@ -73,6 +89,32 @@ WIDE_DIGESTS = {
     "snapshot": "69652a0fe4bbd7e56732bf15906a9c31a84c00db8bf2f147fe5b6ab2b6c74aa9",
     "events": "a53b8a0ef4f4dc11ab09480de38b62e146794f20342905feede5e9783b7e7122",
     "metrics": "1bbad92edf0d4162eea2ef7de28fb575d21e2b3d659d1290a28a22d326fa22cd",
+}
+
+
+# Every float field that can hold an integral value is written as a JSON
+# integer; the event times ("t") depend on how those are read.
+INT_SCENARIO = {
+    "agent_count": 100,
+    "arrival_schedule": {"kind": "exponential", "mean": 2},
+    "loss_rate": 0,
+    "latency": {"kind": "uniform", "low": 20, "high": 80},
+    "behavior": {
+        "target_links": {"kind": "uniform", "low": 1, "high": 4},
+        "window": 4,
+        "untagged_probability": 0.2,
+        "heartbeat_interval": 15,
+    },
+    "symmetric_nat_fraction": 0.3,
+    "ping_marker": "zz",
+    "duration": 500,
+    "seed": 3,
+}
+
+INT_DIGESTS = {
+    "snapshot": "b3efca3a23581b3a413184916f06803f390fb6690f588a74e51d4282bfa17d45",
+    "events": "88b0f77a25db8b72981cef0227bfaffd57bc21acc5c2c826cdb680d877041b27",
+    "metrics": "197207c383a22bb5f55907aa4963f769ac187bd3c12d337277caf2eefaa591f8",
 }
 
 
@@ -140,3 +182,7 @@ def test_lossy_simulation_digests(tmp_path):
 
 def test_wide_simulation_digests(tmp_path):
     assert simulate_digests(tmp_path, WIDE_SCENARIO) == WIDE_DIGESTS
+
+
+def test_int_valued_simulation_digests(tmp_path):
+    assert simulate_digests(tmp_path, INT_SCENARIO) == INT_DIGESTS

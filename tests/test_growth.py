@@ -315,11 +315,33 @@ class TestGrowthConfig:
             {"stub_mean": "3"},
             {"self_loop_probability": None},
             {"connector_fraction": False},
+            {"tags_per_tagged": (0.0, 0.0, 0.0)},
+            {"tag_vocabulary": (("a", 1.0), ("b", 0.0))},
+            {"stub_mean": float("nan")},
+            {"session_mean": float("inf")},
+            {"connector_stub_mean": 10**400},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigInvalidError):
             GrowthConfig(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"mix": {"triadic": "x"}},
+            {"tags_per_tagged": ["a", 1, 1]},
+            {"tags_per_tagged": 5},
+            {"tag_vocabulary": [["a", "x"]]},
+            {"tag_vocabulary": [1]},
+            {"tags_per_tagged": [1, float("nan"), 1]},
+            {"stub_mean": float("nan")},
+            {"session_mean": 10**400},
+        ],
+    )
+    def test_invalid_documents_rejected(self, doc):
+        with pytest.raises(ConfigInvalidError):
+            GrowthConfig.from_dict(doc)
 
     def test_dict_round_trip(self):
         config = small_config(session_mean=5.0, connector_fraction=0.05,
@@ -564,6 +586,28 @@ class TestSetParameterAndSweep:
     def test_invalid_value_rejected(self):
         with pytest.raises(ConfigInvalidError):
             set_parameter(small_config(), "isolate_probability", 1.5)
+
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [
+            ("window", "2.5"),
+            ("window", 2.5),
+            ("n", "abc"),
+            ("n", "3.0"),
+            ("seed", float("inf")),
+            ("stub_mean", "x"),
+            ("session_mean", "inf"),
+            ("stub_mean", "nan"),
+            ("stub_mean", 1e999),
+            ("mix.triadic", "nan"),
+            ("mix.triadic", "x"),
+            ("mix", "1"),
+            ("tags_per_tagged", 1.0),
+        ],
+    )
+    def test_non_number_values_rejected(self, parameter, value):
+        with pytest.raises(ConfigInvalidError):
+            set_parameter(small_config(), parameter, value)
 
     def test_sweep_shape_and_types(self):
         rows = sweep(small_config(n=40), "stub_mean", [1.5, 2.5], seeds=[0, 1])

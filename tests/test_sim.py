@@ -1,13 +1,16 @@
 """Discrete-event simulator: determinism, conservation, transport, NAT paths."""
 
+import copy
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.analytics.report import consistency_audit
 from trustnet.errors import BeaconUnavailableError, ConfigInvalidError
-from trustnet.growth import MechanismMix
+from trustnet.growth import GrowthConfig, MechanismMix
 from trustnet.sim import (
     Beacon,
     BehaviorPolicy,
@@ -78,6 +81,9 @@ class TestDistribution:
             {"kind": "fixed", "value": 1.0, "mean": 2.0},
             {"value": 1.0},
             "not an object",
+            {"kind": 5},
+            {"kind": "fixed", "value": "1"},
+            {"kind": "fixed"},
         ],
     )
     def test_invalid_documents_rejected(self, doc):
@@ -201,11 +207,28 @@ class TestBehaviorPolicy:
             {"heartbeat_interval": 0.0},
             {"window": 0},
             {"target_links": Distribution(kind="gaussian")},
+            {"window": 2.5},
+            {"untagged_probability": "x"},
+            {"heartbeat_interval": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
         with pytest.raises(ConfigInvalidError):
             BehaviorPolicy(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"target_links": {"kind": "gaussian"}},
+            {"window": 2.5},
+            {"window": 2.0},
+            {"untagged_probability": "x"},
+            {"peer_selection": {"triadic": None}},
+        ],
+    )
+    def test_invalid_documents_rejected(self, doc):
+        with pytest.raises(ConfigInvalidError):
+            BehaviorPolicy.from_dict(doc)
 
     def test_dict_round_trip(self):
         policy = BehaviorPolicy(
@@ -241,11 +264,26 @@ class TestSimConfig:
             {"seed": False},
             {"symmetric_nat_fraction": 1.5},
             {"ping_marker": 42},
+            {"loss_rate": "x"},
+            {"duration": float("inf")},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ConfigInvalidError):
             scenario(**overrides).validate()
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"agent_count": 5, "loss_rate": "x"},
+            {"agent_count": 5, "duration": float("inf")},
+            {"agent_count": 5.0},
+            {"agent_count": 5, "latency": {"kind": "fixed", "value": "1"}},
+        ],
+    )
+    def test_invalid_documents_rejected(self, doc):
+        with pytest.raises(ConfigInvalidError):
+            SimConfig.from_dict(doc)
 
     def test_dict_round_trip(self):
         config = scenario(
@@ -269,6 +307,51 @@ class TestSimConfig:
         path = tmp_path / "scenario.json"
         config.write(path)
         assert SimConfig.read(path) == config
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+def key_paths(doc: dict, prefix=()) -> list[tuple[str, ...]]:
+    """Every key of a document, nested objects' keys included."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + (key,))
+        if isinstance(value, dict):
+            paths.extend(key_paths(value, prefix + (key,)))
+    return paths
+
+
+GROWTH_DOC = {
+    **GrowthConfig(n=50).to_dict(),
+    "tag_vocabulary": [["analytics", 72.0], ["writing", 43.0]],
+}
+SCENARIO_DOC = scenario(loss_rate=0.05, ping_marker="x").to_dict()
+
+
+@pytest.mark.parametrize(
+    "cls, base", [(GrowthConfig, GROWTH_DOC), (SimConfig, SCENARIO_DOC)]
+)
+@given(data=st.data())
+@settings(max_examples=300)
+def test_config_readers_raise_only_config_errors(cls, base, data):
+    """One key, at any depth, replaced by any JSON value: a valid config or
+    ConfigInvalidError, never another exception."""
+    path = data.draw(st.sampled_from(key_paths(base)))
+    doc = copy.deepcopy(base)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(json_values)
+    try:
+        config = cls.from_dict(doc)
+    except ConfigInvalidError:
+        return
+    config.validate()
 
 
 class TestScenarioExamples:
