@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -25,7 +26,7 @@ import click
 from . import growth
 from .analytics.report import analyze_snapshot, consistency_audit, render_table
 from .charts import load_metrics, render_report_artifacts, sweep_csv
-from .errors import InvariantViolationError, TrustNetError
+from .errors import ConfigInvalidError, InvariantViolationError, TrustNetError
 from .registry import RegistryService
 from .server import RegistryServer, STATS_PATH
 from .sim import SimConfig, run_scenario
@@ -250,16 +251,18 @@ def _parse_values(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise click.UsageError("range must be start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (growth.parse_scalar("range bound", "float", p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigInvalidError(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise click.UsageError("range step must be positive")
         count = int((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
-    return [float(p) for p in text.split(",") if p != ""]
+    return [growth.parse_scalar("value", "float", p) for p in text.split(",") if p != ""]
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p != ""]
+    return [growth.parse_scalar("seed", "int", p) for p in text.split(",") if p != ""]
 
 
 @cli.command()

@@ -95,7 +95,10 @@ class UnknownNodeError(RegistryError):
 
 
 class SchemaViolationError(TrustNetError):
-    """Snapshot document is missing fields or has wrong types."""
+    """A JSON document (snapshot, control body, event-log line) is malformed.
+
+    It does not parse, is missing a field, or holds a value of the wrong type.
+    """
 
 
 class DanglingEdgeError(SchemaViolationError):

@@ -733,8 +733,8 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
 # --- parameter sweeps ---
 
 
-def _parse_scalar(name: str, kind: str, value) -> Union[int, float]:
-    """Read a --set text or a sweep number for an int or float field."""
+def parse_scalar(name: str, kind: str, value) -> Union[int, float]:
+    """Read a --set text, a sweep list entry or a sweep value for an int or float field."""
     try:
         if kind == "float":
             return float(value)
@@ -752,11 +752,11 @@ def set_parameter(config: GrowthConfig, parameter: str, value) -> GrowthConfig:
     """Return a copy of config with one (possibly dotted) number field replaced."""
     if parameter.startswith("mix."):
         mechanism = parameter.split(".", 1)[1]
-        weight = _parse_scalar(parameter, "float", value)
+        weight = parse_scalar(parameter, "float", value)
         updated = replace(config, mix=config.mix.with_weight(mechanism, weight))
     elif parameter in GrowthConfig.__dataclass_fields__:
         kind = GrowthConfig.__dataclass_fields__[parameter].type
-        updated = replace(config, **{parameter: _parse_scalar(parameter, kind, value)})
+        updated = replace(config, **{parameter: parse_scalar(parameter, kind, value)})
     else:
         raise UnknownParameterError(f"unknown growth parameter {parameter!r}")
     updated.validate()

@@ -21,10 +21,11 @@ restored after a restart.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .channel import (
     FRAME_ACCEPT,
@@ -33,12 +34,15 @@ from .channel import (
     FRAME_ERROR,
     FRAME_REQUEST,
     ERROR_UNKNOWN_DESTINATION,
+    KEY_SIZE,
 )
 from .errors import (
     ConfigInvalidError,
     DuplicateKeyError,
     HostnameNotFoundError,
     InvariantViolationError,
+    MalformedAddressError,
+    SchemaViolationError,
     UnknownNodeError,
 )
 from .overlay import (
@@ -48,7 +52,16 @@ from .overlay import (
     decode_packet,
     encode_packet,
 )
-from .snapshot import NetworkView, NodeView, StatsSnapshot
+from .snapshot import (
+    NetworkView,
+    NodeView,
+    StatsSnapshot,
+    read_fields,
+    read_json,
+    read_list_of,
+    read_number,
+    read_string,
+)
 
 HEARTBEAT_INTERVAL = 30.0
 MISSED_HEARTBEATS = 3
@@ -90,6 +103,51 @@ def normalize_tags(tags, limit: int) -> tuple[str, ...]:
     if len(seen) > limit:
         raise ConfigInvalidError(f"{len(seen)} tags exceed the cap of {limit}")
     return tuple(seen)
+
+
+# Readers for the fields of control bodies and event-log lines, in the
+# reader(value, name) form of snapshot.read_fields.
+
+
+def read_public_key(value: Any, name: str) -> bytes:
+    """Hex text of exactly KEY_SIZE bytes, the only key a handshake can verify."""
+    try:
+        key = bytes.fromhex(read_string(value, name))
+    except ValueError:
+        raise SchemaViolationError(f"{name} must be hex text") from None
+    if len(key) != KEY_SIZE:
+        raise SchemaViolationError(f"{name} must be {KEY_SIZE} bytes, got {len(key)}")
+    return key
+
+
+def read_address(value: Any, name: str) -> VirtualAddress:
+    try:
+        return VirtualAddress.from_text(read_string(value, name))
+    except MalformedAddressError as exc:
+        raise SchemaViolationError(f"{name}: {exc}") from None
+
+
+def read_tags(value: Any, name: str) -> tuple[str, ...]:
+    return tuple(read_list_of(value, name, str))
+
+
+def read_hostname(value: Any, name: str) -> Optional[str]:
+    return None if value is None else read_string(value, name)
+
+
+# Event kind -> reader per field; the fields are exactly those the matching
+# _log_event call writes.
+_EVENT_FIELDS = {
+    "register": {
+        "address": read_address,
+        "public_key": read_public_key,
+        "tags": read_tags,
+        "hostname": read_hostname,
+        "t": read_number,
+    },
+    "trust": {"a": read_address, "b": read_address},
+    "heartbeat": {"address": read_address, "t": read_number},
+}
 
 
 class RegistryService:
@@ -137,43 +195,53 @@ class RegistryService:
     def restore(
         cls, event_log: Union[str, Path], **kwargs
     ) -> "RegistryService":
-        """Rebuild registry state by replaying an append-only event log."""
+        """Rebuild registry state by replaying an append-only event log.
+
+        Every line is read through the event's field readers, and a malformed
+        line raises SchemaViolationError. A last line that lacks its newline
+        and does not parse is a torn write: it is dropped and cut from the
+        file, so the next event is not appended onto the fragment.
+        """
         path = Path(event_log)
         service = cls(event_log=None, **kwargs)
         if path.exists():
-            with path.open(encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if line:
-                        service._apply_event(json.loads(line))
+            data = path.read_bytes()
+            *lines, tail = data.split(b"\n")
+            for number, line in enumerate(lines, 1):
+                if line.strip():
+                    service._apply_event(read_json(line, f"{path} line {number}"))
+            if tail.strip():
+                try:
+                    event = read_json(tail, f"{path} line {len(lines) + 1}")
+                except SchemaViolationError:
+                    os.truncate(path, len(data) - len(tail))
+                else:
+                    service._apply_event(event)
+                    with path.open("ab") as handle:
+                        handle.write(b"\n")
         service._event_log_path = path
         return service
 
-    def _apply_event(self, event: dict) -> None:
-        kind = event["event"]
+    def _apply_event(self, event: Any) -> None:
+        if not isinstance(event, dict):
+            raise SchemaViolationError("an event must be a JSON object")
+        kind = read_string(event.get("event"), "event")
+        if kind not in _EVENT_FIELDS:
+            raise SchemaViolationError(f"unknown event kind {kind!r}")
+        fields = read_fields(event, _EVENT_FIELDS[kind], {})
         if kind == "register":
             record = self._register_node(
-                bytes.fromhex(event["public_key"]),
-                tuple(event["tags"]),
-                event["hostname"],
-                event["t"],
+                fields["public_key"], fields["tags"], fields["hostname"], fields["t"]
             )
-            if record.address.to_text() != event["address"]:
+            if record.address != fields["address"]:
                 raise InvariantViolationError(
                     f"replay allocated {record.address} but the log says "
-                    f"{event['address']}"
+                    f"{fields['address']}"
                 )
         elif kind == "trust":
-            self._record_trust_pair(
-                VirtualAddress.from_text(event["a"]),
-                VirtualAddress.from_text(event["b"]),
-            )
-        elif kind == "heartbeat":
-            address = VirtualAddress.from_text(event["address"])
-            if address in self._nodes:
-                self._nodes[address].last_heartbeat = event["t"]
-        else:
-            raise InvariantViolationError(f"unknown event kind {kind!r}")
+            self._record_trust_pair(fields["a"], fields["b"])
+        elif fields["address"] in self._nodes:
+            self._nodes[fields["address"]].last_heartbeat = fields["t"]
 
     # --- core API; every public call counts toward requests_served ---
 

@@ -2,8 +2,15 @@
 
 Control operations (register, resolve, heartbeat) arrive as overlay packets
 addressed to the registry's well-known address with destination port 1; the
-body is one JSON object per packet and the reply mirrors it. Port-444 frames
-are relayed between learned agent endpoints without reading their bodies.
+body is one JSON object per packet and the reply mirrors it. One op table,
+RegistryServer._OPS, names each op's handler and the reader of each field;
+every body is read into typed arguments before the registry is touched, and
+a body that fails to read is answered with error "bad-request". Port-444
+frames are relayed between learned agent endpoints without reading their
+bodies. A datagram that still fails (a codec error, an unsendable reply, a
+socket error) is dropped and counted by exception class in
+RegistryServer.dropped; no datagram stops the UDP thread.
+
 The stats endpoint is a line-oriented TCP listener on the same port number:
 the request line names the path `/api/stats` and the response is the full
 snapshot as one JSON document.
@@ -17,9 +24,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from collections import Counter
 from typing import Optional
 
-from .errors import CodecError, TrustNetError, UnknownNodeError
+from .errors import SchemaViolationError, TrustNetError, UnknownNodeError
 from .overlay import (
     MAX_PAYLOAD_SIZE,
     PORT_REGISTRY,
@@ -29,8 +37,15 @@ from .overlay import (
     decode_packet,
     encode_packet,
 )
-from .registry import REGISTRY_ADDRESS, RegistryService
-from .snapshot import StatsSnapshot
+from .registry import (
+    REGISTRY_ADDRESS,
+    RegistryService,
+    read_address,
+    read_hostname,
+    read_public_key,
+    read_tags,
+)
+from .snapshot import StatsSnapshot, read_fields, read_json, read_string
 
 NULL_ADDRESS = VirtualAddress(0, 0)
 STATS_PATH = "/api/stats"
@@ -59,6 +74,7 @@ class RegistryServer:
         self.host = host
         self._requested_port = port
         self.endpoints: dict[VirtualAddress, tuple[str, int]] = {}
+        self.dropped: Counter[str] = Counter()  # exception class name -> datagrams
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._udp: Optional[socket.socket] = None
@@ -121,8 +137,8 @@ class RegistryServer:
                 return
             try:
                 self._handle_datagram(data, peer)
-            except CodecError:
-                continue  # malformed datagrams are dropped, not answered
+            except (TrustNetError, OSError) as exc:
+                self.dropped[type(exc).__name__] += 1
 
     def _handle_datagram(self, data: bytes, peer: tuple[str, int]) -> None:
         header, payload = decode_packet(data)
@@ -155,38 +171,54 @@ class RegistryServer:
 
     def _control_op(self, payload: bytes, peer: tuple[str, int]) -> bytes:
         try:
-            doc = json.loads(payload.decode("utf-8"))
+            doc = read_json(payload, "control body")
             if not isinstance(doc, dict):
-                raise ValueError("control body must be a JSON object")
+                raise SchemaViolationError("control body must be a JSON object")
             op = doc.get("op")
-            with self._lock:
-                if op == "register":
-                    address = self.registry.register(
-                        bytes.fromhex(doc["public_key"]),
-                        tags=doc.get("tags", ()),
-                        hostname=doc.get("hostname"),
-                    )
-                    self.endpoints[address] = peer
-                    reply = {"ok": True, "address": address.to_text()}
-                elif op == "resolve":
-                    address = self.registry.resolve(doc["hostname"])
-                    reply = {"ok": True, "address": address.to_text()}
-                elif op == "heartbeat":
-                    address = VirtualAddress.from_text(doc["address"])
-                    self.registry.heartbeat(address)
-                    self.endpoints[address] = peer
-                    reply = {"ok": True}
-                else:
-                    reply = {"ok": False, "error": "unknown-op"}
-        except TrustNetError as exc:
-            reply = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        except (KeyError, ValueError, UnicodeDecodeError) as exc:
+            handler, readers, defaults = self._OPS.get(
+                op if isinstance(op, str) else None, self._UNKNOWN_OP
+            )
+            args = read_fields(doc, readers, defaults)
+        except SchemaViolationError as exc:
             reply = {"ok": False, "error": "bad-request", "message": str(exc)}
+        else:
+            with self._lock:
+                try:
+                    reply = handler(self, peer, **args)
+                except TrustNetError as exc:
+                    reply = {
+                        "ok": False,
+                        "error": type(exc).__name__,
+                        "message": str(exc),
+                    }
         return json.dumps(reply, separators=(",", ":")).encode("utf-8")
+
+    # Op handlers run under the lock with the arguments their readers returned.
+
+    def _register(self, peer, public_key, tags, hostname) -> dict:
+        address = self.registry.register(public_key, tags=tags, hostname=hostname)
+        self.endpoints[address] = peer
+        return {"ok": True, "address": address.to_text()}
+
+    def _resolve(self, peer, hostname) -> dict:
+        return {"ok": True, "address": self.registry.resolve(hostname).to_text()}
+
+    def _heartbeat(self, peer, address) -> dict:
+        self.registry.heartbeat(address)
+        self.endpoints[address] = peer
+        return {"ok": True}
+
+    # op -> (handler, reader per field, defaults of the optional fields)
+    _OPS = {
+        "register": (
+            _register,
+            {"public_key": read_public_key, "tags": read_tags, "hostname": read_hostname},
+            {"tags": (), "hostname": None},
+        ),
+        "resolve": (_resolve, {"hostname": read_string}, {}),
+        "heartbeat": (_heartbeat, {"address": read_address}, {}),
+    }
+    _UNKNOWN_OP = (lambda self, peer: {"ok": False, "error": "unknown-op"}, {}, {})
 
     # -- TCP stats endpoint --
 
@@ -207,7 +239,8 @@ class RegistryServer:
                 tokens = line.split()
                 if STATS_PATH in tokens:
                     with self._lock:
-                        body = self.registry.snapshot().to_json()
+                        snapshot = self.registry.snapshot()
+                    body = snapshot.to_json()
                 else:
                     body = json.dumps({"ok": False, "error": "unknown-path"})
                 try:

@@ -103,36 +103,38 @@ class StatsSnapshot:
         ):
             if name not in doc:
                 raise SchemaViolationError(f"missing required field {name!r}")
-        generated_at = _number(doc["generated_at"], "generated_at")
+        generated_at = read_number(doc["generated_at"], "generated_at")
         requests_served = _non_negative_int(doc["requests_served"], "requests_served")
         summary = _non_negative_int(doc["summary_trust_links"], "summary_trust_links")
-        requests_per_agent = _number(doc.get("requests_per_agent", 0.0), "requests_per_agent")
+        requests_per_agent = read_number(
+            doc.get("requests_per_agent", 0.0), "requests_per_agent"
+        )
 
         networks = []
-        for i, raw in enumerate(_list_of(doc["networks"], "networks", dict)):
+        for i, raw in enumerate(read_list_of(doc["networks"], "networks", dict)):
             if "id" not in raw or "name" not in raw:
                 raise SchemaViolationError(f"networks[{i}] needs id and name")
             networks.append(
                 NetworkView(
                     _non_negative_int(raw["id"], f"networks[{i}].id"),
-                    _string(raw["name"], f"networks[{i}].name"),
+                    read_string(raw["name"], f"networks[{i}].name"),
                 )
             )
 
         nodes = []
         seen_addresses: set[str] = set()
-        for i, raw in enumerate(_list_of(doc["nodes"], "nodes", dict)):
+        for i, raw in enumerate(read_list_of(doc["nodes"], "nodes", dict)):
             for name in ("address", "tags", "online", "trust_links"):
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
-            address = _string(raw["address"], f"nodes[{i}].address")
+            address = read_string(raw["address"], f"nodes[{i}].address")
             canonical = VirtualAddress.from_text(address).to_text()
             if canonical in seen_addresses:
                 raise SchemaViolationError(f"duplicate node address {canonical}")
             seen_addresses.add(canonical)
             tags = tuple(
-                _string(tag, f"nodes[{i}].tags[]")
-                for tag in _list_of(raw["tags"], f"nodes[{i}].tags", str)
+                read_string(tag, f"nodes[{i}].tags[]")
+                for tag in read_list_of(raw["tags"], f"nodes[{i}].tags", str)
             )
             if not isinstance(raw["online"], bool):
                 raise SchemaViolationError(f"nodes[{i}].online must be a boolean")
@@ -148,11 +150,11 @@ class StatsSnapshot:
             )
 
         edges = []
-        for i, raw in enumerate(_list_of(doc["trust_edges"], "trust_edges", dict)):
+        for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
             if "a" not in raw or "b" not in raw:
                 raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-            a = VirtualAddress.from_text(_string(raw["a"], f"trust_edges[{i}].a")).to_text()
-            b = VirtualAddress.from_text(_string(raw["b"], f"trust_edges[{i}].b")).to_text()
+            a = VirtualAddress.from_text(read_string(raw["a"], f"trust_edges[{i}].a")).to_text()
+            b = VirtualAddress.from_text(read_string(raw["b"], f"trust_edges[{i}].b")).to_text()
             for endpoint in (a, b):
                 if endpoint not in seen_addresses:
                     raise DanglingEdgeError(
@@ -172,11 +174,7 @@ class StatsSnapshot:
 
     @classmethod
     def from_json(cls, text: str) -> "StatsSnapshot":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaViolationError(f"snapshot is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(read_json(text, "snapshot"))
 
 
 def load_snapshot(source: Union[str, Path, dict]) -> StatsSnapshot:
@@ -191,7 +189,40 @@ def load_snapshot(source: Union[str, Path, dict]) -> StatsSnapshot:
     return StatsSnapshot.from_json(Path(text).read_text(encoding="utf-8"))
 
 
-def _number(value: Any, name: str) -> float:
+# Readers for any JSON document: each returns the value it checked or raises
+# SchemaViolationError naming the field.
+
+
+def read_json(text: Union[str, bytes], what: str) -> Any:
+    """Parse one JSON document; bytes must be UTF-8.
+
+    Undecodable bytes, invalid JSON and nesting too deep for the parser all
+    raise SchemaViolationError.
+    """
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
+        raise SchemaViolationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def read_fields(doc: dict, readers: dict, defaults: dict) -> dict:
+    """Read each named field of doc through its reader, called as reader(value, name).
+
+    A field absent from doc takes its entry in defaults; without one it is
+    missing, and that is a SchemaViolationError. Other keys are ignored.
+    """
+    values = {}
+    for name, reader in readers.items():
+        if name in doc:
+            values[name] = reader(doc[name], name)
+        elif name in defaults:
+            values[name] = defaults[name]
+        else:
+            raise SchemaViolationError(f"missing required field {name!r}")
+    return values
+
+
+def read_number(value: Any, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaViolationError(f"{name} must be a number, got {type(value).__name__}")
     return float(value)
@@ -205,13 +236,13 @@ def _non_negative_int(value: Any, name: str) -> int:
     return value
 
 
-def _string(value: Any, name: str) -> str:
+def read_string(value: Any, name: str) -> str:
     if not isinstance(value, str):
         raise SchemaViolationError(f"{name} must be a string, got {type(value).__name__}")
     return value
 
 
-def _list_of(value: Any, name: str, kind: type) -> Iterable:
+def read_list_of(value: Any, name: str, kind: type) -> Iterable:
     if not isinstance(value, list):
         raise SchemaViolationError(f"{name} must be a list")
     for item in value:

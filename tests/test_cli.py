@@ -348,6 +348,9 @@ class TestExitCodes:
             ["generate", "--preset", "paper-2026", "--set", "stub_mean=nan"],
             ["sweep", "window", "2.5", "--seeds", "0"],
             ["sweep", "session_mean", "inf", "--seeds", "0"],
+            ["sweep", "window", "abc", "--seeds", "0"],
+            ["sweep", "window", "3", "--seeds", "x"],
+            ["sweep", "window", "1:x:1", "--seeds", "0"],
         ],
     )
     def test_non_number_override_is_input_error(self, tmp_path, capsys, args):
@@ -355,6 +358,13 @@ class TestExitCodes:
         assert main([*args, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    def test_malformed_event_log_is_input_error(self, tmp_path, capsys):
+        log_path = tmp_path / "events.jsonl"
+        log_path.write_text('{"event":"heartbeat","address":5,"t":0}\n')
+        args = ["serve-registry", "--bind", "127.0.0.1:0", "--log", str(log_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_json_config_is_input_error(self, tmp_path):
         config = tmp_path / "broken.json"

@@ -1,5 +1,6 @@
 """Registry service: allocation, trust conventions, liveness, relay, log."""
 
+import json
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from trustnet.errors import (
     DuplicateKeyError,
     HostnameNotFoundError,
     InvariantViolationError,
+    SchemaViolationError,
     UnknownNodeError,
 )
 from trustnet.overlay import (
@@ -463,6 +465,81 @@ class TestEventLog:
     def test_restore_from_missing_file_is_empty(self, tmp_path):
         restored = RegistryService.restore(tmp_path / "absent.jsonl")
         assert restored.node_count == 0
+
+    def test_torn_tail_is_dropped_and_cut(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        registry, clock = make_registry(event_log=log_path)
+        a = registry.register(key(1), tags=("coding",), hostname="alice")
+        b = registry.register(key(2))
+        registry.record_trust(a, b)
+        registry.record_trust(a, b)
+        clock.advance(10.0)
+        registry.heartbeat(a)
+        with log_path.open("a") as handle:
+            handle.write('{"event":"trust","a":"0:00')  # write cut short
+
+        restored = RegistryService.restore(log_path, clock=clock)
+        restored.register(key(3), hostname="carol")
+        before = restored.snapshot()
+        again = RegistryService.restore(log_path, clock=clock).snapshot()
+        # requests_served is not in the event log, so it is not compared
+        assert again.nodes == before.nodes
+        assert again.trust_edges == before.trust_edges
+        assert again.summary_trust_links == before.summary_trust_links == 2
+        assert len(before.nodes) == 3
+        lines = log_path.read_text().splitlines()
+        assert [json.loads(line)["event"] for line in lines] == [
+            "register", "register", "trust", "trust", "heartbeat", "register"
+        ]
+
+    def test_parsed_tail_without_newline_is_kept(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        registry, clock = make_registry(event_log=log_path)
+        registry.register(key(1))
+        registry.register(key(2))
+        log_path.write_text(log_path.read_text().rstrip("\n"))
+
+        restored = RegistryService.restore(log_path, clock=clock)
+        assert restored.node_count == 2
+        restored.register(key(3))
+        assert RegistryService.restore(log_path, clock=clock).node_count == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"event":"register"}',
+            '{"event":"register","address":"0:0000.0000.0001","public_key":"'
+            + "01" * 32
+            + '","tags":5,"hostname":null,"t":0}',
+            '{"event":"register","address":"0:0000.0000.0001","public_key":"ab",'
+            '"tags":[],"hostname":null,"t":0}',
+            '{"event":"heartbeat","address":"0:0000.0000.0001","t":"x"}',
+            '{"event":"trust","a":"zz","b":"0:0000.0000.0001"}',
+            '{"event":"teleport"}',
+            '{"event":5}',
+            "[1]",
+            "{not json",
+        ],
+        ids=[
+            "missing-fields",
+            "non-list-tags",
+            "one-byte-key",
+            "non-number-time",
+            "bad-address",
+            "unknown-kind",
+            "non-string-kind",
+            "non-object",
+            "not-json",
+        ],
+    )
+    def test_malformed_line_is_schema_error(self, tmp_path, line):
+        log_path = tmp_path / "events.jsonl"
+        registry, _ = make_registry(event_log=log_path)
+        registry.register(key(1))
+        with log_path.open("a") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(SchemaViolationError):
+            RegistryService.restore(log_path)
 
     def test_log_is_line_oriented_json(self, tmp_path):
         import json

@@ -3,8 +3,11 @@
 import json
 import random
 import socket
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.channel import (
     FRAME_ACCEPT,
@@ -17,14 +20,22 @@ from trustnet.channel import (
     HandshakeInitiator,
     HandshakeResponder,
 )
+from trustnet.errors import TrustNetError
 from trustnet.overlay import (
+    PORT_REGISTRY,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
     VirtualAddress,
     decode_packet,
     encode_packet,
 )
-from trustnet.server import RegistryClient, RegistryServer, fetch_stats
+from trustnet.registry import REGISTRY_ADDRESS
+from trustnet.server import (
+    NULL_ADDRESS,
+    RegistryClient,
+    RegistryServer,
+    fetch_stats,
+)
 
 
 @pytest.fixture()
@@ -42,6 +53,32 @@ def handshake_datagram(src, dst, payload) -> bytes:
         payload_length=len(payload),
     )
     return encode_packet(header, payload)
+
+
+def control_datagram(body: bytes, dst_port: int = PORT_REGISTRY) -> bytes:
+    header = PacketHeader(
+        src=NULL_ADDRESS,
+        dst=REGISTRY_ADDRESS,
+        src_port=PORT_REGISTRY,
+        dst_port=dst_port,
+        payload_length=len(body),
+    )
+    return encode_packet(header, body)
+
+
+# Bodies that each stopped the UDP thread, or registered a key no handshake
+# can verify, before control bodies were read through typed field readers.
+HOSTILE_BODIES = {
+    "non-string-key": b'{"op":"register","public_key":123}',
+    "non-list-tags": b'{"op":"register","public_key":"' + b"11" * 32 + b'","tags":5}',
+    "non-string-hostname": (
+        b'{"op":"register","public_key":"' + b"22" * 32 + b'","hostname":5}'
+    ),
+    "non-string-resolve": b'{"op":"resolve","hostname":5}',
+    "non-string-address": b'{"op":"heartbeat","address":5}',
+    "nested-30000-deep": b"[" * 30_000 + b"]" * 30_000,
+    "one-byte-key": b'{"op":"register","public_key":"ab"}',
+}
 
 
 class TestControlOps:
@@ -100,6 +137,91 @@ class TestControlOps:
         with RegistryClient(server.endpoint) as client:
             key = AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key
             assert client.register(key) is not None
+
+
+    @pytest.mark.parametrize("body", HOSTILE_BODIES.values(), ids=HOSTILE_BODIES)
+    def test_hostile_body_is_bad_request(self, server, body):
+        rng = random.Random(8)
+        with RegistryClient(server.endpoint) as client:
+            client.send_datagram(control_datagram(body))
+            _, payload = decode_packet(client.recv_datagram())
+            reply = json.loads(payload)
+            assert reply["ok"] is False
+            assert reply["error"] == "bad-request"
+            assert reply["message"]
+            assert all(thread.is_alive() for thread in server._threads)
+            assert server.registry.node_count == 0
+            key = AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key
+            assert client.register(key) is not None
+
+    def test_dropped_datagrams_are_counted(self, server):
+        rng = random.Random(9)
+        with RegistryClient(server.endpoint) as client:
+            client.send_datagram(b"\x00\x01garbage")
+            key = AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key
+            client.register(key)  # served after the garbage, by the same thread
+        assert server.dropped == Counter({"TruncatedPacketError": 1})
+
+    def test_send_failure_is_counted_not_fatal(self):
+        server = RegistryServer()
+        datagrams = [control_datagram(b'{"op":"teleport"}')]
+
+        class FailingSocket:
+            def recvfrom(self, size):
+                if not datagrams:
+                    server._stop.set()
+                    raise socket.timeout()
+                return datagrams.pop(), ("127.0.0.1", 9)
+
+            def sendto(self, data, peer):
+                raise OSError("network unreachable")
+
+        server._udp = FailingSocket()
+        server._udp_loop()
+        assert server.dropped == Counter({"OSError": 1})
+
+
+class _RecordingSocket:
+    def __init__(self) -> None:
+        self.sent: list[tuple[bytes, tuple[str, int]]] = []
+
+    def sendto(self, data: bytes, peer: tuple[str, int]) -> None:
+        self.sent.append((data, peer))
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+control_bodies = st.builds(
+    lambda op, field, value: {"op": op, "public_key": "33" * 32, field: value},
+    st.sampled_from(["register", "resolve", "heartbeat", "teleport"]),
+    st.sampled_from(["op", "public_key", "tags", "hostname", "address"]),
+    json_values,
+).map(lambda doc: json.dumps(doc).encode("utf-8"))
+datagrams = (
+    st.binary(max_size=64)
+    | st.builds(
+        control_datagram,
+        control_bodies | st.binary(max_size=64),
+        st.sampled_from([PORT_REGISTRY, PORT_TRUST_HANDSHAKE]),
+    )
+)
+
+
+@given(data=datagrams)
+@settings(max_examples=400, deadline=None)
+def test_handle_datagram_raises_only_trustnet_errors(data):
+    server = RegistryServer()
+    server._udp = _RecordingSocket()
+    try:
+        server._handle_datagram(data, ("127.0.0.1", 9))
+    except TrustNetError:
+        return
+    for reply, _ in server._udp.sent:
+        _, payload = decode_packet(reply)
+        assert json.loads(payload)["ok"] in (True, False)
 
 
 class TestHandshakeRelay:
