@@ -9,12 +9,12 @@ line — plus a comma-separated export of every histogram in the document.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import SchemaViolationError
+from .snapshot import read_json
 
 WIDTH = 640.0
 HEIGHT = 400.0
@@ -284,10 +284,7 @@ def render_report_artifacts(
 
 
 def load_metrics(path: Union[str, Path]) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaViolationError(f"metrics document is not valid JSON: {exc}")
+    doc = read_json(Path(path).read_bytes(), "metrics document")
     if not isinstance(doc, dict):
         raise SchemaViolationError("metrics document must be a JSON object")
     return doc

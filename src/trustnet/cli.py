@@ -30,7 +30,7 @@ from .errors import ConfigInvalidError, InvariantViolationError, TrustNetError
 from .registry import RegistryService
 from .server import RegistryServer, STATS_PATH
 from .sim import SimConfig, run_scenario
-from .snapshot import StatsSnapshot
+from .snapshot import load_snapshot
 
 DATA_DIR_ENV = "TRUSTNET_DATA_DIR"
 
@@ -42,10 +42,6 @@ def _data_dir() -> Path:
 def _print_header(subcommand: str, resolved: dict) -> None:
     click.echo(f"[trustnet {subcommand}] resolved configuration:")
     click.echo(json.dumps(resolved, indent=2, sort_keys=True))
-
-
-def _read_snapshot(path: str) -> StatsSnapshot:
-    return StatsSnapshot.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 @click.group()
@@ -151,8 +147,7 @@ def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
     if preset_name is None and config_path is None:
         raise click.UsageError("provide --preset or --config")
     if config_path is not None:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        config = growth.GrowthConfig.from_dict(doc)
+        config = growth.GrowthConfig.read(config_path)
     else:
         config = growth.preset(preset_name)
     for override in overrides:
@@ -193,7 +188,7 @@ def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
     """Compute the full metrics report for one snapshot."""
     resolved = {"snapshot": snapshot_path, "out": out_path, "k_min": k_min}
     _print_header("analyze", resolved)
-    snapshot = _read_snapshot(snapshot_path)
+    snapshot = load_snapshot(Path(snapshot_path))
     report = analyze_snapshot(snapshot, k_min=k_min)
     if out_path:
         Path(out_path).write_text(
@@ -277,8 +272,7 @@ def _parse_seeds(text: str) -> list[int]:
 def sweep(parameter, values, preset_name, config_path, seeds, out_path):
     """Sweep one growth parameter; one CSV row per (value, seed)."""
     if config_path is not None:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        base = growth.GrowthConfig.from_dict(doc)
+        base = growth.GrowthConfig.read(config_path)
     else:
         base = growth.preset(preset_name)
     value_list = _parse_values(values)
@@ -334,9 +328,6 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         click.echo(f"file not found: {exc}", err=True)
-        return 2
-    except json.JSONDecodeError as exc:
-        click.echo(f"malformed document: {exc}", err=True)
         return 2
 
 

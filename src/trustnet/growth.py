@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -41,7 +40,7 @@ from .errors import (
     UnknownPresetError,
 )
 from .overlay import VirtualAddress
-from .snapshot import NetworkView, NodeView, StatsSnapshot
+from .snapshot import NetworkView, NodeView, StatsSnapshot, is_number, read_json
 
 MECHANISMS = ("propinquity", "preferential", "triadic", "uniform")
 
@@ -189,20 +188,11 @@ def default_tag_model(
 # --- configuration documents ---
 
 
-def _is_number(value) -> bool:
-    """An int or a finite float, not a bool (Python's json reads NaN and Infinity)."""
-    return (
-        not isinstance(value, bool)
-        and isinstance(value, (int, float))
-        and abs(value) <= sys.float_info.max  # false for NaN, Infinity, a huge int
-    )
-
-
 # Field annotation -> test of a value and its name in an error. The
 # annotations are strings because of ``from __future__ import annotations``.
 _FIELD_TYPES = {
     "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (_is_number, "a finite number"),
+    "float": (is_number, "a finite number"),
     "str": (lambda v: isinstance(v, str), "a string"),
 }
 
@@ -236,7 +226,7 @@ def config_from_dict(cls, doc, what: str, **readers):
     for name, value in doc.items():
         if name in readers:
             value = readers[name](value)
-        elif types[name] == "float" and _is_number(value):
+        elif types[name] == "float" and is_number(value):
             value = float(value)
         kwargs[name] = value
     config = cls(**kwargs)
@@ -257,7 +247,7 @@ def config_to_dict(config, omit: tuple[str, ...] = ()) -> dict:
 
 
 def _read_weights(doc) -> tuple[float, ...]:
-    if not isinstance(doc, list) or not all(map(_is_number, doc)):
+    if not isinstance(doc, list) or not all(map(is_number, doc)):
         raise ConfigInvalidError("tags_per_tagged must be a list of numbers")
     return tuple(map(float, doc))
 
@@ -267,7 +257,7 @@ def _read_vocabulary(doc) -> tuple[tuple[str, float], ...]:
         isinstance(pair, list)
         and len(pair) == 2
         and isinstance(pair[0], str)
-        and _is_number(pair[1])
+        and is_number(pair[1])
         for pair in doc
     ):
         raise ConfigInvalidError("tag_vocabulary must be [tag, weight] pairs")
@@ -412,6 +402,10 @@ class GrowthConfig:
             tags_per_tagged=_read_weights,
             tag_vocabulary=_read_vocabulary,
         )
+
+    @classmethod
+    def read(cls, path: Union[str, Path]) -> "GrowthConfig":
+        return cls.from_dict(read_json(Path(path).read_bytes(), "growth config"))
 
 
 # Shipped calibration targeting the observed 626-agent topology. Structural

@@ -51,6 +51,9 @@ NULL_ADDRESS = VirtualAddress(0, 0)
 STATS_PATH = "/api/stats"
 _RECV_SIZE = 65_535
 _POLL_INTERVAL = 0.2
+# Characters of an error message an error reply echoes; at most 12 JSON bytes
+# each, so the reply fits one datagram whatever the body held.
+_MESSAGE_LIMIT = 500
 
 
 class RegistryServer:
@@ -186,11 +189,9 @@ class RegistryServer:
                 try:
                     reply = handler(self, peer, **args)
                 except TrustNetError as exc:
-                    reply = {
-                        "ok": False,
-                        "error": type(exc).__name__,
-                        "message": str(exc),
-                    }
+                    reply = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+        if "message" in reply:
+            reply["message"] = reply["message"][:_MESSAGE_LIMIT]
         return json.dumps(reply, separators=(",", ":")).encode("utf-8")
 
     # Op handlers run under the lock with the arguments their readers returned.
@@ -329,4 +330,4 @@ def fetch_stats(server: tuple[str, int], timeout: float = 3.0) -> StatsSnapshot:
             if not chunk:
                 break
             chunks.append(chunk)
-    return StatsSnapshot.from_json(b"".join(chunks).decode("utf-8"))
+    return StatsSnapshot.from_json(b"".join(chunks))

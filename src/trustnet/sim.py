@@ -66,7 +66,7 @@ from .overlay import (
     encode_packet,
 )
 from .registry import RegistryService
-from .snapshot import StatsSnapshot
+from .snapshot import StatsSnapshot, read_json
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
@@ -337,7 +337,7 @@ class SimConfig:
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "SimConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(Path(path).read_bytes(), "scenario"))
 
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(

@@ -16,6 +16,7 @@ the consistency audit reports it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Union
@@ -121,14 +122,21 @@ class StatsSnapshot:
                 )
             )
 
+        canonical_of: dict[str, str] = {}  # address text as written -> canonical text
+
+        def canonical_address(value: Any, name: str) -> str:
+            text = read_string(value, name)
+            if text not in canonical_of:
+                canonical_of[text] = VirtualAddress.from_text(text).to_text()
+            return canonical_of[text]
+
         nodes = []
         seen_addresses: set[str] = set()
         for i, raw in enumerate(read_list_of(doc["nodes"], "nodes", dict)):
             for name in ("address", "tags", "online", "trust_links"):
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
-            address = read_string(raw["address"], f"nodes[{i}].address")
-            canonical = VirtualAddress.from_text(address).to_text()
+            canonical = canonical_address(raw["address"], f"nodes[{i}].address")
             if canonical in seen_addresses:
                 raise SchemaViolationError(f"duplicate node address {canonical}")
             seen_addresses.add(canonical)
@@ -153,8 +161,8 @@ class StatsSnapshot:
         for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
             if "a" not in raw or "b" not in raw:
                 raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-            a = VirtualAddress.from_text(read_string(raw["a"], f"trust_edges[{i}].a")).to_text()
-            b = VirtualAddress.from_text(read_string(raw["b"], f"trust_edges[{i}].b")).to_text()
+            a = canonical_address(raw["a"], f"trust_edges[{i}].a")
+            b = canonical_address(raw["b"], f"trust_edges[{i}].b")
             for endpoint in (a, b):
                 if endpoint not in seen_addresses:
                     raise DanglingEdgeError(
@@ -173,7 +181,7 @@ class StatsSnapshot:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "StatsSnapshot":
+    def from_json(cls, text: Union[str, bytes]) -> "StatsSnapshot":
         return cls.from_dict(read_json(text, "snapshot"))
 
 
@@ -181,16 +189,14 @@ def load_snapshot(source: Union[str, Path, dict]) -> StatsSnapshot:
     """Load a snapshot from a dict, a JSON string, or a file path."""
     if isinstance(source, dict):
         return StatsSnapshot.from_dict(source)
-    if isinstance(source, Path):
-        return StatsSnapshot.from_json(source.read_text(encoding="utf-8"))
-    text = str(source)
-    if text.lstrip().startswith("{"):
-        return StatsSnapshot.from_json(text)
-    return StatsSnapshot.from_json(Path(text).read_text(encoding="utf-8"))
+    if isinstance(source, str) and source.lstrip().startswith("{"):
+        return StatsSnapshot.from_json(source)
+    return StatsSnapshot.from_json(Path(source).read_bytes())
 
 
-# Readers for any JSON document: each returns the value it checked or raises
-# SchemaViolationError naming the field.
+# Readers for input documents. read_json parses every one (config, scenario,
+# snapshot, metrics, event-log line, control body) from its raw bytes; the
+# others each return the value they checked or raise SchemaViolationError.
 
 
 def read_json(text: Union[str, bytes], what: str) -> Any:
@@ -222,9 +228,18 @@ def read_fields(doc: dict, readers: dict, defaults: dict) -> dict:
     return values
 
 
+def is_number(value: Any) -> bool:
+    """An int or a finite float, not a bool (Python's json reads NaN and Infinity)."""
+    return (
+        not isinstance(value, bool)
+        and isinstance(value, (int, float))
+        and abs(value) <= sys.float_info.max  # false for NaN, Infinity, a huge int
+    )
+
+
 def read_number(value: Any, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaViolationError(f"{name} must be a number, got {type(value).__name__}")
+    if not is_number(value):
+        raise SchemaViolationError(f"{name} must be a finite number, got {type(value).__name__}")
     return float(value)
 
 

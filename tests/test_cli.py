@@ -370,3 +370,55 @@ class TestExitCodes:
         config = tmp_path / "broken.json"
         config.write_text("{not json")
         assert main(["simulate", "--config", str(config)]) == 2
+
+
+def _huge_number_snapshot() -> bytes:
+    doc = StatsSnapshot(0.0, 0, [], [], [], 0).to_dict()
+    doc["generated_at"] = 10**400
+    return json.dumps(doc).encode("utf-8")
+
+
+MALFORMED_INPUTS = {
+    "invalid-utf8": b'{"n": "\xff"}',
+    "nested-30000-deep": b"[" * 30_000 + b"]" * 30_000,
+    "not-json": b"{not json",
+}
+INPUT_COMMANDS = {
+    "generate": ["generate", "--config", "{input}", "--out", "{out}"],
+    "sweep": ["sweep", "window", "3", "--config", "{input}", "--out", "{out}"],
+    "simulate": ["simulate", "--config", "{input}", "--out", "{out}"],
+    "analyze": ["analyze", "{input}", "--out", "{out}"],
+    "report": ["report", "{input}", "--charts", "{out}"],
+}
+MALFORMED_INPUT_CASES = [
+    pytest.param(INPUT_COMMANDS[command], body, "is not valid JSON", id=f"{command}-{kind}")
+    for command in INPUT_COMMANDS
+    for kind, body in MALFORMED_INPUTS.items()
+] + [
+    pytest.param(
+        INPUT_COMMANDS["analyze"],
+        _huge_number_snapshot(),
+        "generated_at must be a finite number",
+        id="analyze-number-1e400",
+    ),
+    pytest.param(
+        ["serve-registry", "--bind", "127.0.0.1:0", "--log", "{input}"],
+        b'{"event":"heartbeat","address":"0:0000.0000.0002","t":1' + b"0" * 400 + b"}\n",
+        "t must be a finite number",
+        id="serve-registry-log-number-1e400",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, body, message", MALFORMED_INPUT_CASES)
+def test_malformed_input_document_exits_2(tmp_path, capsys, args, body, message):
+    """Each input document, malformed, exits 2 with one error line."""
+    document, out = tmp_path / "input.json", tmp_path / "out"
+    document.write_bytes(body)
+    argv = [arg.format(input=document, out=out) for arg in args]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()

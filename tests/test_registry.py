@@ -519,6 +519,8 @@ class TestEventLog:
             '{"event":5}',
             "[1]",
             "{not json",
+            '{"event":"heartbeat","address":"0:0000.0000.0001","t":1' + "0" * 400 + "}",
+            '{"event":"heartbeat","address":"0:0000.0000.0001","t":NaN}',
         ],
         ids=[
             "missing-fields",
@@ -530,6 +532,8 @@ class TestEventLog:
             "non-string-kind",
             "non-object",
             "not-json",
+            "over-range-time",
+            "nan-time",
         ],
     )
     def test_malformed_line_is_schema_error(self, tmp_path, line):

@@ -154,6 +154,25 @@ class TestControlOps:
             key = AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key
             assert client.register(key) is not None
 
+    @pytest.mark.parametrize(
+        "op, field, error",
+        [
+            ("resolve", "hostname", "HostnameNotFoundError"),
+            ("heartbeat", "address", "bad-request"),
+        ],
+    )
+    def test_error_reply_fits_one_datagram(self, server, op, field, error):
+        # 24 KB of UTF-8 that JSON would echo back as 72 KB of escapes
+        body = json.dumps({"op": op, field: "\u00e9" * 12_000}, ensure_ascii=False)
+        with RegistryClient(server.endpoint) as client:
+            client.send_datagram(control_datagram(body.encode("utf-8")))
+            _, payload = decode_packet(client.recv_datagram())
+        reply = json.loads(payload)
+        assert reply["ok"] is False
+        assert reply["error"] == error
+        assert reply["message"]
+        assert not server.dropped
+
     def test_dropped_datagrams_are_counted(self, server):
         rng = random.Random(9)
         with RegistryClient(server.endpoint) as client:

@@ -1,14 +1,19 @@
 """Snapshot document model: serialization determinism and validation."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.errors import (
     DanglingEdgeError,
     MalformedAddressError,
     SchemaViolationError,
+    TrustNetError,
 )
+from trustnet.overlay import VirtualAddress
 from trustnet.snapshot import (
     NetworkView,
     NodeView,
@@ -167,3 +172,88 @@ class TestValidation:
         doc["nodes"][0]["tags"] = [7]
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "value", [10**400, float("nan"), float("inf"), "1"], ids=["1e400", "nan", "inf", "str"]
+    )
+    @pytest.mark.parametrize("field", ["generated_at", "requests_per_agent"])
+    def test_number_must_be_finite(self, field, value):
+        doc = sample_snapshot().to_dict()
+        doc[field] = value
+        with pytest.raises(SchemaViolationError, match=f"{field} must be a finite number"):
+            StatsSnapshot.from_dict(doc)
+
+
+class TestAddressCanonicaliser:
+    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
+        doc = sample_snapshot().to_dict()
+        doc["trust_edges"].append({"a": "0:0000.0000.0002", "b": "0:0000.0000.0003"})
+        parsed = []
+        from_text = VirtualAddress.from_text
+
+        def counted(cls, text):
+            parsed.append(text)
+            return from_text(text)
+
+        monkeypatch.setattr(VirtualAddress, "from_text", classmethod(counted))
+        StatsSnapshot.from_dict(doc)
+        texts = [node["address"] for node in doc["nodes"]]
+        assert parsed == texts
+
+    def test_edge_in_other_case_is_canonicalized(self):
+        doc = sample_snapshot().to_dict()
+        doc["nodes"][1]["address"] = "0:0000.0000.00AB"
+        doc["trust_edges"] = [{"a": "0:0000.0000.00ab", "b": "0:0000.0000.0001"}]
+        loaded = StatsSnapshot.from_dict(doc)
+        assert loaded.trust_edges == [("0:0000.0000.00AB", "0:0000.0000.0001")]
+
+    def test_malformed_b_is_found_before_dangling_a(self):
+        doc = sample_snapshot().to_dict()
+        doc["trust_edges"].append({"a": "0:0000.0000.00FF", "b": "0:00.00"})
+        with pytest.raises(MalformedAddressError):
+            StatsSnapshot.from_dict(doc)
+
+
+def key_paths(doc, prefix=()) -> list[tuple]:
+    """Every object key of a document at any depth, through lists too."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    paths = []
+    for key, value in items:
+        if isinstance(doc, dict):
+            paths.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            paths.extend(key_paths(value, prefix + (key,)))
+    return paths
+
+
+SNAPSHOT_DOC = sample_snapshot().to_dict()
+numbers = (
+    st.integers()
+    | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats()
+)
+addresses = st.sampled_from(["0:0000.0000.0001", "0:0000.0000.000a", "0:0000.0000.00FF"])
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text() | addresses,
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+@given(data=st.data())
+@settings(max_examples=500)
+def test_snapshot_reader_raises_only_trustnet_errors(data):
+    """One key, at any depth, replaced by any JSON value: a snapshot that
+    round-trips through to_dict, or a TrustNetError, never another exception."""
+    path = data.draw(st.sampled_from(key_paths(SNAPSHOT_DOC)))
+    doc = copy.deepcopy(SNAPSHOT_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    # numbers and addresses also drawn bare, so the fields that read them are hit often
+    parent[path[-1]] = data.draw(numbers | addresses | json_values)
+    try:
+        snapshot = StatsSnapshot.from_dict(doc)
+    except TrustNetError:
+        return
+    assert StatsSnapshot.from_json(snapshot.to_json()).to_dict() == snapshot.to_dict()
