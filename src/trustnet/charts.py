@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from .errors import SchemaViolationError
-from .snapshot import read_json
+from .snapshot import (
+    read_count,
+    read_fields,
+    read_json,
+    read_list_of,
+    read_number,
+    read_object,
+)
 
 WIDTH = 640.0
 HEIGHT = 400.0
@@ -64,21 +71,10 @@ def _axes(x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def _coerce_histogram(histogram: Mapping) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for key, value in histogram.items():
-        try:
-            out[int(key)] = int(value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaViolationError(f"bad histogram entry {key!r}: {value!r}") from exc
-    return out
-
-
 def degree_histogram_svg(
-    histogram: Mapping, title: str = "Trust degree distribution"
+    hist: dict[int, int], title: str = "Trust degree distribution"
 ) -> str:
     """Linear-scale bar chart of a degree histogram."""
-    hist = _coerce_histogram(histogram)
     k_max = max(hist, default=0) + 1
     c_max = max(hist.values(), default=0)
     c_top = max(c_max, 1)
@@ -101,7 +97,7 @@ def degree_histogram_svg(
         )
         level += tick_step
     label_every = max(1, k_max // 12)
-    for degree in range(k_max + 1):
+    for degree in sorted(hist.keys() | range(0, k_max + 1, label_every)):
         count = hist.get(degree, 0)
         x = MARGIN_LEFT + slot * degree + (slot - bar_w) / 2
         if count > 0:
@@ -124,7 +120,7 @@ def _log10(value: float) -> float:
 
 
 def degree_loglog_svg(
-    histogram: Mapping,
+    hist: dict[int, int],
     gamma: Optional[float] = None,
     k_min: Optional[int] = None,
     title: str = "Degree distribution (log-log)",
@@ -135,7 +131,6 @@ def degree_loglog_svg(
     drawn with slope -gamma in log space; it is omitted when no fit is
     supplied (e.g. the tail was too small to fit).
     """
-    hist = _coerce_histogram(histogram)
     points = sorted(
         (k, c) for k, c in hist.items() if k >= 1 and c >= 1
     )
@@ -196,8 +191,7 @@ def degree_loglog_svg(
     return "\n".join(parts) + "\n"
 
 
-def histogram_csv(histogram: Mapping, key_label: str = "degree") -> str:
-    hist = _coerce_histogram(histogram)
+def histogram_csv(hist: dict[int, int], key_label: str = "degree") -> str:
     lines = [f"{key_label},count"]
     lines += [f"{key},{hist[key]}" for key in sorted(hist)]
     return "\n".join(lines) + "\n"
@@ -205,10 +199,6 @@ def histogram_csv(histogram: Mapping, key_label: str = "degree") -> str:
 
 def binned_csv(boundaries: Sequence[int], counts: Sequence[int]) -> str:
     """Export bins given as boundaries [b0, b1, ...] with len-1 counts."""
-    if len(boundaries) != len(counts) + 1:
-        raise SchemaViolationError(
-            f"{len(boundaries)} boundaries cannot frame {len(counts)} bins"
-        )
     lines = ["low,high,count"]
     for i, count in enumerate(counts):
         lines.append(f"{boundaries[i]},{boundaries[i + 1]},{count}")
@@ -222,69 +212,86 @@ def sweep_csv(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_report_artifacts(
-    metrics: Mapping, out_dir: Union[str, Path]
-) -> list[Path]:
+# Readers for the metrics document, in snapshot.read_fields' reader(value, name)
+# form. Histogram keys and counts become chart coordinates, so must fit a float.
+
+
+def read_histogram(value: Any, name: str) -> dict[int, int]:
+    """Canonical decimal keys (no two read as one int) to non-negative counts."""
+    hist = {}
+    for key, count in read_object(value, name).items():
+        if not (key.isdecimal() and len(key) <= 308 and str(int(key)) == key):
+            raise SchemaViolationError(
+                f"{name} key {key!r} must be a canonical decimal below 10**308"
+            )
+        read_number(count, f"{name}[{key}]")
+        hist[int(key)] = read_count(count, f"{name}[{key}]")
+    return hist
+
+
+def _read_counts(value: Any, name: str) -> list[int]:
+    return [read_count(item, f"{name}[]") for item in read_list_of(value, name, object)]
+
+
+def _read_exponent(value: Any, name: str) -> float:
+    gamma = read_number(value, name)
+    if gamma <= 0:
+        raise SchemaViolationError(f"{name} must be positive")
+    return gamma
+
+
+def _section(readers: dict) -> Callable[[Any, str], Optional[dict]]:
+    """Reader for an optional object section; null reads as absent."""
+    return lambda value, name: None if value is None else read_fields(
+        read_object(value, name), readers, {}, f"{name}."
+    )
+
+
+_METRICS_FIELDS = {
+    "degree_histogram_api": read_histogram,
+    "degree_histogram_nonself": read_histogram,
+    "powerlaw_fit": _section({"gamma": _read_exponent, "k_min": read_count}),
+    "address_delta_histogram": _section({"histogram": read_histogram}),
+    "dunbar_bins": _section({"boundaries": _read_counts, "counts": _read_counts}),
+}
+
+
+def read_metrics(doc: Any) -> dict:
+    """Every field the report renders, typed; an absent section reads as None."""
+    optional = dict.fromkeys(("powerlaw_fit", "address_delta_histogram", "dunbar_bins"))
+    metrics = read_fields(read_object(doc, "metrics document"), _METRICS_FIELDS, optional)
+    bins = metrics["dunbar_bins"]
+    if bins and len(bins["boundaries"]) != len(bins["counts"]) + 1:
+        raise SchemaViolationError("dunbar_bins needs one more boundary than counts")
+    return metrics
+
+
+def render_report_artifacts(metrics: Any, out_dir: Union[str, Path]) -> list[Path]:
     """Write every chart and histogram export for one metrics document.
 
-    Accepts the analyzer's JSON document (or MetricsReport.to_dict()).
+    The parsed JSON document is read in full before the directory is made.
     Returns the written paths in a fixed order.
     """
-    for field in ("degree_histogram_api", "degree_histogram_nonself"):
-        if field not in metrics:
-            raise SchemaViolationError(f"metrics document lacks {field}")
+    doc = read_metrics(metrics)
+    api, nonself = doc["degree_histogram_api"], doc["degree_histogram_nonself"]
+    outputs = [
+        ("degree_histogram.svg", degree_histogram_svg(api)),
+        ("degree_loglog.svg", degree_loglog_svg(nonself, **(doc["powerlaw_fit"] or {}))),
+        ("degree_histogram_api.csv", histogram_csv(api)),
+        ("degree_histogram_nonself.csv", histogram_csv(nonself)),
+    ]
+    if doc["address_delta_histogram"]:
+        delta = histogram_csv(doc["address_delta_histogram"]["histogram"], key_label="delta")
+        outputs.append(("address_delta_histogram.csv", delta))
+    if doc["dunbar_bins"]:
+        outputs.append(("dunbar_bins.csv", binned_csv(**doc["dunbar_bins"])))
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    fit = metrics.get("powerlaw_fit")
-    gamma = fit.get("gamma") if isinstance(fit, Mapping) else None
-    k_min = fit.get("k_min") if isinstance(fit, Mapping) else None
-
-    outputs: list[tuple[str, str]] = [
-        (
-            "degree_histogram.svg",
-            degree_histogram_svg(metrics["degree_histogram_api"]),
-        ),
-        (
-            "degree_loglog.svg",
-            degree_loglog_svg(
-                metrics["degree_histogram_nonself"], gamma=gamma, k_min=k_min
-            ),
-        ),
-        (
-            "degree_histogram_api.csv",
-            histogram_csv(metrics["degree_histogram_api"]),
-        ),
-        (
-            "degree_histogram_nonself.csv",
-            histogram_csv(metrics["degree_histogram_nonself"]),
-        ),
-    ]
-    delta = metrics.get("address_delta_histogram")
-    if isinstance(delta, Mapping) and "histogram" in delta:
-        outputs.append(
-            (
-                "address_delta_histogram.csv",
-                histogram_csv(delta["histogram"], key_label="delta"),
-            )
-        )
-    dunbar = metrics.get("dunbar_bins")
-    if isinstance(dunbar, Mapping) and "boundaries" in dunbar:
-        outputs.append(
-            (
-                "dunbar_bins.csv",
-                binned_csv(dunbar["boundaries"], dunbar["counts"]),
-            )
-        )
-    written = []
     for name, text in outputs:
-        path = directory / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-    return written
+        (directory / name).write_text(text, encoding="utf-8")
+    return [directory / name for name, _ in outputs]
 
 
 def load_metrics(path: Union[str, Path]) -> dict:
     doc = read_json(Path(path).read_bytes(), "metrics document")
-    if not isinstance(doc, dict):
-        raise SchemaViolationError("metrics document must be a JSON object")
-    return doc
+    return read_object(doc, "metrics document")

@@ -30,7 +30,7 @@ from .errors import ConfigInvalidError, InvariantViolationError, TrustNetError
 from .registry import RegistryService
 from .server import RegistryServer, STATS_PATH
 from .sim import SimConfig, run_scenario
-from .snapshot import load_snapshot
+from .snapshot import StatsSnapshot
 
 DATA_DIR_ENV = "TRUSTNET_DATA_DIR"
 
@@ -188,7 +188,7 @@ def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
     """Compute the full metrics report for one snapshot."""
     resolved = {"snapshot": snapshot_path, "out": out_path, "k_min": k_min}
     _print_header("analyze", resolved)
-    snapshot = load_snapshot(Path(snapshot_path))
+    snapshot = StatsSnapshot.read(snapshot_path)
     report = analyze_snapshot(snapshot, k_min=k_min)
     if out_path:
         Path(out_path).write_text(
@@ -323,11 +323,8 @@ def main(argv=None) -> int:
     except InvariantViolationError as exc:
         click.echo(f"invariant violation: {exc}", err=True)
         return 3
-    except TrustNetError as exc:
+    except (TrustNetError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
-        return 2
-    except FileNotFoundError as exc:
-        click.echo(f"file not found: {exc}", err=True)
         return 2
 
 

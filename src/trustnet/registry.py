@@ -72,7 +72,6 @@ REGISTRY_ADDRESS = VirtualAddress(0, 1)
 # relay-observed handshake phases
 _SAW_REQUEST = 1
 _SAW_ACCEPT = 2
-_RECORDED = 3
 
 
 @dataclass
@@ -175,8 +174,7 @@ class RegistryService:
         self._nodes: dict[VirtualAddress, NodeRecord] = {}
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
-        self._edges: set[tuple[VirtualAddress, VirtualAddress]] = set()
-        self._edge_order: list[tuple[VirtualAddress, VirtualAddress]] = []
+        self._edges: dict[tuple[VirtualAddress, VirtualAddress], None] = {}  # ordered set
         self._summary_trust_links = 0
         self._allocated = 0
         self.requests_served = 0
@@ -334,8 +332,7 @@ class RegistryService:
         )
         if pair in self._edges:
             return False
-        self._edges.add(pair)
-        self._edge_order.append(pair)
+        self._edges[pair] = None
         if pair[0] == pair[1]:
             self._nodes[pair[0]].trust_links += 2
         else:
@@ -362,7 +359,7 @@ class RegistryService:
             )
             for record in sorted(self._nodes.values(), key=lambda r: r.address)
         ]
-        edges = [(a.to_text(), b.to_text()) for a, b in self._edge_order]
+        edges = [(a.to_text(), b.to_text()) for a, b in self._edges]
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         return StatsSnapshot(
             generated_at=now,
@@ -384,7 +381,8 @@ class RegistryService:
         The frame body stays opaque: only the overlay header and the leading
         type byte are read. An unknown destination produces an ERROR frame
         back to the sender. Forwarding the first CONFIRM of a handshake whose
-        REQUEST and ACCEPT both passed through records the trust pair.
+        REQUEST and ACCEPT both passed through records the trust pair and
+        drops its phase: the phase table holds open handshakes only.
         """
         self.requests_served += 1
         header, payload = decode_packet(datagram)
@@ -405,9 +403,7 @@ class RegistryService:
 
         frame_type = payload[0]
         if frame_type == FRAME_REQUEST:
-            key = (header.src, header.dst)
-            if self._relay_phase.get(key) != _SAW_REQUEST:
-                self._relay_phase[key] = _SAW_REQUEST
+            self._relay_phase[(header.src, header.dst)] = _SAW_REQUEST
         elif frame_type == FRAME_ACCEPT:
             key = (header.dst, header.src)
             if self._relay_phase.get(key) == _SAW_REQUEST:
@@ -416,7 +412,7 @@ class RegistryService:
             key = (header.src, header.dst)
             if self._relay_phase.get(key) == _SAW_ACCEPT:
                 self._record_trust_pair(header.src, header.dst)
-                self._relay_phase[key] = _RECORDED
+                del self._relay_phase[key]
         elif frame_type == FRAME_DECLINE:
             self._relay_phase.pop((header.dst, header.src), None)
         return [(header.dst, datagram)]

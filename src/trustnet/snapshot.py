@@ -92,8 +92,7 @@ class StatsSnapshot:
         MalformedAddressError on unparseable addresses, and
         DanglingEdgeError when edges reference unknown nodes.
         """
-        if not isinstance(doc, dict):
-            raise SchemaViolationError("snapshot document must be an object")
+        read_object(doc, "snapshot document")
         for name in (
             "generated_at",
             "requests_served",
@@ -105,8 +104,8 @@ class StatsSnapshot:
             if name not in doc:
                 raise SchemaViolationError(f"missing required field {name!r}")
         generated_at = read_number(doc["generated_at"], "generated_at")
-        requests_served = _non_negative_int(doc["requests_served"], "requests_served")
-        summary = _non_negative_int(doc["summary_trust_links"], "summary_trust_links")
+        requests_served = read_count(doc["requests_served"], "requests_served")
+        summary = read_count(doc["summary_trust_links"], "summary_trust_links")
         requests_per_agent = read_number(
             doc.get("requests_per_agent", 0.0), "requests_per_agent"
         )
@@ -117,7 +116,7 @@ class StatsSnapshot:
                 raise SchemaViolationError(f"networks[{i}] needs id and name")
             networks.append(
                 NetworkView(
-                    _non_negative_int(raw["id"], f"networks[{i}].id"),
+                    read_count(raw["id"], f"networks[{i}].id"),
                     read_string(raw["name"], f"networks[{i}].name"),
                 )
             )
@@ -151,9 +150,7 @@ class StatsSnapshot:
                     address=canonical,
                     tags=tags,
                     online=raw["online"],
-                    trust_links=_non_negative_int(
-                        raw["trust_links"], f"nodes[{i}].trust_links"
-                    ),
+                    trust_links=read_count(raw["trust_links"], f"nodes[{i}].trust_links"),
                 )
             )
 
@@ -184,14 +181,9 @@ class StatsSnapshot:
     def from_json(cls, text: Union[str, bytes]) -> "StatsSnapshot":
         return cls.from_dict(read_json(text, "snapshot"))
 
-
-def load_snapshot(source: Union[str, Path, dict]) -> StatsSnapshot:
-    """Load a snapshot from a dict, a JSON string, or a file path."""
-    if isinstance(source, dict):
-        return StatsSnapshot.from_dict(source)
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        return StatsSnapshot.from_json(source)
-    return StatsSnapshot.from_json(Path(source).read_bytes())
+    @classmethod
+    def read(cls, path: Union[str, Path]) -> "StatsSnapshot":
+        return cls.from_json(Path(path).read_bytes())
 
 
 # Readers for input documents. read_json parses every one (config, scenario,
@@ -211,8 +203,8 @@ def read_json(text: Union[str, bytes], what: str) -> Any:
         raise SchemaViolationError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def read_fields(doc: dict, readers: dict, defaults: dict) -> dict:
-    """Read each named field of doc through its reader, called as reader(value, name).
+def read_fields(doc: dict, readers: dict, defaults: dict, where: str = "") -> dict:
+    """Read each named field of doc through its reader, as reader(value, where + name).
 
     A field absent from doc takes its entry in defaults; without one it is
     missing, and that is a SchemaViolationError. Other keys are ignored.
@@ -220,11 +212,11 @@ def read_fields(doc: dict, readers: dict, defaults: dict) -> dict:
     values = {}
     for name, reader in readers.items():
         if name in doc:
-            values[name] = reader(doc[name], name)
+            values[name] = reader(doc[name], where + name)
         elif name in defaults:
             values[name] = defaults[name]
         else:
-            raise SchemaViolationError(f"missing required field {name!r}")
+            raise SchemaViolationError(f"missing required field {where + name!r}")
     return values
 
 
@@ -243,11 +235,17 @@ def read_number(value: Any, name: str) -> float:
     return float(value)
 
 
-def _non_negative_int(value: Any, name: str) -> int:
+def read_count(value: Any, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaViolationError(f"{name} must be an integer, got {type(value).__name__}")
     if value < 0:
         raise SchemaViolationError(f"{name} may not be negative")
+    return value
+
+
+def read_object(value: Any, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaViolationError(f"{name} must be an object, got {type(value).__name__}")
     return value
 
 

@@ -1,6 +1,13 @@
 """Chart and CSV rendering: determinism, fit annotation, degenerate inputs."""
 
+import copy
+import tempfile
+import time
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.charts import (
     binned_csv,
@@ -8,10 +15,12 @@ from trustnet.charts import (
     degree_loglog_svg,
     histogram_csv,
     load_metrics,
+    read_histogram,
+    read_metrics,
     render_report_artifacts,
     sweep_csv,
 )
-from trustnet.errors import SchemaViolationError
+from trustnet.errors import SchemaViolationError, TrustNetError
 
 
 SAMPLE_HIST = {0: 9, 1: 38, 3: 102, 5: 50, 12: 19, 39: 1}
@@ -26,7 +35,8 @@ class TestSvgCharts:
 
     def test_bar_chart_accepts_string_keys(self):
         text_keys = {str(k): v for k, v in SAMPLE_HIST.items()}
-        assert degree_histogram_svg(text_keys) == degree_histogram_svg(SAMPLE_HIST)
+        hist = read_histogram(text_keys, "histogram")
+        assert degree_histogram_svg(hist) == degree_histogram_svg(SAMPLE_HIST)
 
     def test_loglog_plots_positive_degrees_only(self):
         svg = degree_loglog_svg(SAMPLE_HIST)
@@ -56,7 +66,14 @@ class TestSvgCharts:
 
     def test_bad_histogram_entries_rejected(self):
         with pytest.raises(SchemaViolationError):
-            degree_histogram_svg({"three": "many"})
+            read_histogram({"three": "many"}, "histogram")
+
+    def test_bar_chart_cost_follows_populated_degrees(self):
+        started = time.perf_counter()
+        svg = degree_histogram_svg({10**8: 1})
+        assert time.perf_counter() - started < 1.0
+        assert svg.count('<rect class="bar"') == 1
+        assert svg.count('text-anchor="middle"') == 13  # degree labels
 
 
 class TestCsvExports:
@@ -69,8 +86,12 @@ class TestCsvExports:
         assert text == "low,high,count\n0,6,10\n6,11,20\n11,15,30\n"
 
     def test_binned_csv_shape_mismatch_rejected(self):
+        metrics = dict(
+            TestReportArtifacts.METRICS,
+            dunbar_bins={"boundaries": [0, 6], "counts": [1, 2, 3]},
+        )
         with pytest.raises(SchemaViolationError):
-            binned_csv([0, 6], [1, 2, 3])
+            read_metrics(metrics)
 
     def test_sweep_csv_column_order(self):
         rows = [{"value": 0.5, "seed": 1, "giant": 0.7}]
@@ -111,6 +132,19 @@ class TestReportArtifacts:
         loglog = next(p for p in written if p.name == "degree_loglog.svg")
         assert '<path class="fit"' not in loglog.read_text()
 
+    def test_absent_sections_skip_their_artifacts(self, tmp_path):
+        metrics = {
+            "degree_histogram_api": self.METRICS["degree_histogram_api"],
+            "degree_histogram_nonself": self.METRICS["degree_histogram_nonself"],
+        }
+        written = render_report_artifacts(metrics, tmp_path)
+        assert [p.name for p in written] == [
+            "degree_histogram.svg",
+            "degree_loglog.svg",
+            "degree_histogram_api.csv",
+            "degree_histogram_nonself.csv",
+        ]
+
     def test_histograms_required(self, tmp_path):
         with pytest.raises(SchemaViolationError):
             render_report_artifacts({"degree_histogram_api": {}}, tmp_path)
@@ -123,3 +157,49 @@ class TestReportArtifacts:
         path.write_text("[1, 2, 3]")
         with pytest.raises(SchemaViolationError):
             load_metrics(path)
+
+
+# Every object in the metrics document, by its key path, and the keys it holds.
+METRICS_OBJECTS = {
+    (): list(TestReportArtifacts.METRICS),
+    ("degree_histogram_api",): ["0", "3", "39"],
+    ("degree_histogram_nonself",): ["0", "2", "20"],
+    ("powerlaw_fit",): ["gamma", "k_min"],
+    ("address_delta_histogram",): ["histogram"],
+    ("address_delta_histogram", "histogram"): ["1", "2"],
+    ("dunbar_bins",): ["boundaries", "counts"],
+}
+numbers = (
+    st.integers()
+    | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats()
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+keys = st.text() | st.integers().map(str) | st.integers(min_value=10**300).map(str)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_report_reader_raises_only_trustnet_errors(data):
+    """One key of the metrics document replaced by, or joined by, any JSON value:
+    the artifacts are written, or a TrustNetError leaves the directory unmade."""
+    path = data.draw(st.sampled_from(sorted(METRICS_OBJECTS)))
+    doc = copy.deepcopy(TestReportArtifacts.METRICS)
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    key = data.draw(st.sampled_from(METRICS_OBJECTS[path]) | keys)
+    # numbers drawn bare too, so the counts and the fit are hit often
+    parent[key] = data.draw(numbers | json_values)
+    with tempfile.TemporaryDirectory() as scratch:
+        out = f"{scratch}/charts"
+        try:
+            written = render_report_artifacts(doc, out)
+        except TrustNetError:
+            assert not any(Path(scratch).iterdir())
+            return
+        assert len(written) >= 4

@@ -378,6 +378,53 @@ def _huge_number_snapshot() -> bytes:
     return json.dumps(doc).encode("utf-8")
 
 
+def _metrics_document(**fields) -> bytes:
+    doc = {"degree_histogram_api": {"0": 1}, "degree_histogram_nonself": {"0": 1}}
+    return json.dumps({**doc, **fields}).encode("utf-8")
+
+
+MALFORMED_METRICS = {
+    "histogram-list": (
+        _metrics_document(degree_histogram_api=[1]),
+        "degree_histogram_api must be an object",
+    ),
+    "count-1e400": (
+        _metrics_document(degree_histogram_api={"3": 1.5}).replace(b"1.5", b"1e400"),
+        "degree_histogram_api[3] must be a finite number",
+    ),
+    "count-1.5": (
+        _metrics_document(degree_histogram_api={"3": 1.5}),
+        "degree_histogram_api[3] must be an integer",
+    ),
+    "key-negative": (
+        _metrics_document(degree_histogram_nonself={"-5": 1}),
+        "degree_histogram_nonself key '-5'",
+    ),
+    "key-leading-zero": (
+        _metrics_document(degree_histogram_api={"7": 3, "007": 5}),
+        "degree_histogram_api key '007'",
+    ),
+    "gamma-text": (
+        _metrics_document(powerlaw_fit={"gamma": "x", "k_min": 10}),
+        "powerlaw_fit.gamma must be a finite number",
+    ),
+    "gamma-negative": (
+        _metrics_document(
+            degree_histogram_nonself={"10": 5, "1000": 1},
+            powerlaw_fit={"gamma": -1000.0, "k_min": 10},
+        ),
+        "powerlaw_fit.gamma must be positive",
+    ),
+    "dunbar-without-counts": (
+        _metrics_document(dunbar_bins={"boundaries": [0, 6]}),
+        "missing required field 'dunbar_bins.counts'",
+    ),
+    "delta-histogram-number": (
+        _metrics_document(address_delta_histogram={"histogram": 5}),
+        "address_delta_histogram.histogram must be an object",
+    ),
+}
+
 MALFORMED_INPUTS = {
     "invalid-utf8": b'{"n": "\xff"}',
     "nested-30000-deep": b"[" * 30_000 + b"]" * 30_000,
@@ -390,6 +437,7 @@ INPUT_COMMANDS = {
     "analyze": ["analyze", "{input}", "--out", "{out}"],
     "report": ["report", "{input}", "--charts", "{out}"],
 }
+SERVE_WITH_LOG = ["serve-registry", "--bind", "127.0.0.1:0", "--log", "{input}"]
 MALFORMED_INPUT_CASES = [
     pytest.param(INPUT_COMMANDS[command], body, "is not valid JSON", id=f"{command}-{kind}")
     for command in INPUT_COMMANDS
@@ -402,11 +450,14 @@ MALFORMED_INPUT_CASES = [
         id="analyze-number-1e400",
     ),
     pytest.param(
-        ["serve-registry", "--bind", "127.0.0.1:0", "--log", "{input}"],
+        SERVE_WITH_LOG,
         b'{"event":"heartbeat","address":"0:0000.0000.0002","t":1' + b"0" * 400 + b"}\n",
         "t must be a finite number",
         id="serve-registry-log-number-1e400",
     ),
+] + [
+    pytest.param(INPUT_COMMANDS["report"], body, message, id=f"report-{kind}")
+    for kind, (body, message) in MALFORMED_METRICS.items()
 ]
 
 
@@ -421,4 +472,17 @@ def test_malformed_input_document_exits_2(tmp_path, capsys, args, body, message)
     assert err.startswith("error: ")
     assert message in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args", [*INPUT_COMMANDS.values(), SERVE_WITH_LOG], ids=[*INPUT_COMMANDS, "serve-registry"]
+)
+def test_directory_input_exits_2(tmp_path, capsys, args):
+    """An input path that names a directory exits 2 with one error line."""
+    out = tmp_path / "out"
+    assert main([arg.format(input=tmp_path, out=out) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
     assert not out.exists()

@@ -42,6 +42,16 @@ GENERATE_DIGESTS = {
     },
 }
 
+# `report --charts` on the paper-2026 seed-7 metrics document.
+CHART_DIGESTS = {
+    "address_delta_histogram.csv": "646a95dd9a3943dc3f37e2e2eb8fc9c8c490ffdf0a55d203d9deced8304e1fa8",
+    "degree_histogram.svg": "ca9e894e11ab1d7de5e21782fc5c8299e0c5eb5c5e4ca738f1c3160ac1aebadf",
+    "degree_histogram_api.csv": "6c521bde802321b4c3575c744ed6e4798257b552bb659a0b6837835ee71b1856",
+    "degree_histogram_nonself.csv": "67531930e77d7344b5eb871da7fe295ce7a7dcd3df53624cb28f91ea40d44ff9",
+    "degree_loglog.svg": "afa9c34f7ded1419a129484b54e509c75763d0d8c6fdc2f4483368f365ff5dfa",
+    "dunbar_bins.csv": "377c8cb96744bf7d16e7cef7875dc4ea3401fb9ff71b75b12bf41420f70daf30",
+}
+
 GROWTH_CONFIGS = {
     # Growth without sessions or connectors, which the preset never runs.
     "config-n2000-seed5": {"n": 2000, "seed": 5},
@@ -148,6 +158,20 @@ def test_paper_preset_digests(tmp_path, case):
         "metrics": sha256(metrics),
     }
     assert observed == GENERATE_DIGESTS[case]
+
+
+def test_report_chart_digests(tmp_path):
+    snapshot = tmp_path / "snapshot.json"
+    metrics = tmp_path / "metrics.json"
+    charts = tmp_path / "charts"
+    code = main(
+        ["generate", "--preset", "paper-2026", "--seed", "7", "--out", str(snapshot)]
+    )
+    assert code == 0
+    analyze_to(snapshot, metrics)
+    assert main(["report", str(metrics), "--charts", str(charts)]) == 0
+    observed = {path.name: sha256(path) for path in charts.iterdir()}
+    assert observed == CHART_DIGESTS
 
 
 def simulate_digests(tmp_path, scenario) -> dict:

@@ -32,7 +32,7 @@ from trustnet.growth import (
     sweep,
 )
 from trustnet.analytics import analyze_snapshot, build_graph, clustering
-from trustnet.snapshot import load_snapshot
+from trustnet.snapshot import StatsSnapshot
 
 
 def small_config(**overrides) -> GrowthConfig:
@@ -449,7 +449,7 @@ class TestGenerate:
         from trustnet.analytics import consistency_audit
 
         snapshot, _ = generate(small_config(n=120, stub_mean=2.5))
-        reloaded = load_snapshot(snapshot.to_dict())
+        reloaded = StatsSnapshot.from_dict(snapshot.to_dict())
         assert consistency_audit(reloaded) == []
 
     def test_mechanism_attribution_respects_zero_weight(self):

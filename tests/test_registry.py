@@ -308,6 +308,15 @@ class TestRelay:
         assert snap.trust_edges == [(a.to_text(), b.to_text())]
         assert snap.summary_trust_links == 1
 
+    def test_recorded_pair_leaves_no_relay_state(self):
+        registry, _ = make_registry()
+        a, b = self.setup_pair(registry)
+        registry.relay_handshake(frame(a, b, FRAME_REQUEST))
+        registry.relay_handshake(frame(b, a, FRAME_ACCEPT))
+        registry.relay_handshake(frame(a, b, FRAME_CONFIRM))
+        assert registry.edge_count == 1
+        assert registry._relay_phase == {}
+
     def test_retransmitted_confirm_does_not_rerecord(self):
         registry, _ = make_registry()
         a, b = self.setup_pair(registry)

@@ -18,7 +18,6 @@ from trustnet.snapshot import (
     NetworkView,
     NodeView,
     StatsSnapshot,
-    load_snapshot,
 )
 
 
@@ -72,13 +71,13 @@ class TestSerialization:
         snap = sample_snapshot()
         target = tmp_path / "snapshot.json"
         snap.write(target)
-        assert load_snapshot(target).to_dict() == snap.to_dict()
-        assert load_snapshot(str(target)).to_dict() == snap.to_dict()
+        assert StatsSnapshot.read(target).to_dict() == snap.to_dict()
+        assert StatsSnapshot.read(str(target)).to_dict() == snap.to_dict()
 
     def test_load_from_dict_and_string(self):
         snap = sample_snapshot()
-        assert load_snapshot(snap.to_dict()).to_dict() == snap.to_dict()
-        assert load_snapshot(snap.to_json()).to_dict() == snap.to_dict()
+        assert StatsSnapshot.from_dict(snap.to_dict()).to_dict() == snap.to_dict()
+        assert StatsSnapshot.from_json(snap.to_json()).to_dict() == snap.to_dict()
 
     def test_summary_may_exceed_edge_list(self):
         doc = sample_snapshot().to_dict()
