@@ -217,7 +217,7 @@ def sweep_csv(rows: Sequence[Mapping], columns: Sequence[str]) -> str:
 
 
 def read_histogram(value: Any, name: str) -> dict[int, int]:
-    """Canonical decimal keys (no two read as one int) to non-negative counts."""
+    """Canonical decimal keys (no two read as one int) to counts in [0, 2**53]."""
     hist = {}
     for key, count in read_object(value, name).items():
         if not (key.isdecimal() and len(key) <= 308 and str(int(key)) == key):
@@ -226,6 +226,8 @@ def read_histogram(value: Any, name: str) -> dict[int, int]:
             )
         read_number(count, f"{name}[{key}]")
         hist[int(key)] = read_count(count, f"{name}[{key}]")
+        if hist[int(key)] > 2**53:  # the renderers' float arithmetic stays finite
+            raise SchemaViolationError(f"{name}[{key}] may not exceed 2**53")
     return hist
 
 

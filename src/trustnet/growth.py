@@ -6,7 +6,7 @@ spends a Poisson-distributed number of link stubs. Each stub picks one of
 four attachment mechanisms:
 
     propinquity   uniform among the most recent arrivals (the "window")
-    preferential  proportional to current non-self degree + 1
+    preferential  proportional to current non-self degree + 1, in O(log n)
     triadic       uniform among neighbors-of-neighbors
     uniform       uniform among all prior attached nodes
 
@@ -28,9 +28,11 @@ communities can never form):
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
 
@@ -161,17 +163,21 @@ class TagModel:
     untagged_probability: float = 0.42
     count_distribution: tuple[float, float, float] = (0.09, 0.29, 0.62)
 
+    @cached_property
+    def _keyed_vocabulary(self) -> tuple[tuple[float, ...], tuple[str, ...]]:
+        exponents = tuple(1.0 / weight for _, weight in self.vocabulary)
+        return exponents, tuple(tag for tag, _ in self.vocabulary)
+
     def draw(self, rng: random.Random) -> tuple[str, ...]:
         if rng.random() < self.untagged_probability:
             return ()
         count = rng.choices((1, 2, 3), weights=self.count_distribution)[0]
-        count = min(count, len(self.vocabulary))
-        # weighted sampling without replacement (Efraimidis-Spirakis keys)
-        keyed = [
-            (rng.random() ** (1.0 / weight), tag) for tag, weight in self.vocabulary
-        ]
-        keyed.sort(reverse=True)
-        return tuple(tag for _, tag in keyed[:count])
+        # weighted sampling without replacement (Efraimidis-Spirakis keys):
+        # the count largest of random() ** (1 / weight), one draw per entry
+        exponents, tags = self._keyed_vocabulary
+        random_ = rng.random
+        keys = [random_() ** exponent for exponent in exponents]
+        return tuple(tag for _, tag in heapq.nlargest(count, zip(keys, tags)))
 
 
 def default_tag_model(
@@ -591,12 +597,21 @@ class GrowthTrace:
 
 
 class AttachmentGraph:
-    """Graph state the attachment sampler reads; nodes are any hashable ids."""
+    """Graph state the attachment sampler reads; nodes are any hashable ids.
+
+    ``attachable`` is a plain list that callers extend in place, each node at
+    most once. A 1-based Fenwick tree holds the weights degree + 1 of its
+    entries; it takes in the entries appended since the last preferential
+    draw just before the next one, and ``connect`` updates the leaves it has.
+    """
 
     def __init__(self) -> None:
         self.adjacency: dict = {}
         self.degree: dict = {}  # len(adjacency[v]), kept for cheap weights
         self.attachable: list = []  # nodes open to new links, in arrival order
+        self._slot: dict = {}  # attachable node -> its leaf in _tree
+        self._tree: list[int] = [0]
+        self._total = 0  # sum of the weights in _tree
 
     def add_node(self, node) -> None:
         self.adjacency[node] = set()
@@ -605,8 +620,37 @@ class AttachmentGraph:
     def connect(self, a, b) -> None:
         self.adjacency[a].add(b)
         self.adjacency[b].add(a)
-        self.degree[a] += 1
-        self.degree[b] += 1
+        for v in (a, b):
+            self.degree[v] += 1
+            i = self._slot.get(v)
+            if i is not None:
+                self._total += 1
+                while i < len(self._tree):
+                    self._tree[i] += 1
+                    i += i & -i
+
+    def draw_by_degree(self, rng: random.Random):
+        """Draw from a non-empty ``attachable`` by degree + 1 in O(log n)."""
+        tree = self._tree
+        for node in self.attachable[len(tree) - 1 :]:
+            i = len(tree)
+            self._slot[node] = i
+            weight = self.degree[node] + 1
+            self._total += weight
+            j = i - 1  # the leaf's range is (i - lowbit(i), i]
+            while j > i - (i & -i):
+                weight += tree[j]
+                j -= j & -j
+            tree.append(weight)
+        size = len(tree) - 1
+        x = rng.random() * (self._total + 0.0)
+        pos, acc, step = 0, 0, 1 << (size.bit_length() - 1)
+        while step:
+            j = pos + step
+            if j <= size and acc + tree[j] <= x:
+                pos, acc = j, acc + tree[j]
+            step >>= 1
+        return self.attachable[min(pos, size - 1)]
 
 
 def pick_target(
@@ -627,6 +671,13 @@ def pick_target(
 
     ``exclude`` filters every candidate list first; an empty list returns
     None without drawing from ``rng``.
+
+    A preferential draw over ``graph.attachable`` itself with nothing
+    excluded walks the graph's Fenwick tree in O(log n). It returns what
+    ``random.choices`` would from the same ``random()`` value x: that is
+    ``bisect_right`` over the cumulative weights, and the descent keeps its
+    prefix sum an exact int, whose comparison with the float x is exact too.
+    A sub-pool, or a pool with ``exclude`` applied, takes the list path.
     """
     if mechanism == "propinquity":
         candidates = recent
@@ -642,6 +693,8 @@ def pick_target(
     if not candidates:
         return None
     if mechanism == "preferential":
+        if candidates is graph.attachable:
+            return graph.draw_by_degree(rng)
         degree = graph.degree
         return rng.choices(candidates, weights=[degree[v] + 1 for v in candidates])[0]
     return rng.choice(candidates)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustnet.charts import (
+    PLOT_H,
     binned_csv,
     degree_histogram_svg,
     degree_loglog_svg,
@@ -67,6 +68,25 @@ class TestSvgCharts:
     def test_bad_histogram_entries_rejected(self):
         with pytest.raises(SchemaViolationError):
             read_histogram({"three": "many"}, "histogram")
+
+    def test_count_beyond_2_53_rejected(self, tmp_path):
+        # PLOT_H * count overflows to inf near the float maximum
+        huge = {"1": 10**308, "2": 1}
+        metrics = dict(TestReportArtifacts.METRICS, degree_histogram_api=huge)
+        with pytest.raises(SchemaViolationError, match=r"may not exceed 2\*\*53"):
+            render_report_artifacts(metrics, tmp_path / "charts")
+        assert not (tmp_path / "charts").exists()
+        with pytest.raises(SchemaViolationError):
+            read_histogram({"1": 2**53 + 1}, "histogram")
+
+    def test_count_of_2_53_renders_finite(self, tmp_path):
+        top = {"1": 2**53, "2": 1}
+        metrics = dict(TestReportArtifacts.METRICS, degree_histogram_api=top)
+        written = render_report_artifacts(metrics, tmp_path)
+        for path in written:
+            assert "inf" not in path.read_text() and "nan" not in path.read_text()
+        bars = degree_histogram_svg({1: 2**53, 2: 1})
+        assert f'height="{PLOT_H:.2f}"' in bars
 
     def test_bar_chart_cost_follows_populated_degrees(self):
         started = time.perf_counter()

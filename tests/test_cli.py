@@ -392,6 +392,10 @@ MALFORMED_METRICS = {
         _metrics_document(degree_histogram_api={"3": 1.5}).replace(b"1.5", b"1e400"),
         "degree_histogram_api[3] must be a finite number",
     ),
+    "count-10**308": (
+        _metrics_document(degree_histogram_api={"1": 10**308, "2": 1}),
+        "degree_histogram_api[1] may not exceed 2**53",
+    ),
     "count-1.5": (
         _metrics_document(degree_histogram_api={"3": 1.5}),
         "degree_histogram_api[3] must be an integer",

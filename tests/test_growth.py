@@ -6,6 +6,8 @@ from dataclasses import replace
 from statistics import mean
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustnet.errors import (
     ConfigInvalidError,
@@ -32,6 +34,7 @@ from trustnet.growth import (
     sweep,
 )
 from trustnet.analytics import analyze_snapshot, build_graph, clustering
+from trustnet.overlay import VirtualAddress
 from trustnet.snapshot import StatsSnapshot
 
 
@@ -132,6 +135,40 @@ class TestTagModel:
         assert len(vocabulary) > 400
 
 
+def sorted_tag_draw(model: TagModel, rng: random.Random) -> tuple[str, ...]:
+    """TagModel.draw as first written: a key per entry, then a full sort."""
+    if rng.random() < model.untagged_probability:
+        return ()
+    count = rng.choices((1, 2, 3), weights=model.count_distribution)[0]
+    count = min(count, len(model.vocabulary))
+    keyed = [
+        (rng.random() ** (1.0 / weight), tag) for tag, weight in model.vocabulary
+    ]
+    keyed.sort(reverse=True)
+    return tuple(tag for _, tag in keyed[:count])
+
+
+# 1e300 rounds every key to 1.0, so equal keys fall back to the tag order.
+tag_weights = st.sampled_from([1.0, 3.0, 1e300]) | st.floats(0.01, 100.0)
+
+
+@given(
+    vocabulary=st.lists(
+        st.tuples(st.text("abc", max_size=2), tag_weights), min_size=1, max_size=6
+    ),
+    untagged=st.sampled_from([0.0, 0.5]),
+    counts=st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda c: sum(c) > 0),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=200, deadline=None)
+def test_tag_draw_equals_sorted_formulation(vocabulary, untagged, counts, seed):
+    model = TagModel(tuple(vocabulary), untagged, counts)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(10):
+        assert model.draw(rng) == sorted_tag_draw(model, twin)
+    assert rng.getstate() == twin.getstate()
+
+
 class TestMechanismMix:
     def test_default_sums_to_one(self):
         MechanismMix().validate()
@@ -204,6 +241,17 @@ def attachment_graph() -> AttachmentGraph:
     return graph
 
 
+class FixedRandom(random.Random):
+    """A stream whose every random() is one value."""
+
+    def __init__(self, value: float) -> None:
+        super().__init__(0)
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
 RECENT = [5, 6]
 TWO_HOP_OF_7 = [1, 4, 6]  # neighbors of 2, minus 7 itself
 
@@ -262,6 +310,16 @@ class TestPickTarget:
             expected = twin.choices(pool, weights=weights)[0]
             assert pick_target("preferential", rng, 7, graph, RECENT, pool) == expected
 
+    @pytest.mark.parametrize("value", [1 - 2**-53, 1.0])
+    def test_preferential_top_draw_is_the_last_node(self, value):
+        # 1 - 2**-53 is the largest random(); 1.0 lands on the total itself,
+        # where random.choices caps the index at len - 1.
+        graph = attachment_graph()
+        stub = FixedRandom(value)
+        pool = graph.attachable
+        assert pick_target("preferential", stub, 7, graph, RECENT, pool) == 6
+        assert pick_target("preferential", stub, 7, graph, RECENT, pool[:]) == 6
+
     def test_triadic_draws_from_sorted_two_hop(self):
         graph = attachment_graph()
         rng, twin = random.Random(9), random.Random(9)
@@ -284,6 +342,52 @@ class TestPickTarget:
         graph = attachment_graph()
         with pytest.raises(UnknownParameterError):
             pick_target("gravity", random.Random(0), 7, graph, RECENT, [1])
+
+
+# Operations on an AttachmentGraph, each with two free indices; connect is
+# listed twice so that degrees grow between draws.
+graph_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "connect", "connect", "append", "extend", "draw"]),
+        st.integers(0, 50),
+        st.integers(0, 50),
+    ),
+    min_size=20,
+    max_size=120,
+)
+
+
+@pytest.mark.parametrize(
+    "make_node", [int, lambda i: VirtualAddress(0, i)], ids=["int", "address"]
+)
+@given(ops=graph_ops, seed=st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_tree_draw_equals_choices(make_node, ops, seed):
+    """Preferential draws over ``attachable``, however it and the degrees grew,
+    pick what random.choices picks from the same stream."""
+    graph = AttachmentGraph()
+    nodes, waiting = [], []  # every node; those not yet attachable
+    rng, twin = random.Random(seed), random.Random(seed)
+    for op, i, j in ops:
+        if op == "add" or not nodes:
+            nodes.append(make_node(len(nodes) + 1))
+            graph.add_node(nodes[-1])
+            waiting.append(nodes[-1])
+        elif op == "connect":
+            graph.connect(nodes[i % len(nodes)], nodes[j % len(nodes)])
+        elif op == "append" and waiting:
+            graph.attachable.append(waiting.pop(i % len(waiting)))
+        elif op == "extend":
+            graph.attachable.extend(waiting[:i])
+            del waiting[:i]
+        elif op == "draw" and graph.attachable:
+            pool = graph.attachable
+            weights = [graph.degree[v] + 1 for v in pool]
+            for _ in range(1 + j % 8):
+                expected = twin.choices(pool, weights=weights)[0]
+                got = pick_target("preferential", rng, nodes[0], graph, [], pool)
+                assert got == expected
+            assert rng.getstate() == twin.getstate()
 
 
 class TestGrowthConfig:
