@@ -6,57 +6,33 @@ channels and trust handshakes (channel), the coordination registry
 (analytics), a calibrated social-graph generator (growth), deterministic
 chart rendering (charts), a socket-facing registry server (server), and a
 command line front end (cli).
+
+The public names below resolve on first use (PEP 562), so importing one
+subsystem loads only what it needs: `import trustnet.growth` does not load
+the channel's cryptography.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .channel import (
-    AgentIdentity,
-    HandshakeInitiator,
-    HandshakeResponder,
-    SecureSession,
-    TrustRecord,
-    run_handshake,
-)
-from .growth import GrowthConfig, generate, preset, preset_names
-from .overlay import PacketHeader, VirtualAddress, decode_packet, encode_packet
-from .registry import RegistryService
-from .sim import (
-    Beacon,
-    BehaviorPolicy,
-    Distribution,
-    ScenarioResult,
-    SimConfig,
-    relay_via_beacon,
-    run_scenario,
-    transport_deliver,
-)
-from .snapshot import StatsSnapshot
+_PUBLIC = {
+    "channel": ("AgentIdentity", "HandshakeInitiator", "HandshakeResponder",
+                "SecureSession", "TrustRecord", "run_handshake"),
+    "growth": ("GrowthConfig", "generate", "preset", "preset_names"),
+    "overlay": ("PacketHeader", "VirtualAddress", "decode_packet", "encode_packet"),
+    "registry": ("RegistryService",),
+    "sim": ("Beacon", "BehaviorPolicy", "Distribution", "ScenarioResult", "SimConfig",
+            "relay_via_beacon", "run_scenario", "transport_deliver"),
+    "snapshot": ("StatsSnapshot",),
+}
+_SUBMODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}
 
-__all__ = [
-    "AgentIdentity",
-    "Beacon",
-    "BehaviorPolicy",
-    "Distribution",
-    "GrowthConfig",
-    "HandshakeInitiator",
-    "HandshakeResponder",
-    "PacketHeader",
-    "RegistryService",
-    "ScenarioResult",
-    "SecureSession",
-    "SimConfig",
-    "StatsSnapshot",
-    "TrustRecord",
-    "VirtualAddress",
-    "decode_packet",
-    "encode_packet",
-    "generate",
-    "preset",
-    "preset_names",
-    "relay_via_beacon",
-    "run_handshake",
-    "run_scenario",
-    "transport_deliver",
-    "__version__",
-]
+__all__ = sorted(_SUBMODULE_OF) + ["__version__"]
+
+
+def __getattr__(name: str):
+    submodule = _SUBMODULE_OF.get(name)
+    if submodule is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{submodule}", __name__), name)

@@ -90,9 +90,6 @@ class TrustGraph:
     def self_loop_count(self) -> int:
         return len(self.self_loop_ids)
 
-    def sorted_vertices(self) -> list[VirtualAddress]:
-        return sorted(self.addresses)
-
 
 def build_graph(snapshot: StatsSnapshot) -> TrustGraph:
     """Vertices come from the node list; edges are deduplicated.

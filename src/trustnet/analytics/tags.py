@@ -121,7 +121,11 @@ def tag_stats(
 def tag_stats_from_counts(
     assignments_total: int, unique_tags: int
 ) -> tuple[float, float]:
-    """(type_token_ratio, max_entropy_bits) from census totals alone."""
+    """(type_token_ratio, max_entropy_bits) from census totals alone.
+
+    No caller in the package: it stays because the paper-reference test
+    test_tag_census_ratios checks the abstract's census ratios through it.
+    """
     ttr = unique_tags / assignments_total if assignments_total else 0.0
     max_entropy = math.log2(unique_tags) if unique_tags else 0.0
     return ttr, max_entropy

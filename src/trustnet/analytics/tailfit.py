@@ -15,16 +15,15 @@ The reported exponent estimate is the standard closed-form
 gamma_hat = 1 + n / sum ln(k_i / x0); the log-normal parameters are found
 numerically (Nelder-Mead on the binned likelihood). best_model is the
 label with the highest binned log-likelihood.
+
+numpy and scipy are imported inside fit_heavy_tail, so only the commands that
+fit a tail (analyze, sweep) pay their import time of most of a second.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtr
 
 from ..errors import InsufficientTailError
 
@@ -46,15 +45,12 @@ class PowerLawFit:
     lognormal_sigma: float
 
 
-def _binned_loglik(counts: np.ndarray, masses: np.ndarray) -> float:
-    """Sum of count * ln(bin probability); -inf if any bin gets no mass."""
-    if np.any(masses <= 0.0):
-        return -math.inf
-    return float(counts @ np.log(masses))
-
-
 def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
     """Fit the three tail models to all observations with k >= k_min."""
+    import numpy as np
+    from scipy.optimize import minimize
+    from scipy.special import ndtr
+
     tail = sorted(
         (int(k), int(count))
         for k, count in histogram.items()
@@ -67,6 +63,13 @@ def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
         )
     ks = np.array([k for k, _ in tail], dtype=float)
     counts = np.array([count for _, count in tail], dtype=float)
+
+    def binned_loglik(masses) -> float:
+        """Sum of count * ln(bin probability); -inf if any bin gets no mass."""
+        if np.any(masses <= 0.0):
+            return -math.inf
+        return float(counts @ np.log(masses))
+
     x0 = k_min - 0.5
     log_x0 = math.log(x0)
     log_ks = np.log(ks)
@@ -81,7 +84,7 @@ def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
     # power law: closed-form exponent, scored on the binned likelihood
     gamma = 1.0 + n / (s1 - n * log_x0)
     power_masses = (lo / x0) ** (1.0 - gamma) - (hi / x0) ** (1.0 - gamma)
-    loglik_pl = _binned_loglik(counts, power_masses)
+    loglik_pl = binned_loglik(power_masses)
 
     # exponential: binned over unit bins it is geometric on (k - k_min)
     # with success 1 - q; the discrete MLE is q_hat = m / (m + 1)
@@ -91,7 +94,7 @@ def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
     else:
         q = excess_mean / (excess_mean + 1.0)
         exp_masses = (1.0 - q) * q ** (ks - k_min)
-    loglik_exp = _binned_loglik(counts, exp_masses)
+    loglik_exp = binned_loglik(exp_masses)
 
     # truncated log-normal: Nelder-Mead over (mu, ln sigma) on binned masses
     mu0 = s1 / n
@@ -105,7 +108,7 @@ def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
         if tail_mass <= 0.0:
             return -math.inf
         masses = (ndtr((log_hi - mu) / sigma) - ndtr((log_lo - mu) / sigma)) / tail_mass
-        return _binned_loglik(counts, masses)
+        return binned_loglik(masses)
 
     def negative(params) -> float:
         mu, log_sigma = params

@@ -494,9 +494,6 @@ class HandshakeResponder:
         record = TrustRecord.of(initiator, self.identity.address)
         return record, pending["session"]
 
-    def expire(self, initiator: VirtualAddress) -> None:
-        self._pending.pop(initiator, None)
-
 
 def run_handshake(
     initiator_identity: AgentIdentity,

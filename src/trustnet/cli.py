@@ -9,6 +9,11 @@ input files.
 
 The default output directory is the current directory, overridable with the
 TRUSTNET_DATA_DIR environment variable.
+
+`simulate` and `serve-registry` import the simulator, registry and server in
+their bodies, so no other subcommand loads cryptography. The work functions
+(`run_scenario`, `analyze_snapshot`, ...) stay module attributes that each
+subcommand looks up when it runs, so a caller can wrap or replace them.
 """
 
 from __future__ import annotations
@@ -27,9 +32,6 @@ from . import growth
 from .analytics.report import analyze_snapshot, consistency_audit, render_table
 from .charts import load_metrics, render_report_artifacts, sweep_csv
 from .errors import ConfigInvalidError, InvariantViolationError, TrustNetError
-from .registry import RegistryService
-from .server import RegistryServer, STATS_PATH
-from .sim import SimConfig, run_scenario
 from .snapshot import StatsSnapshot
 
 DATA_DIR_ENV = "TRUSTNET_DATA_DIR"
@@ -62,6 +64,9 @@ def cli() -> None:
               help="Append-only event log; flushed on every mutation.")
 def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
     """Run the registry until interrupted."""
+    from .registry import RegistryService
+    from .server import STATS_PATH, RegistryServer
+
     host, _, port_text = bind.rpartition(":")
     if not host or not port_text.isdigit():
         raise click.UsageError(f"--bind must be host:port, got {bind!r}")
@@ -92,6 +97,13 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
 # --- simulate ---
 
 
+def run_scenario(config):
+    """The simulator's run_scenario, loaded on first use (it needs cryptography)."""
+    from . import sim
+
+    return sim.run_scenario(config)
+
+
 @cli.command()
 @click.option("--config", "config_path", required=True, type=click.Path(),
               help="Scenario document (JSON).")
@@ -102,6 +114,8 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
               help="Ground-truth event log output path.")
 def simulate(config_path: str, seed: int, out_path: str, events_path: str) -> None:
     """Run one scenario; write the snapshot and its ground-truth event log."""
+    from .sim import SimConfig
+
     config = SimConfig.read(config_path)
     if seed is not None:
         config = dataclasses.replace(config, seed=seed)

@@ -423,10 +423,6 @@ class RegistryService:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def check_invariants(self) -> None:
         """Degree identity: sum of trust_links == 2*nonself + 2*selfloops."""
         nonself = sum(1 for a, b in self._edges if a != b)

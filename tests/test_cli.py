@@ -1,6 +1,8 @@
 """CLI: pipeline wiring, reproducibility headers, exit-code contract."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +205,37 @@ class TestSimulate:
         for doc in ({"agent_count": 0}, {"agent_count": 5, "loss_rate": "x"}):
             config.write_text(json.dumps(doc))
             assert main(["simulate", "--config", str(config)]) == 2
+
+
+class TestReplaceableEntryPoints:
+    """The benchmark harness wraps or replaces these `trustnet.cli` attributes."""
+
+    def test_simulate_runs_the_module_run_scenario(self, tmp_path, monkeypatch):
+        results = []
+        run_scenario = trustnet.cli.run_scenario
+
+        def counted(config):
+            results.append(run_scenario(config))
+            return results[-1]
+
+        monkeypatch.setattr(trustnet.cli, "run_scenario", counted)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(dict(scenario_doc(), agent_count=20)))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        assert len(results) == 1
+        assert out.read_text(encoding="utf-8") == results[0].snapshot.to_json()
+        assert len(results[0].snapshot.nodes) == 20
+
+    def test_every_traced_cli_name_is_a_module_attribute(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        names = [name for module, name in tracing.FUNCTIONS if module == "trustnet.cli"]
+        assert "run_scenario" in names
+        for name in names:
+            assert callable(getattr(trustnet.cli, name)), name
 
 
 class TestAnalyzeAndReport:

@@ -573,7 +573,7 @@ class TestGenerate:
         def max_degree(snapshot):
             graph = build_graph(snapshot)
             return max(
-                graph.degree_nonself(v) for v in graph.sorted_vertices()
+                graph.degree_nonself(v) for v in graph.addresses
             )
         assert max_degree(hubby) > max_degree(plain)
 
@@ -619,7 +619,7 @@ class TestStructuralResponses:
     def test_preferential_weight_raises_max_degree(self):
         def max_degree(snapshot):
             graph = build_graph(snapshot)
-            return max(graph.degree_nonself(v) for v in graph.sorted_vertices())
+            return max(graph.degree_nonself(v) for v in graph.addresses)
 
         low = GrowthConfig(
             n=220, stub_mean=2.5,

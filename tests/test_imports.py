@@ -1,0 +1,99 @@
+"""Import boundaries: each CLI command loads only the subsystems it runs.
+
+Every case runs in a fresh interpreter, because the test process itself has
+long since imported scipy, numpy and cryptography.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy", "numpy", "cryptography")
+WATCHED = HEAVY + ("trustnet.sim", "trustnet.server", "trustnet.registry", "trustnet.channel")
+
+PUBLIC_NAMES = [
+    "AgentIdentity", "Beacon", "BehaviorPolicy", "Distribution", "GrowthConfig",
+    "HandshakeInitiator", "HandshakeResponder", "PacketHeader", "RegistryService",
+    "ScenarioResult", "SecureSession", "SimConfig", "StatsSnapshot", "TrustRecord",
+    "VirtualAddress", "decode_packet", "encode_packet", "generate", "preset",
+    "preset_names", "relay_via_beacon", "run_handshake", "run_scenario",
+    "transport_deliver", "__version__",
+]
+
+
+def run_fresh(code: str, cwd: Path) -> dict:
+    """Run `code` in a fresh interpreter; it sets `result`, returned with the watched modules."""
+    script = (
+        f"import json, sys\nresult = None\n{code}\n"
+        f"print(json.dumps({{'result': result, "
+        f"'loaded': [m for m in {WATCHED!r} if m in sys.modules]}}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=cwd, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run_command(args: list[str], cwd: Path) -> list[str]:
+    """Run `trustnet.cli.main(args)` in a fresh interpreter; the watched modules it loaded."""
+    done = run_fresh(f"from trustnet.cli import main\nresult = main({args!r})", cwd)
+    assert done["result"] == 0
+    return done["loaded"]
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory) -> dict:
+    """generate -> analyze --out -> report at n = 300: the modules each command loaded."""
+    work = tmp_path_factory.mktemp("pipeline")
+    return {
+        "generate": run_command(["generate", "--preset", "paper-2026", "--set", "n=300",
+                                 "--seed", "7", "--out", "snapshot.json"], work),
+        "analyze": run_command(["analyze", "snapshot.json", "--out", "metrics.json"], work),
+        "report": run_command(["report", "metrics.json", "--charts", "charts"], work),
+    }
+
+
+def test_importing_the_cli_loads_no_subsystem_it_may_not_run(tmp_path):
+    assert run_fresh("import trustnet.cli", tmp_path)["loaded"] == []
+
+
+def test_importing_growth_loads_no_cryptography(tmp_path):
+    assert run_fresh("import trustnet.growth", tmp_path)["loaded"] == []
+
+
+@pytest.mark.parametrize("command", ["generate", "report"])
+def test_command_loads_no_heavy_dependency(pipeline, command):
+    assert not set(pipeline[command]) & set(HEAVY)
+
+
+def test_analyze_loads_scipy(pipeline):
+    assert {"scipy", "numpy"} <= set(pipeline["analyze"])
+    assert "cryptography" not in pipeline["analyze"]
+
+
+def test_star_import_resolves_every_public_name(tmp_path):
+    done = run_fresh(
+        "from trustnet import *\nimport trustnet\n"
+        "result = [trustnet.__all__, [n for n in trustnet.__all__ if n not in globals()]]",
+        tmp_path,
+    )
+    names, unresolved = done["result"]
+    assert names == PUBLIC_NAMES
+    assert unresolved == []
+
+
+def test_unknown_public_name_raises_attribute_error(tmp_path):
+    done = run_fresh(
+        "import trustnet\n"
+        "try:\n    trustnet.no_such_name\nexcept AttributeError as exc:\n    result = str(exc)",
+        tmp_path,
+    )
+    assert done["result"] == "module 'trustnet' has no attribute 'no_such_name'"

@@ -314,7 +314,7 @@ class TestRelay:
         registry.relay_handshake(frame(a, b, FRAME_REQUEST))
         registry.relay_handshake(frame(b, a, FRAME_ACCEPT))
         registry.relay_handshake(frame(a, b, FRAME_CONFIRM))
-        assert registry.edge_count == 1
+        assert len(registry.snapshot().trust_edges) == 1
         assert registry._relay_phase == {}
 
     def test_retransmitted_confirm_does_not_rerecord(self):
@@ -450,7 +450,7 @@ class TestEventLog:
             log_path, clock=ManualClock(clock.now)
         )
         assert restored.node_count == 2
-        assert restored.edge_count == 2
+        assert len(restored.snapshot().trust_edges) == 2
         assert restored.node(a).tags == ("coding",)
         assert restored.node(a).trust_links == 1
         assert restored.node(b).trust_links == 3
