@@ -61,7 +61,7 @@ def cli() -> None:
 @click.option("--base-node-id", default=2, show_default=True, type=int,
               help="First node id to allocate.")
 @click.option("--log", "log_path", default=None, type=click.Path(),
-              help="Append-only event log; flushed on every mutation.")
+              help="Append-only event log; each mutation is flushed, not fsynced.")
 def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
     """Run the registry until interrupted."""
     from .registry import RegistryService

@@ -25,7 +25,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional, TextIO, Union
 
 from .channel import (
     FRAME_ACCEPT,
@@ -180,14 +180,28 @@ class RegistryService:
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
         self._event_log_path = Path(event_log) if event_log is not None else None
+        self._event_log: Optional[TextIO] = None
 
     # --- event log ---
 
     def _log_event(self, event: dict) -> None:
+        """Append one line to the event log, flushed but not fsynced.
+
+        Each mutation reaches the OS before its call returns. The first event
+        opens the handle and close() closes it.
+        """
         if self._event_log_path is None:
             return
-        with self._event_log_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(event, separators=(",", ":")) + "\n")
+        if self._event_log is None:
+            self._event_log = self._event_log_path.open("a", encoding="utf-8")
+        self._event_log.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._event_log.flush()
+
+    def close(self) -> None:
+        """Close the event log handle; a later event opens it again."""
+        if self._event_log is not None:
+            self._event_log.close()
+            self._event_log = None
 
     @classmethod
     def restore(

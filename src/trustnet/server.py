@@ -111,6 +111,7 @@ class RegistryServer:
             if sock is not None:
                 sock.close()
         self._threads = []
+        self.registry.close()
 
     def __enter__(self) -> "RegistryServer":
         self.start()

@@ -11,6 +11,10 @@ Addresses appear in canonical text form. summary_trust_links is a counter
 maintained independently of the edge list, so externally produced documents
 may legitimately disagree with len(trust_edges); the loader accepts that and
 the consistency audit reports it.
+
+StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
+the order above, two-space indent, strings ASCII-escaped. The oracle test
+test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Union
 
@@ -78,8 +83,33 @@ class StatsSnapshot:
         }
 
     def to_json(self) -> str:
-        """Deterministic serialization: fixed key order, fixed separators."""
-        return json.dumps(self.to_dict(), indent=2, separators=(",", ": ")) + "\n"
+        """The document's bytes, by the contract in the module docstring."""
+        def listed(items: list[str], depth: int) -> str:  # as indent=2 lays a list out
+            inner = "\n" + "  " * (depth + 1)
+            return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]" if items else "[]"
+
+        q, field = encode_basestring_ascii, ",\n      "  # between fields of a list entry
+        networks = [
+            f'{{\n      "id": {int.__repr__(net.id)}{field}"name": {q(net.name)}\n    }}'
+            for net in self.networks
+        ]
+        nodes = [
+            f'{{\n      "address": {q(node.address)}{field}"tags": '
+            f"{listed([q(tag) for tag in node.tags], 3)}{field}"
+            f'"online": {"true" if node.online else "false"}{field}'
+            f'"trust_links": {int.__repr__(node.trust_links)}\n    }}'
+            for node in self.nodes
+        ]
+        edges = [f'{{\n      "a": {q(a)}{field}"b": {q(b)}\n    }}' for a, b in self.trust_edges]
+        return (
+            f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
+            f'  "requests_served": {int.__repr__(self.requests_served)},\n'
+            f'  "requests_per_agent": {json.dumps(self.requests_per_agent)},\n'
+            f'  "networks": {listed(networks, 1)},\n'
+            f'  "nodes": {listed(nodes, 1)},\n'
+            f'  "trust_edges": {listed(edges, 1)},\n'
+            f'  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
+        )
 
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -123,11 +153,13 @@ class StatsSnapshot:
 
         canonical_of: dict[str, str] = {}  # address text as written -> canonical text
 
-        def canonical_address(value: Any, name: str) -> str:
-            text = read_string(value, name)
-            if text not in canonical_of:
-                canonical_of[text] = VirtualAddress.from_text(text).to_text()
-            return canonical_of[text]
+        # Names such as "nodes[7].tags" are formatted only for the error that quotes them.
+        def canonical_address(value: Any, where: str, i: int, field: str) -> str:
+            if not isinstance(value, str):
+                read_string(value, f"{where}[{i}].{field}")
+            if value not in canonical_of:
+                canonical_of[value] = VirtualAddress.from_text(value).to_text()
+            return canonical_of[value]
 
         nodes = []
         seen_addresses: set[str] = set()
@@ -135,31 +167,25 @@ class StatsSnapshot:
             for name in ("address", "tags", "online", "trust_links"):
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
-            canonical = canonical_address(raw["address"], f"nodes[{i}].address")
+            canonical = canonical_address(raw["address"], "nodes", i, "address")
             if canonical in seen_addresses:
                 raise SchemaViolationError(f"duplicate node address {canonical}")
             seen_addresses.add(canonical)
-            tags = tuple(
-                read_string(tag, f"nodes[{i}].tags[]")
-                for tag in read_list_of(raw["tags"], f"nodes[{i}].tags", str)
-            )
-            if not isinstance(raw["online"], bool):
+            tags, online, trust_links = raw["tags"], raw["online"], raw["trust_links"]
+            if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
+                read_list_of(tags, f"nodes[{i}].tags", str)
+            if not isinstance(online, bool):
                 raise SchemaViolationError(f"nodes[{i}].online must be a boolean")
-            nodes.append(
-                NodeView(
-                    address=canonical,
-                    tags=tags,
-                    online=raw["online"],
-                    trust_links=read_count(raw["trust_links"], f"nodes[{i}].trust_links"),
-                )
-            )
+            if type(trust_links) is not int or trust_links < 0:
+                read_count(trust_links, f"nodes[{i}].trust_links")
+            nodes.append(NodeView(canonical, tuple(tags), online, trust_links))
 
         edges = []
         for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
             if "a" not in raw or "b" not in raw:
                 raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-            a = canonical_address(raw["a"], f"trust_edges[{i}].a")
-            b = canonical_address(raw["b"], f"trust_edges[{i}].b")
+            a = canonical_address(raw["a"], "trust_edges", i, "a")
+            b = canonical_address(raw["b"], "trust_edges", i, "b")
             for endpoint in (a, b):
                 if endpoint not in seen_addresses:
                     raise DanglingEdgeError(

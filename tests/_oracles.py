@@ -1,13 +1,20 @@
-"""Independent brute-force graph implementations used as test oracles.
+"""Independent brute-force implementations used as test oracles.
 
-Everything here works on a dense adjacency matrix with exhaustive
+The graph oracles work on a dense adjacency matrix with exhaustive
 enumeration — deliberately naive, sharing no code with the package under
-test.
+test. The snapshot oracle is the general-purpose JSON encoder that the
+snapshot writer must match byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 import random
+
+
+def reference_snapshot_json(snapshot) -> str:
+    """The snapshot document as json.dumps lays out any indent-2 document."""
+    return json.dumps(snapshot.to_dict(), indent=2, separators=(",", ": ")) + "\n"
 
 
 class BruteGraph:

@@ -8,10 +8,14 @@ them and say why.
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from trustnet.channel import FRAME_ACCEPT, FRAME_CONFIRM, FRAME_REQUEST
 from trustnet.cli import main
+from trustnet.overlay import PORT_TRUST_HANDSHAKE, PacketHeader, encode_packet
+from trustnet.registry import RegistryService
 
 # Keyed by pytest id: a paper-2026 seed, a GROWTH_CONFIGS entry or a
 # PRESET_RUNS entry.
@@ -137,6 +141,14 @@ INT_DIGESTS = {
     "metrics": "197207c383a22bb5f55907aa4963f769ac187bd3c12d337277caf2eefaa591f8",
 }
 
+# The daemon's /api/stats body: RegistryService.snapshot().to_json() after
+# the registry workload below.
+REGISTRY_SNAPSHOT_DIGEST = "ec1f8f455ffe489ce117e3bc3345f3be558d67a9d4001cfd1072f657035507e3"
+
+# Tags with non-ASCII, quote, backslash and control characters, so the digest
+# covers the writer's string escapes.
+REGISTRY_TAGS = ("coding", "café", 'say "hi"', "back\\slash", "tab\tstop", "日本", "x")
+
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -221,3 +233,37 @@ def test_wide_simulation_digests(tmp_path):
 
 def test_int_valued_simulation_digests(tmp_path):
     assert simulate_digests(tmp_path, INT_SCENARIO) == INT_DIGESTS
+
+
+def test_registry_snapshot_digest():
+    now = [1000.0]
+    registry = RegistryService(clock=lambda: now[0])
+    rng = random.Random(12)
+    addresses = [
+        registry.register(
+            rng.randbytes(32), tags=rng.sample(REGISTRY_TAGS, rng.randint(0, 3))
+        )
+        for _ in range(200)
+    ]
+    now[0] += 100.0  # past OFFLINE_AFTER for every node that does not beat
+    for address in addresses[1:]:
+        registry.heartbeat(address)
+    for _ in range(150):
+        a, b = rng.sample(addresses, 2)
+        for src, dst, frame_type in (
+            (a, b, FRAME_REQUEST),
+            (b, a, FRAME_ACCEPT),
+            (a, b, FRAME_CONFIRM),
+        ):
+            payload = bytes([frame_type]) + rng.randbytes(16)
+            header = PacketHeader(
+                src=src,
+                dst=dst,
+                src_port=PORT_TRUST_HANDSHAKE,
+                dst_port=PORT_TRUST_HANDSHAKE,
+                payload_length=len(payload),
+            )
+            registry.relay_handshake(encode_packet(header, payload))
+    registry.record_trust(addresses[3], addresses[3])
+    body = registry.snapshot().to_json().encode("utf-8")
+    assert hashlib.sha256(body).hexdigest() == REGISTRY_SNAPSHOT_DIGEST

@@ -423,6 +423,7 @@ class TestRelay:
         assert record.a == min(addr_a, addr_b)
 
         # relay opacity: no handshake payload bytes are persisted
+        registry.close()
         logged = log_path.read_text()
         for blob in (request[1:], accept[1:], confirm[1:]):
             assert blob.hex() not in logged
@@ -445,6 +446,7 @@ class TestEventLog:
         registry.record_trust(a, b)  # duplicate bumps only the summary
         clock.advance(10.0)
         registry.heartbeat(a)
+        registry.close()
 
         restored = RegistryService.restore(
             log_path, clock=ManualClock(clock.now)
@@ -468,8 +470,10 @@ class TestEventLog:
         registry, _ = make_registry(event_log=log_path)
         registry.register(key(1))
         registry.register(key(2))
+        registry.close()
         restored = RegistryService.restore(log_path, clock=ManualClock())
         assert restored.register(key(3)).node_id == 3
+        restored.close()
 
     def test_restore_from_missing_file_is_empty(self, tmp_path):
         restored = RegistryService.restore(tmp_path / "absent.jsonl")
@@ -484,11 +488,13 @@ class TestEventLog:
         registry.record_trust(a, b)
         clock.advance(10.0)
         registry.heartbeat(a)
+        registry.close()
         with log_path.open("a") as handle:
             handle.write('{"event":"trust","a":"0:00')  # write cut short
 
         restored = RegistryService.restore(log_path, clock=clock)
         restored.register(key(3), hostname="carol")
+        restored.close()
         before = restored.snapshot()
         again = RegistryService.restore(log_path, clock=clock).snapshot()
         # requests_served is not in the event log, so it is not compared
@@ -506,11 +512,13 @@ class TestEventLog:
         registry, clock = make_registry(event_log=log_path)
         registry.register(key(1))
         registry.register(key(2))
+        registry.close()
         log_path.write_text(log_path.read_text().rstrip("\n"))
 
         restored = RegistryService.restore(log_path, clock=clock)
         assert restored.node_count == 2
         restored.register(key(3))
+        restored.close()
         assert RegistryService.restore(log_path, clock=clock).node_count == 3
 
     @pytest.mark.parametrize(
@@ -549,6 +557,7 @@ class TestEventLog:
         log_path = tmp_path / "events.jsonl"
         registry, _ = make_registry(event_log=log_path)
         registry.register(key(1))
+        registry.close()
         with log_path.open("a") as handle:
             handle.write(line + "\n")
         with pytest.raises(SchemaViolationError):
@@ -562,6 +571,7 @@ class TestEventLog:
         a = registry.register(key(1))
         registry.record_trust(a, a)
         registry.heartbeat(a)
+        registry.close()
         lines = log_path.read_text().splitlines()
         kinds = [json.loads(line)["event"] for line in lines]
         assert kinds == ["register", "trust", "heartbeat"]

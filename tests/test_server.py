@@ -1,8 +1,11 @@
 """Socket-facing registry: UDP control ops, handshake relay, TCP stats."""
 
+import gc
 import json
+import pathlib
 import random
 import socket
+import warnings
 from collections import Counter
 
 import pytest
@@ -29,7 +32,7 @@ from trustnet.overlay import (
     decode_packet,
     encode_packet,
 )
-from trustnet.registry import REGISTRY_ADDRESS
+from trustnet.registry import REGISTRY_ADDRESS, RegistryService
 from trustnet.server import (
     NULL_ADDRESS,
     RegistryClient,
@@ -343,3 +346,60 @@ class TestStatsEndpoint:
         }
         assert doc["nodes"][0]["tags"] == ["analytics"]
         assert set(doc["nodes"][0]) == {"address", "tags", "online", "trust_links"}
+
+
+class TestEventLogHandle:
+    def test_one_handle_flushed_per_event_and_closed_by_stop(
+        self, tmp_path, monkeypatch
+    ):
+        log_path = tmp_path / "events.jsonl"
+        opened = []
+        path_open = pathlib.Path.open
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "a" in mode:
+                opened.append(path)
+            return path_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        rng = random.Random(4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            server = RegistryServer(
+                registry=RegistryService(clock=lambda: 50.0, event_log=log_path)
+            )
+            server.start()
+            events = 0
+            with RegistryClient(server.endpoint) as client:
+                for n in range(6):
+                    key = AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key
+                    client.register(key, tags=["t%d" % n], hostname="agent-%d" % n)
+                    assert client.heartbeat() == {"ok": True}
+                    events += 2
+                    # flushed: every event is in the file while the handle is open
+                    assert log_path.read_text().count("\n") == events
+            a, b = server.registry.snapshot().nodes[0:2]
+            server.registry.record_trust(
+                VirtualAddress.from_text(a.address), VirtualAddress.from_text(b.address)
+            )
+            server.stop()
+            before = server.registry.snapshot()
+            del server
+            gc.collect()
+        assert opened == [log_path]
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+        def same_state(restored):
+            after = restored.snapshot()
+            return (after.nodes, after.trust_edges, after.summary_trust_links) == (
+                before.nodes,
+                before.trust_edges,
+                before.summary_trust_links,
+            )
+
+        assert same_state(RegistryService.restore(log_path, clock=lambda: 50.0))
+        whole = log_path.read_bytes()
+        with path_open(log_path, "ab") as handle:
+            handle.write(b'{"event":"heartbeat","addr')  # a torn last line
+        assert same_state(RegistryService.restore(log_path, clock=lambda: 50.0))
+        assert log_path.read_bytes() == whole

@@ -2,10 +2,13 @@
 
 import copy
 import json
+import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from _oracles import reference_snapshot_json
 
 from trustnet.errors import (
     DanglingEdgeError,
@@ -256,3 +259,34 @@ def test_snapshot_reader_raises_only_trustnet_errors(data):
     except TrustNetError:
         return
     assert StatsSnapshot.from_json(snapshot.to_json()).to_dict() == snapshot.to_dict()
+
+
+# Strings with the characters json escapes (quote, backslash, controls),
+# non-ASCII ones and lone surrogates, beside any other code point.
+escaped = st.sampled_from('"\\/\x00\x1f\x7f\u2028é日\U0001f600')
+texts = st.text(escaped | st.characters(blacklist_categories=()), max_size=6)
+floats = st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]) | st.floats()
+counts = st.integers(min_value=0, max_value=2**64)
+snapshots = st.builds(
+    StatsSnapshot,
+    generated_at=floats,
+    requests_served=counts,
+    networks=st.lists(st.builds(NetworkView, counts, texts), max_size=3),
+    nodes=st.lists(
+        st.builds(
+            NodeView, texts, st.lists(texts, max_size=4).map(tuple), st.booleans(), counts
+        ),
+        max_size=4,
+    ),
+    trust_edges=st.lists(st.tuples(texts, texts), max_size=4),
+    summary_trust_links=counts,
+    requests_per_agent=floats,
+)
+
+
+@given(snapshots)
+@example(StatsSnapshot(0.0, 0, [], [], [], 0))
+@example(StatsSnapshot(math.nan, 2**64, [], [NodeView("", (), False, 0)], [], 0, math.inf))
+@settings(max_examples=500)
+def test_writer_matches_json_dumps(snapshot):
+    assert snapshot.to_json() == reference_snapshot_json(snapshot)
