@@ -1,11 +1,12 @@
 """Trust-graph construction and structural metrics.
 
-All metrics are pure functions of the graph. A TrustGraph numbers its
-vertices 0..n-1 in insertion order and keeps one integer core: adjacency
-sets of ids, the ids carrying a self-loop, and an ``edges`` list holding
-each undirected non-self pair exactly once. Metrics read that core directly
-instead of re-deduplicating; self-loops enter only the "api" degree mode
-(where each one adds 2, matching the registry's trust_links convention).
+All metrics are pure functions of the graph. A TrustGraph built from a
+snapshot numbers its vertices as the snapshot numbers its nodes, and keeps
+one integer core: adjacency sets of ids, the ids carrying a self-loop, and
+an ``edges`` list holding each undirected non-self pair exactly once.
+Metrics read that core directly instead of re-deduplicating; self-loops
+enter only the "api" degree mode (where each one adds 2, matching the
+registry's trust_links convention).
 """
 
 from __future__ import annotations
@@ -22,30 +23,15 @@ from ..snapshot import StatsSnapshot
 class TrustGraph:
     """Undirected trust graph over integer vertex ids.
 
-    ``addresses[i]`` is the address of vertex i and ``ids`` maps back.
-    ``adjacency[i]`` holds the non-self neighbor ids of i, ``self_loop_ids``
-    the ids with a self-loop, and ``edges`` every non-self pair exactly
-    once, in first-insertion order. The address-based methods below are
-    the public view of the same data.
+    ``addresses[i]`` is the address of vertex i. ``adjacency[i]`` holds the
+    non-self neighbor ids of i, ``self_loop_ids`` the ids with a self-loop,
+    and ``edges`` every non-self pair exactly once, in first-insertion order.
     """
 
     addresses: list[VirtualAddress] = field(default_factory=list)
-    ids: dict[VirtualAddress, int] = field(default_factory=dict)
     adjacency: list[set[int]] = field(default_factory=list)
     self_loop_ids: set[int] = field(default_factory=set)
     edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def add_vertex(self, vertex: VirtualAddress) -> int:
-        """Add the vertex if new; return its id either way."""
-        vid = self.ids.get(vertex)
-        if vid is None:
-            vid = self.ids[vertex] = len(self.addresses)
-            self.addresses.append(vertex)
-            self.adjacency.append(set())
-        return vid
-
-    def add_edge(self, a: VirtualAddress, b: VirtualAddress) -> None:
-        self.link(self.add_vertex(a), self.add_vertex(b))
 
     def link(self, i: int, j: int) -> None:
         """Add the edge between vertex ids i and j (once, however often called)."""
@@ -55,25 +41,6 @@ class TrustGraph:
             self.adjacency[i].add(j)
             self.adjacency[j].add(i)
             self.edges.append((i, j))
-
-    @property
-    def vertices(self) -> set[VirtualAddress]:
-        """The address set, filled in insertion order."""
-        return set(self.addresses)
-
-    def neighbors(self, vertex: VirtualAddress) -> set[VirtualAddress]:
-        vid = self.ids.get(vertex)
-        if vid is None:
-            return set()
-        return {self.addresses[j] for j in self.adjacency[vid]}
-
-    def degree_nonself(self, vertex: VirtualAddress) -> int:
-        vid = self.ids.get(vertex)
-        return 0 if vid is None else len(self.adjacency[vid])
-
-    def degree_api(self, vertex: VirtualAddress) -> int:
-        vid = self.ids.get(vertex)
-        return 0 if vid is None else self._degree_api(vid)
 
     def _degree_api(self, vid: int) -> int:
         return len(self.adjacency[vid]) + (2 if vid in self.self_loop_ids else 0)
@@ -92,25 +59,19 @@ class TrustGraph:
 
 
 def build_graph(snapshot: StatsSnapshot) -> TrustGraph:
-    """Vertices come from the node list; edges are deduplicated.
+    """Vertex i is node i; edges are deduplicated.
 
-    Each distinct address text is parsed once. An edge endpoint absent from
-    the node list still becomes a vertex, and differently-written texts of
-    one address map to one vertex.
+    Addresses and edge ends come from the snapshot's node table, so nothing
+    is parsed here. Differently-written texts of one address are one vertex,
+    and an edge end that names no node raises DanglingEdgeError.
     """
-    graph = TrustGraph()
-    by_text: dict[str, int] = {}
-
-    def vertex_id(text: str) -> int:
-        vid = by_text.get(text)
-        if vid is None:
-            vid = by_text[text] = graph.add_vertex(VirtualAddress.from_text(text))
-        return vid
-
-    for node in snapshot.nodes:
-        vertex_id(node.address)
+    table = snapshot.node_table
+    graph = TrustGraph(
+        addresses=list(table.addresses), adjacency=[set() for _ in table.addresses]
+    )
+    index = table.index
     for a_text, b_text in snapshot.trust_edges:
-        graph.link(vertex_id(a_text), vertex_id(b_text))
+        graph.link(index[a_text], index[b_text])
     return graph
 
 
@@ -262,8 +223,9 @@ def clustering(graph: TrustGraph) -> ClusteringStats:
     # Float sums depend on summation order. They run in the iteration order
     # of the address set because the golden metrics digests lock their
     # last bits.
-    for vertex in graph.vertices:
-        vid = graph.ids[vertex]
+    vid_of = {address: vid for vid, address in enumerate(graph.addresses)}
+    for vertex in set(graph.addresses):
+        vid = vid_of[vertex]
         k = len(adjacency[vid])
         pairs = k * (k - 1) // 2
         connected_triples += pairs
@@ -417,16 +379,15 @@ class HubTable:
 def hub_table(
     graph: TrustGraph, snapshot: Optional[StatsSnapshot] = None, top_n: int = 10
 ) -> HubTable:
-    tags_by_address: dict[str, tuple[str, ...]] = {}
-    if snapshot is not None:
-        tags_by_address = {node.address: tuple(node.tags) for node in snapshot.nodes}
+    """The top_n vertices by API degree; graph is build_graph(snapshot), so
+    vertex i's tags are snapshot.nodes[i].tags."""
     addresses = graph.addresses
     degree = [graph._degree_api(vid) for vid in range(graph.node_count)]
     ranked = sorted(range(graph.node_count), key=lambda v: (-degree[v], addresses[v]))
     rows = []
     for vid in ranked[:top_n]:
-        text = addresses[vid].to_text()
-        rows.append(HubRow(text, degree[vid], tags_by_address.get(text, ())))
+        tags = () if snapshot is None else tuple(snapshot.nodes[vid].tags)
+        rows.append(HubRow(addresses[vid].to_text(), degree[vid], tags))
     top5 = set(ranked[:5])
     incident = sum(1 for i, j in graph.edges if i in top5 or j in top5)
     edges = graph.edge_count_nonself

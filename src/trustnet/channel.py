@@ -273,34 +273,6 @@ class AcceptAllPolicy:
         return True
 
 
-@dataclass
-class AcceptListPolicy:
-    """Accepts only initiators on an explicit list."""
-
-    allowed: frozenset[VirtualAddress]
-
-    def accepts(self, initiator: VirtualAddress) -> bool:
-        return initiator in self.allowed
-
-
-@dataclass
-class ProbabilisticPolicy:
-    """Accepts independently with fixed probability."""
-
-    probability: float
-    rng: random.Random
-
-    def accepts(self, initiator: VirtualAddress) -> bool:
-        return self.rng.random() < self.probability
-
-
-class DeclineAllPolicy:
-    """Declines every handshake request."""
-
-    def accepts(self, initiator: VirtualAddress) -> bool:
-        return False
-
-
 # --- handshake frames ---
 
 

@@ -15,6 +15,13 @@ the consistency audit reports it.
 StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
+
+A snapshot's node table is the trust graph's vertex table: node i is vertex
+i, each address text maps to its node's index, and each distinct text is
+parsed once, by VirtualAddress.from_text. from_dict builds the table while it
+validates. A snapshot built in code builds it on first use, with the reader's
+checks and messages, and keeps it; so its nodes and trust_edges must not
+change once it has been analysed.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Union
@@ -57,6 +65,58 @@ class NetworkView:
 
     def to_dict(self) -> dict:
         return {"id": self.id, "name": self.name}
+
+
+class _NodeTable:
+    """Node i's parsed address is addresses[i]; index maps each address text
+    met so far, as written and canonical, to its node's index."""
+
+    __slots__ = ("addresses", "index")
+
+    def __init__(self) -> None:
+        self.addresses: list[VirtualAddress] = []
+        self.index: dict[str, int] = {}
+
+    # Names such as "nodes[7].address" are formatted only for the error that quotes them.
+    def add_node(self, text: Any, i: int) -> str:
+        """Enter nodes[i] and return its canonical text."""
+        if not isinstance(text, str):
+            read_string(text, f"nodes[{i}].address")
+        vid = self.index.get(text)
+        address = VirtualAddress.from_text(text) if vid is None else self.addresses[vid]
+        canonical = address.to_text()
+        if canonical in self.index:
+            raise SchemaViolationError(f"duplicate node address {canonical}")
+        # Canonical first: a dict keeps the first of two equal keys, so the
+        # reader's table holds the snapshot's text, not the document's copy.
+        self.index[canonical] = self.index[text] = len(self.addresses)
+        self.addresses.append(address)
+        return canonical
+
+    def edge(self, a: Any, b: Any, i: int) -> tuple[int, int]:
+        """Node indices of trust_edges[i]; both ends are parsed before either is looked up."""
+        if isinstance(a, str) and isinstance(b, str):  # a list is not hashable
+            try:
+                return self.index[a], self.index[b]
+            except KeyError:
+                pass
+        ends = self._find(a, i, "a"), self._find(b, i, "b")
+        for end in ends:
+            if isinstance(end, str):
+                raise DanglingEdgeError(f"trust_edges[{i}] references unknown node {end}")
+        return ends
+
+    def _find(self, text: Any, i: int, field: str) -> Union[int, str]:
+        """The node index of an edge end, or the canonical text of an address no node has."""
+        if not isinstance(text, str):
+            read_string(text, f"trust_edges[{i}].{field}")
+        vid = self.index.get(text)
+        if vid is None:
+            canonical = VirtualAddress.from_text(text).to_text()
+            if canonical not in self.index:
+                return canonical
+            vid = self.index[text] = self.index[canonical]
+        return vid
 
 
 @dataclass
@@ -111,6 +171,16 @@ class StatsSnapshot:
             f'  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
         )
 
+    @cached_property
+    def node_table(self) -> _NodeTable:
+        """The node table of the module docstring, built once per snapshot."""
+        table = _NodeTable()
+        for i, node in enumerate(self.nodes):
+            table.add_node(node.address, i)
+        for i, (a, b) in enumerate(self.trust_edges):
+            table.edge(a, b, i)
+        return table
+
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
@@ -151,26 +221,13 @@ class StatsSnapshot:
                 )
             )
 
-        canonical_of: dict[str, str] = {}  # address text as written -> canonical text
-
-        # Names such as "nodes[7].tags" are formatted only for the error that quotes them.
-        def canonical_address(value: Any, where: str, i: int, field: str) -> str:
-            if not isinstance(value, str):
-                read_string(value, f"{where}[{i}].{field}")
-            if value not in canonical_of:
-                canonical_of[value] = VirtualAddress.from_text(value).to_text()
-            return canonical_of[value]
-
+        table = _NodeTable()
         nodes = []
-        seen_addresses: set[str] = set()
         for i, raw in enumerate(read_list_of(doc["nodes"], "nodes", dict)):
             for name in ("address", "tags", "online", "trust_links"):
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
-            canonical = canonical_address(raw["address"], "nodes", i, "address")
-            if canonical in seen_addresses:
-                raise SchemaViolationError(f"duplicate node address {canonical}")
-            seen_addresses.add(canonical)
+            canonical = table.add_node(raw["address"], i)
             tags, online, trust_links = raw["tags"], raw["online"], raw["trust_links"]
             if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
                 read_list_of(tags, f"nodes[{i}].tags", str)
@@ -184,16 +241,10 @@ class StatsSnapshot:
         for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
             if "a" not in raw or "b" not in raw:
                 raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-            a = canonical_address(raw["a"], "trust_edges", i, "a")
-            b = canonical_address(raw["b"], "trust_edges", i, "b")
-            for endpoint in (a, b):
-                if endpoint not in seen_addresses:
-                    raise DanglingEdgeError(
-                        f"trust_edges[{i}] references unknown node {endpoint}"
-                    )
-            edges.append((a, b))
+            a, b = table.edge(raw["a"], raw["b"], i)
+            edges.append((nodes[a].address, nodes[b].address))
 
-        return cls(
+        snapshot = cls(
             generated_at=generated_at,
             requests_served=requests_served,
             networks=networks,
@@ -202,6 +253,8 @@ class StatsSnapshot:
             summary_trust_links=summary,
             requests_per_agent=requests_per_agent,
         )
+        snapshot.node_table = table
+        return snapshot
 
     @classmethod
     def from_json(cls, text: Union[str, bytes]) -> "StatsSnapshot":

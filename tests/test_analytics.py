@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -36,8 +37,10 @@ from trustnet.analytics.graph import density_from_counts, transitivity_from_coun
 from trustnet.analytics.tags import entropy_bits, tag_stats_from_counts
 from trustnet.errors import (
     BadBoundariesError,
+    DanglingEdgeError,
     DegenerateGraphError,
     InsufficientTailError,
+    SchemaViolationError,
 )
 from trustnet.overlay import VirtualAddress
 from trustnet.snapshot import NetworkView, NodeView, StatsSnapshot
@@ -85,15 +88,6 @@ def addr(i: int) -> VirtualAddress:
     return VirtualAddress(0, i + 1)
 
 
-def graph_from(n: int, edges) -> TrustGraph:
-    graph = TrustGraph()
-    for i in range(n):
-        graph.add_vertex(addr(i))
-    for a, b in edges:
-        graph.add_edge(addr(a), addr(b))
-    return graph
-
-
 def snapshot_from(n: int, edges, tags=None, summary=None) -> StatsSnapshot:
     tags = tags or {}
     loops = {a for a, b in edges if a == b}
@@ -127,6 +121,10 @@ def snapshot_from(n: int, edges, tags=None, summary=None) -> StatsSnapshot:
         summary_trust_links=len(edge_rows) if summary is None else summary,
         requests_per_agent=1.0,
     )
+
+
+def graph_from(n: int, edges) -> TrustGraph:
+    return build_graph(snapshot_from(n, edges))
 
 
 class TestReferenceHistogram:
@@ -206,7 +204,7 @@ class TestOracleEquivalence:
             assert triads.connected_triples == brute.connected_triples()
             locals_by_vertex = [
                 (
-                    graph.degree_nonself(addr(i)),
+                    len(graph.adjacency[i]),
                     brute.local_clustering()[i],
                 )
                 for i in range(n)
@@ -218,8 +216,8 @@ class TestOracleEquivalence:
         graph = graph_from(3, [(0, 1), (1, 1), (2, 2)])
         assert graph.edge_count_nonself == 1
         assert graph.self_loop_count == 2
-        assert graph.degree_nonself(addr(1)) == 1
-        assert graph.degree_api(addr(1)) == 3
+        assert len(graph.adjacency[1]) == 1
+        assert graph.self_loop_ids == {1, 2}
         # API histogram: v0 has 1, v1 has 3, v2 has 2 (self-loop bonus)
         assert degree_histogram(graph, "api") == {1: 1, 2: 1, 3: 1}
 
@@ -247,7 +245,7 @@ class TestComponentsAndMonotonicity:
                 (a, b)
                 for a in range(n)
                 for b in range(a + 1, n)
-                if addr(b) not in graph.neighbors(addr(a))
+                if b not in graph.adjacency[a]
             ]
             if not candidates:
                 continue
@@ -329,14 +327,10 @@ class TestAddressDeltas:
         assert stats.histogram == {2: 1}
 
     def test_mixed_network_excluded_and_counted(self):
-        graph = TrustGraph()
-        a = VirtualAddress(0, 1)
-        b = VirtualAddress(0, 2)
-        c = VirtualAddress(1, 3)
-        for v in (a, b, c):
-            graph.add_vertex(v)
-        graph.add_edge(a, b)
-        graph.add_edge(b, c)
+        addresses = [VirtualAddress(0, 1), VirtualAddress(0, 2), VirtualAddress(1, 3)]
+        graph = TrustGraph(addresses, [set() for _ in addresses])
+        graph.link(0, 1)
+        graph.link(1, 2)
         stats = address_delta_histogram(graph)
         assert stats.histogram == {1: 1}
         assert stats.excluded_mixed_network == 1
@@ -481,7 +475,7 @@ def random_snapshot() -> StatsSnapshot:
 
 
 def absent_endpoint_snapshot() -> StatsSnapshot:
-    """Edges naming addresses missing from the node list still add vertices."""
+    """Edges naming addresses missing from the node list, built in code."""
     snap = snapshot_from(3, [(0, 1)])
     snap.trust_edges.extend(
         [(addr(1).to_text(), addr(5).to_text()), (addr(7).to_text(),) * 2]
@@ -568,7 +562,6 @@ class TestReportAndAudit:
         # (snapshot, expected vertex, non-self edge and self-loop counts)
         cases = [
             (random_snapshot(), (35, 75, 5)),
-            (absent_endpoint_snapshot(), (5, 2, 1)),
             (noncanonical_node_snapshot(), (12, 2, 1)),
         ]
         for snap, counts in cases:
@@ -585,6 +578,28 @@ class TestReportAndAudit:
                 2 * graph.edge_count_nonself / graph.node_count
             )
             assert sum(report.component_sizes) == graph.node_count
+
+    def test_code_built_snapshot_is_checked_as_the_reader_checks(self):
+        """What from_dict refuses, build_graph refuses with the same message."""
+        duplicate = noncanonical_node_snapshot()  # nodes[9] is written in lower case
+        duplicate.nodes[11] = replace(
+            duplicate.nodes[11], address=duplicate.nodes[9].address.upper()
+        )
+        cases = [
+            (absent_endpoint_snapshot(), DanglingEdgeError,
+             f"trust_edges[1] references unknown node {addr(5)}"),
+            (duplicate, SchemaViolationError, f"duplicate node address {addr(9)}"),
+        ]
+        for snap, error, message in cases:
+            calls = [
+                (StatsSnapshot.from_dict, snap.to_dict()),
+                (build_graph, snap),
+                (analyze_snapshot, snap),
+            ]
+            for call, argument in calls:
+                with pytest.raises(error) as raised:
+                    call(argument)
+                assert str(raised.value) == message
 
     def test_render_table_contains_headline_rows(self):
         table = render_table(analyze_snapshot(self.make_snapshot()))

@@ -18,12 +18,9 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from trustnet.channel import (
     SEAL_OVERHEAD,
     AcceptAllPolicy,
-    AcceptListPolicy,
     AgentIdentity,
-    DeclineAllPolicy,
     HandshakeInitiator,
     HandshakeResponder,
-    ProbabilisticPolicy,
     ReplayWindow,
     SecureSession,
     TrustRecord,
@@ -417,30 +414,15 @@ class TestHandshake:
         assert s_init.session_key == s_resp.session_key
 
     def test_decline_all(self) -> None:
+        class DeclineAll:
+            def accepts(self, initiator: VirtualAddress) -> bool:
+                return False
+
         alice, bob, directory = make_identities()
         with pytest.raises(ResponderDeclinedError):
             run_handshake(
-                alice, bob, DeclineAllPolicy(), directory.__getitem__, random.Random(1)
+                alice, bob, DeclineAll(), directory.__getitem__, random.Random(1)
             )
-
-    def test_accept_list(self) -> None:
-        alice, bob, directory = make_identities()
-        allowed = AcceptListPolicy(frozenset({alice.address}))
-        record, _, _ = run_handshake(
-            alice, bob, allowed, directory.__getitem__, random.Random(1)
-        )
-        assert record == TrustRecord.of(alice.address, bob.address)
-        blocked = AcceptListPolicy(frozenset())
-        with pytest.raises(ResponderDeclinedError):
-            run_handshake(alice, bob, blocked, directory.__getitem__, random.Random(1))
-
-    def test_probabilistic_policy_is_seeded(self) -> None:
-        policy_rng = random.Random(77)
-        policy = ProbabilisticPolicy(0.5, policy_rng)
-        decisions = [policy.accepts(VirtualAddress(0, 1)) for _ in range(10)]
-        again = ProbabilisticPolicy(0.5, random.Random(77))
-        assert decisions == [again.accepts(VirtualAddress(0, 1)) for _ in range(10)]
-        assert any(decisions) and not all(decisions)
 
     def test_mismatched_registered_key_fails(self) -> None:
         alice, bob, directory = make_identities()

@@ -572,9 +572,7 @@ class TestGenerate:
         )
         def max_degree(snapshot):
             graph = build_graph(snapshot)
-            return max(
-                graph.degree_nonself(v) for v in graph.addresses
-            )
+            return max(len(adjacent) for adjacent in graph.adjacency)
         assert max_degree(hubby) > max_degree(plain)
 
     def test_requests_served_scales_with_population(self):
@@ -619,7 +617,7 @@ class TestStructuralResponses:
     def test_preferential_weight_raises_max_degree(self):
         def max_degree(snapshot):
             graph = build_graph(snapshot)
-            return max(graph.degree_nonself(v) for v in graph.addresses)
+            return max(len(adjacent) for adjacent in graph.adjacency)
 
         low = GrowthConfig(
             n=220, stub_mean=2.5,

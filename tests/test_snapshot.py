@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import reference_snapshot_json
 
+from trustnet.analytics.report import analyze_snapshot, consistency_audit
 from trustnet.errors import (
     DanglingEdgeError,
     MalformedAddressError,
@@ -187,20 +188,31 @@ class TestValidation:
 
 
 class TestAddressCanonicaliser:
-    def test_each_distinct_text_is_parsed_once(self, monkeypatch):
-        doc = sample_snapshot().to_dict()
-        doc["trust_edges"].append({"a": "0:0000.0000.0002", "b": "0:0000.0000.0003"})
-        parsed = []
+    @pytest.fixture
+    def parsed(self, monkeypatch) -> list:
+        """Every text VirtualAddress.from_text is given during the test."""
+        texts = []
         from_text = VirtualAddress.from_text
 
         def counted(cls, text):
-            parsed.append(text)
+            texts.append(text)
             return from_text(text)
 
         monkeypatch.setattr(VirtualAddress, "from_text", classmethod(counted))
-        StatsSnapshot.from_dict(doc)
+        return texts
+
+    def test_each_distinct_text_is_parsed_once(self, parsed):
+        doc = sample_snapshot().to_dict()
+        doc["trust_edges"].append({"a": "0:0000.0000.0002", "b": "0:0000.0000.0003"})
+        snapshot = StatsSnapshot.from_dict(doc)
+        consistency_audit(snapshot, analyze_snapshot(snapshot))
         texts = [node["address"] for node in doc["nodes"]]
         assert parsed == texts
+
+    def test_code_built_snapshot_parses_each_node_text_once(self, parsed):
+        snapshot = sample_snapshot()
+        consistency_audit(snapshot, analyze_snapshot(snapshot))
+        assert parsed == [node.address for node in snapshot.nodes]
 
     def test_edge_in_other_case_is_canonicalized(self):
         doc = sample_snapshot().to_dict()
