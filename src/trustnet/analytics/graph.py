@@ -12,11 +12,14 @@ registry's trust_links convention).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import BadBoundariesError, DegenerateGraphError
 from ..overlay import VirtualAddress
 from ..snapshot import StatsSnapshot
+
+ADDRESS_DELTA_WITHIN = 10
+HUB_TABLE_SIZE = 10
 
 
 @dataclass
@@ -303,7 +306,9 @@ class AddressDeltaStats:
     within_fraction: float
 
 
-def address_delta_histogram(graph: TrustGraph, within: int = 10) -> AddressDeltaStats:
+def address_delta_histogram(graph: TrustGraph) -> AddressDeltaStats:
+    """Same-network edges by address distance; within_fraction is the share
+    at most ADDRESS_DELTA_WITHIN apart."""
     histogram: dict[int, int] = {}
     excluded = 0
     addresses = graph.addresses
@@ -318,13 +323,13 @@ def address_delta_histogram(graph: TrustGraph, within: int = 10) -> AddressDelta
     mean_delta = (
         sum(d * n for d, n in histogram.items()) / total if total else 0.0
     )
-    close = sum(n for d, n in histogram.items() if d <= within)
+    close = sum(n for d, n in histogram.items() if d <= ADDRESS_DELTA_WITHIN)
     return AddressDeltaStats(
         histogram=dict(sorted(histogram.items())),
         total_edges=total,
         excluded_mixed_network=excluded,
         mean_delta=mean_delta,
-        within=within,
+        within=ADDRESS_DELTA_WITHIN,
         within_fraction=close / total if total else 0.0,
     )
 
@@ -376,23 +381,22 @@ class HubTable:
     top5_share: float
 
 
-def hub_table(
-    graph: TrustGraph, snapshot: Optional[StatsSnapshot] = None, top_n: int = 10
-) -> HubTable:
-    """The top_n vertices by API degree; graph is build_graph(snapshot), so
-    vertex i's tags are snapshot.nodes[i].tags."""
+def hub_table(graph: TrustGraph, snapshot: StatsSnapshot) -> HubTable:
+    """The HUB_TABLE_SIZE vertices of highest API degree, ties broken by
+    address; graph is build_graph(snapshot), so vertex i's tags are
+    snapshot.nodes[i].tags."""
     addresses = graph.addresses
     degree = [graph._degree_api(vid) for vid in range(graph.node_count)]
     ranked = sorted(range(graph.node_count), key=lambda v: (-degree[v], addresses[v]))
-    rows = []
-    for vid in ranked[:top_n]:
-        tags = () if snapshot is None else tuple(snapshot.nodes[vid].tags)
-        rows.append(HubRow(addresses[vid].to_text(), degree[vid], tags))
+    rows = tuple(
+        HubRow(addresses[v].to_text(), degree[v], tuple(snapshot.nodes[v].tags))
+        for v in ranked[:HUB_TABLE_SIZE]
+    )
     top5 = set(ranked[:5])
     incident = sum(1 for i, j in graph.edges if i in top5 or j in top5)
     edges = graph.edge_count_nonself
     return HubTable(
-        rows=tuple(rows),
+        rows=rows,
         top5_degree_sum=sum(degree[v] for v in top5),
         top5_incident_edges=incident,
         top5_share=incident / edges if edges else 0.0,

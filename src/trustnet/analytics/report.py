@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from ..errors import InsufficientTailError
 from ..snapshot import StatsSnapshot
@@ -94,16 +94,14 @@ class MetricsReport:
         return doc
 
 
-def analyze_snapshot(
-    snapshot: StatsSnapshot,
-    *,
-    k_min: int = 10,
-    dunbar_boundaries: Sequence[int] = DEFAULT_DUNBAR_BOUNDARIES,
-    cluster_map: Optional[Mapping[str, Sequence[str]]] = None,
-    top_n: int = 10,
-    delta_within: int = 10,
-) -> MetricsReport:
-    """Compute the full report; pure function of the snapshot document."""
+def analyze_snapshot(snapshot: StatsSnapshot, *, k_min: int = 10) -> MetricsReport:
+    """Compute the full report; pure function of the snapshot document.
+
+    k_min is the smallest degree of the fitted tail. The Dunbar bands are
+    DEFAULT_DUNBAR_BOUNDARIES, the tag clusters tags.DEFAULT_TAG_CLUSTERS,
+    the hub table lists graph.HUB_TABLE_SIZE nodes and the address-delta
+    window is graph.ADDRESS_DELTA_WITHIN.
+    """
     graph = build_graph(snapshot)
     hist_api = degree_histogram(graph, "api")
     hist_nonself = degree_histogram(graph, "nonself")
@@ -156,13 +154,13 @@ def analyze_snapshot(
         degree_histogram_api=hist_api,
         degree_histogram_nonself=hist_nonself,
         powerlaw_fit=fit,
-        tag_stats=tag_stats(snapshot, cluster_map=cluster_map),
-        address_delta_histogram=address_delta_histogram(graph, within=delta_within),
+        tag_stats=tag_stats(snapshot),
+        address_delta_histogram=address_delta_histogram(graph),
         dunbar_bins=DunbarBins(
-            boundaries=tuple(dunbar_boundaries),
-            counts=tuple(dunbar_bins(hist_api, dunbar_boundaries)),
+            boundaries=DEFAULT_DUNBAR_BOUNDARIES,
+            counts=tuple(dunbar_bins(hist_api, DEFAULT_DUNBAR_BOUNDARIES)),
         ),
-        hub_table=hub_table(graph, snapshot, top_n=top_n),
+        hub_table=hub_table(graph, snapshot),
     )
 
 

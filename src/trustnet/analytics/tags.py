@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from ..snapshot import StatsSnapshot
 
@@ -46,6 +46,7 @@ DEFAULT_TAG_CLUSTERS: dict[str, tuple[str, ...]] = {
         "task-management",
     ),
 }
+TOP_TAGS = 15
 
 
 @dataclass(frozen=True)
@@ -78,13 +79,12 @@ def entropy_bits(frequencies: Sequence[int]) -> float:
     return result
 
 
-def tag_stats(
-    snapshot: StatsSnapshot,
-    cluster_map: Optional[Mapping[str, Sequence[str]]] = None,
-    top_k: int = 15,
-) -> TagStats:
-    """All tag statistics; entropy is over assignment frequencies."""
-    clusters = DEFAULT_TAG_CLUSTERS if cluster_map is None else cluster_map
+def tag_stats(snapshot: StatsSnapshot) -> TagStats:
+    """All tag statistics; entropy is over assignment frequencies.
+
+    top_k holds the TOP_TAGS most assigned tags, and cluster_sizes counts
+    the agents in each of DEFAULT_TAG_CLUSTERS.
+    """
     counts: Counter[str] = Counter()
     agents_with_tags = 0
     max_tags = 0
@@ -98,7 +98,7 @@ def tag_stats(
     node_count = len(snapshot.nodes)
     ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
     cluster_sizes = {}
-    for name, members in clusters.items():
+    for name, members in DEFAULT_TAG_CLUSTERS.items():
         member_set = set(members)
         cluster_sizes[name] = sum(
             1 for node in snapshot.nodes if member_set.intersection(node.tags)
@@ -113,7 +113,7 @@ def tag_stats(
         shannon_entropy_bits=entropy_bits(list(counts.values())),
         max_entropy_bits=math.log2(unique) if unique else 0.0,
         singleton_tag_count=sum(1 for count in counts.values() if count == 1),
-        top_k=tuple(ranked[:top_k]),
+        top_k=tuple(ranked[:TOP_TAGS]),
         cluster_sizes=cluster_sizes,
     )
 

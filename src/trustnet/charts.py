@@ -115,10 +115,6 @@ def degree_histogram_svg(
     return "\n".join(parts) + "\n"
 
 
-def _log10(value: float) -> float:
-    return math.log10(value)
-
-
 def degree_loglog_svg(
     hist: dict[int, int],
     gamma: Optional[float] = None,
@@ -137,15 +133,15 @@ def degree_loglog_svg(
     parts = _svg_open(title)
     parts += _axes("log10 degree", "log10 agents")
     if points:
-        x_hi = max(1.0, _log10(points[-1][0]))
-        y_hi = max(1.0, _log10(max(c for _, c in points)))
+        x_hi = max(1.0, math.log10(points[-1][0]))
+        y_hi = max(1.0, math.log10(max(c for _, c in points)))
         x0, y_base = MARGIN_LEFT, MARGIN_TOP + PLOT_H
 
         def px(k: float) -> float:
-            return x0 + PLOT_W * _log10(k) / x_hi
+            return x0 + PLOT_W * math.log10(k) / x_hi
 
         def py(c: float) -> float:
-            return y_base - PLOT_H * _log10(c) / y_hi
+            return y_base - PLOT_H * math.log10(c) / y_hi
 
         decade = 1
         while decade <= points[-1][0]:

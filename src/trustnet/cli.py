@@ -64,6 +64,8 @@ def cli() -> None:
               help="Append-only event log; each mutation is flushed, not fsynced.")
 def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
     """Run the registry until interrupted."""
+    import signal
+
     from .registry import RegistryService
     from .server import STATS_PATH, RegistryServer
 
@@ -83,9 +85,13 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
         else RegistryService(base_node_id=base_node_id)
     )
     server = RegistryServer(registry=registry, host=host, port=int(port_text))
+    # A shell's `cmd &` starts the daemon with SIGINT ignored; restore the
+    # handler that raises KeyboardInterrupt so SIGINT stops it either way.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     server.start()
-    click.echo(f"registry listening on {server.endpoint[0]}:{server.port}")
     try:
+        # Inside the try: a SIGINT sent on reading this line is an ordinary stop.
+        click.echo(f"registry listening on {server.endpoint[0]}:{server.port}")
         while True:
             time.sleep(0.5)
     except KeyboardInterrupt:

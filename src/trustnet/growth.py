@@ -180,14 +180,10 @@ class TagModel:
         return tuple(tag for _, tag in heapq.nlargest(count, zip(keys, tags)))
 
 
-def default_tag_model(
-    untagged_probability: float = 0.42,
-    count_distribution: tuple[float, float, float] = (0.09, 0.29, 0.62),
-) -> TagModel:
+def default_tag_model(untagged_probability: float = 0.42) -> TagModel:
     return TagModel(
         vocabulary=default_tag_vocabulary(),
         untagged_probability=untagged_probability,
-        count_distribution=count_distribution,
     )
 
 

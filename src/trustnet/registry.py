@@ -68,6 +68,8 @@ MISSED_HEARTBEATS = 3
 OFFLINE_AFTER = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
 REGISTRY_ADDRESS = VirtualAddress(0, 1)
+# Most capability tags one agent may register.
+TAG_LIMIT = 3
 
 # relay-observed handshake phases
 _SAW_REQUEST = 1
@@ -158,7 +160,6 @@ class RegistryService:
         network_id: int = 0,
         network_name: str = "backbone",
         base_node_id: int = 1,
-        tag_limit: int = 3,
         registry_address: VirtualAddress = REGISTRY_ADDRESS,
         clock: Optional[Callable[[], float]] = None,
         event_log: Union[str, Path, None] = None,
@@ -169,14 +170,12 @@ class RegistryService:
         self.network_name = network_name
         self.base_node_id = base_node_id
         self.registry_address = registry_address
-        self.tag_limit = tag_limit
         self._clock = clock if clock is not None else time.time
         self._nodes: dict[VirtualAddress, NodeRecord] = {}
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
         self._edges: dict[tuple[VirtualAddress, VirtualAddress], None] = {}  # ordered set
         self._summary_trust_links = 0
-        self._allocated = 0
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
         self._event_log_path = Path(event_log) if event_log is not None else None
@@ -267,7 +266,7 @@ class RegistryService:
         self.requests_served += 1
         if public_key in self._by_key:
             raise DuplicateKeyError("public key is already registered")
-        normalized = normalize_tags(tags, self.tag_limit)
+        normalized = normalize_tags(tags, TAG_LIMIT)
         host = hostname.lower() if hostname is not None else None
         if host is not None and host in self._hostnames:
             raise DuplicateKeyError(f"hostname {host!r} is already bound")
@@ -291,8 +290,7 @@ class RegistryService:
         hostname: Optional[str],
         at_time: float,
     ) -> NodeRecord:
-        address = VirtualAddress(self.network_id, self.base_node_id + self._allocated)
-        self._allocated += 1
+        address = VirtualAddress(self.network_id, self.base_node_id + len(self._nodes))
         record = NodeRecord(
             address=address,
             public_key=public_key,
@@ -364,6 +362,7 @@ class RegistryService:
         """Consistent full view; the call itself counts as a request."""
         self.requests_served += 1
         now = self._clock()
+        # _nodes holds records in allocation order, which is address order.
         nodes = [
             NodeView(
                 address=record.address.to_text(),
@@ -371,7 +370,7 @@ class RegistryService:
                 online=record.online(now),
                 trust_links=record.trust_links,
             )
-            for record in sorted(self._nodes.values(), key=lambda r: r.address)
+            for record in self._nodes.values()
         ]
         edges = [(a.to_text(), b.to_text()) for a, b in self._edges]
         per_agent = self.requests_served / len(nodes) if nodes else 0.0

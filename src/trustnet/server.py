@@ -68,11 +68,9 @@ class RegistryServer:
         registry: Optional[RegistryService] = None,
         host: str = "127.0.0.1",
         port: int = 0,
-        **registry_kwargs,
     ) -> None:
         if registry is None:
-            registry_kwargs.setdefault("base_node_id", 2)
-            registry = RegistryService(**registry_kwargs)
+            registry = RegistryService(base_node_id=2)
         self.registry = registry
         self.host = host
         self._requested_port = port

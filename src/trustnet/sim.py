@@ -76,15 +76,6 @@ PING_DELAY = 1.0
 DISTRIBUTION_KINDS = ("fixed", "uniform", "exponential")
 NAT_KINDS = ("cone", "symmetric")
 
-EVENT_KINDS = (
-    "arrival",
-    "register",
-    "handshake-start",
-    "handshake-complete",
-    "heartbeat",
-    "drop",
-)
-
 
 # --- sampling distributions ---
 
@@ -548,7 +539,7 @@ class _SimAgent:
         datagram = encode_packet(header, bytes([FRAME_DATA]) + sealed)
         peer_agent = sc.by_address[peer]
         _, routed = relay_via_beacon(datagram, self.nat, peer_agent.nat, sc.beacon)
-        sc.send_data(routed, peer_agent)
+        sc.send(routed, "data", peer_agent.on_data_datagram)
 
     def on_data_datagram(self, datagram: bytes) -> None:
         header, payload = decode_packet(datagram)
@@ -638,52 +629,36 @@ class _Scenario:
 
     # -- transport legs --
 
-    def send_via_relay(self, datagram: bytes) -> None:
-        """Agent -> registry leg; the relay output rides a second leg."""
+    def send(
+        self, datagram: bytes, stage: str, deliver: Callable[[bytes], None]
+    ) -> None:
+        """One lossy hop: log a drop with its stage, or deliver after the latency."""
         delivery = transport_deliver(
             datagram, self.config.loss_rate, self.config.latency, self.transport_rng
         )
         if delivery is None:
-            self._log_drop(datagram, stage="to-relay")
+            header, payload = decode_packet(datagram)
+            self.log(
+                "drop",
+                stage=stage,
+                src=header.src.to_text(),
+                dst=header.dst.to_text(),
+                frame=payload[0] if payload else 0,
+            )
             return
         delay, data = delivery
-        self.loop.schedule(delay, lambda: self._relay_ingress(data))
+        self.loop.schedule(delay, lambda: deliver(data))
+
+    def send_via_relay(self, datagram: bytes) -> None:
+        """Agent -> registry leg; each relay output rides a second leg."""
+        self.send(datagram, "to-relay", self._relay_ingress)
 
     def _relay_ingress(self, datagram: bytes) -> None:
+        # The relay names only registered addresses, and an agent joins
+        # by_address in the event that registers it.
         for next_hop, out in self.registry.relay_handshake(datagram):
-            delivery = transport_deliver(
-                out, self.config.loss_rate, self.config.latency, self.transport_rng
-            )
-            if delivery is None:
-                self._log_drop(out, stage="from-relay")
-                continue
-            delay, data = delivery
-            receiver = self.by_address.get(next_hop)
-            if receiver is None:
-                continue
-            self.loop.schedule(
-                delay, lambda r=receiver, d=data: r.on_handshake_datagram(d)
-            )
-
-    def send_data(self, datagram: bytes, receiver: _SimAgent) -> None:
-        delivery = transport_deliver(
-            datagram, self.config.loss_rate, self.config.latency, self.transport_rng
-        )
-        if delivery is None:
-            self._log_drop(datagram, stage="data")
-            return
-        delay, data = delivery
-        self.loop.schedule(delay, lambda: receiver.on_data_datagram(data))
-
-    def _log_drop(self, datagram: bytes, stage: str) -> None:
-        header, payload = decode_packet(datagram)
-        self.log(
-            "drop",
-            stage=stage,
-            src=header.src.to_text(),
-            dst=header.dst.to_text(),
-            frame=payload[0] if payload else 0,
-        )
+            receiver = self.by_address[next_hop]
+            self.send(out, "from-relay", receiver.on_handshake_datagram)
 
 
 def run_scenario(config: SimConfig) -> ScenarioResult:

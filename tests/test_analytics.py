@@ -336,9 +336,7 @@ class TestAddressDeltas:
         assert stats.excluded_mixed_network == 1
 
     def test_within_fraction(self):
-        stats = address_delta_histogram(
-            graph_from(30, [(0, 1), (0, 2), (0, 25)]), within=10
-        )
+        stats = address_delta_histogram(graph_from(30, [(0, 1), (0, 2), (0, 25)]))
         assert stats.within_fraction == pytest.approx(2 / 3)
 
 
@@ -362,7 +360,7 @@ class TestHubTable:
         edges = [(0, i) for i in range(1, 6)] + [(1, 2), (0, 0)]
         snap = snapshot_from(6, edges, tags={0: ("analytics",)})
         graph = build_graph(snap)
-        table = hub_table(graph, snap, top_n=3)
+        table = hub_table(graph, snap)
         assert table.rows[0].address == addr(0).to_text()
         assert table.rows[0].degree_api == 7  # 5 neighbors + self-loop bonus
         assert table.rows[0].tags == ("analytics",)
@@ -373,8 +371,8 @@ class TestHubTable:
 
     def test_tie_break_by_address(self):
         edges = [(0, 1), (2, 3)]
-        graph = build_graph(snapshot_from(4, edges))
-        table = hub_table(graph, None, top_n=4)
+        snap = snapshot_from(4, edges)
+        table = hub_table(build_graph(snap), snap)
         assert [row.address for row in table.rows] == [
             addr(i).to_text() for i in range(4)
         ]

@@ -2,6 +2,10 @@
 
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -523,3 +527,23 @@ def test_directory_input_exits_2(tmp_path, capsys, args):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_serve_registry_stops_on_sigint_when_started_with_it_ignored():
+    """A shell's `cmd &` starts the daemon with SIGINT ignored; SIGINT still stops it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "trustnet.cli", "serve-registry", "--bind", "127.0.0.1:0"],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        for line in proc.stdout:
+            if "listening" in line:
+                break
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=10) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
