@@ -3,12 +3,14 @@
 The graph oracles work on a dense adjacency matrix with exhaustive
 enumeration — deliberately naive, sharing no code with the package under
 test. The snapshot oracle is the general-purpose JSON encoder that the
-snapshot writer must match byte for byte.
+snapshot writer must match byte for byte. The tail-fit oracle is a table of
+scipy fits recorded before the fit was ported to pure math.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 
 
@@ -124,8 +126,6 @@ def tail_sampler_power_law(
 def tail_sampler_exponential(
     rng: random.Random, rate: float, k_min: int, size: int
 ) -> dict[int, int]:
-    import math
-
     x0 = k_min - 0.5
     hist: dict[int, int] = {}
     for _ in range(size):
@@ -150,3 +150,33 @@ def tail_sampler_lognormal(
         hist[k] = hist.get(k, 0) + 1
         drawn += 1
     return hist
+
+
+# The order of the fields in a recorded scipy tail fit.
+SCIPY_FIT_FIELDS = (
+    "best_model", "gamma", "loglik_powerlaw", "loglik_exponential",
+    "loglik_lognormal", "lognormal_mu", "lognormal_sigma",
+)
+
+
+def assert_matches_scipy_fit(
+    fit: dict, recorded: tuple, lognormal_abs: float = 1e-6
+) -> None:
+    """A tail fit (PowerLawFit fields) against a fit scipy 1.17 and numpy 2.4 made.
+
+    The chosen model must be equal. Summation order moves gamma and the two
+    closed-form log-likelihoods by a few ulps; where the simplex stops moves
+    the log-normal parameters and log-likelihood.
+    """
+    expected = dict(zip(SCIPY_FIT_FIELDS, recorded))
+    assert fit["best_model"] == expected["best_model"]
+    for field, rel_tol, abs_tol in (
+        ("gamma", 1e-12, 0.0),
+        ("loglik_powerlaw", 1e-12, 0.0),
+        ("loglik_exponential", 1e-12, 0.0),
+        ("loglik_lognormal", 0.0, lognormal_abs),
+        ("lognormal_mu", 1e-3, 0.0),
+        ("lognormal_sigma", 1e-3, 0.0),
+    ):
+        close = math.isclose(fit[field], expected[field], rel_tol=rel_tol, abs_tol=abs_tol)
+        assert close, (field, fit[field], expected[field])

@@ -2,12 +2,13 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 
 from _oracles import (
     BruteGraph,
+    assert_matches_scipy_fit,
     random_edge_list,
     tail_sampler_exponential,
     tail_sampler_lognormal,
@@ -35,6 +36,7 @@ from trustnet.analytics import (
 )
 from trustnet.analytics.graph import density_from_counts, transitivity_from_counts
 from trustnet.analytics.tags import entropy_bits, tag_stats_from_counts
+from trustnet.analytics.tailfit import XATOL, _nelder_mead, ndtr
 from trustnet.errors import (
     BadBoundariesError,
     DanglingEdgeError,
@@ -464,6 +466,172 @@ class TestTailFit:
         for gamma in (1.8, 2.5, 3.5):
             hist = tail_sampler_power_law(rng, gamma=gamma, k_min=10, size=2_000)
             assert fit_heavy_tail(hist, k_min=10).gamma > 1.0
+
+
+# scipy 1.17.1 / numpy 2.4.6 fits of the criterion-12 tails (see
+# criterion_12_tails), recorded before the fit was ported to pure math, in
+# _oracles.SCIPY_FIT_FIELDS order.
+SCIPY_CRITERION_12_FITS = {
+    "exponent-2.1": (
+        "power-law", 2.0930295070083322, -40761.83020063665, -48197.31957461617,
+        -43261.59754736061, 3.2450484903132826, 0.8896886889601389,
+    ),
+    "exponent-2.5": (
+        "power-law", 2.5150529827444714, -34941.325128684315, -38456.8113745738,
+        -math.inf, 2.9113347221143786, 0.6551151945040594,
+    ),
+    "exponent-3.0": (
+        "power-law", 2.9894745269164162, -30633.29012645268, -32513.03743770555,
+        -32268.39269031275, 2.6109184352545514, 0.5511655041599753,
+    ),
+    "trial-0": (
+        "power-law", 2.1053463898198745, -40547.62677635336, -math.inf,
+        -math.inf, 3.1559855753355786, 0.893573047913242,
+    ),
+    "trial-1": (
+        "power-law", 2.4970736088506786, -35140.20459915874, -38811.04703420483,
+        -math.inf, 2.9192616259336313, 0.6693239473547006,
+    ),
+    "trial-2": (
+        "power-law", 2.1066681932712896, -40524.77956656703, -math.inf,
+        -math.inf, 3.1549050099377247, 0.9060416728311321,
+    ),
+    "trial-3": (
+        "power-law", 2.489008258827051, -35230.601548086706, -39305.14918837752,
+        -math.inf, 2.92287974586727, 0.6725735176530724,
+    ),
+    "trial-4": (
+        "power-law", 2.993965215463883, -30599.296489973807, -32496.700954992208,
+        -math.inf, 2.7528050608463066, 0.5008659883260747,
+    ),
+    "trial-5": (
+        "power-law", 2.0919711198805753, -40780.31716384133, -math.inf,
+        -math.inf, 3.167066933858576, 0.918033629688464,
+    ),
+    "trial-6": (
+        "power-law", 2.5001520202955403, -35105.963525665495, -38598.273974083815,
+        -36968.743318031484, 2.80690277610634, 0.7073482426105351,
+    ),
+    "trial-7": (
+        "exponential", 3.152798952709887, -29461.288166759565, -28933.415396126195,
+        -28949.13565847921, 2.2836335129902325, 0.5659171596661036,
+    ),
+    "trial-8": (
+        "exponential", 3.6650667706275626, -26419.95617181309, -26050.333569359023,
+        -26061.147236743494, 2.124020600941495, 0.5223764090094847,
+    ),
+    "trial-9": (
+        "exponential", 3.1655224197258325, -29374.75236313735, -28859.140952122838,
+        -28869.95630914717, 2.2766616740614114, 0.5657552905428054,
+    ),
+    "trial-10": (
+        "log-normal", 4.174031695185851, -24054.55426269557, -23754.25779115004,
+        -23751.837668869528, 2.072196027196266, 0.46536297445850233,
+    ),
+    "trial-11": (
+        "exponential", 3.1539046989147015, -29453.698401969923, -28964.11304718912,
+        -28972.376940144317, 2.253476538057744, 0.5795762864526451,
+    ),
+    "trial-12": (
+        "exponential", 3.6358781503060005, -26572.546980590283, -26181.865688023485,
+        -26190.453279425612, 2.1533907548771394, 0.5158624191627927,
+    ),
+    "trial-13": (
+        "exponential", 3.1467267724921886, -29502.842450651053, -28975.525331649125,
+        -28987.346621532346, 2.286751515956076, 0.566098675226705,
+    ),
+    "trial-14": (
+        "log-normal", 2.5534227663635947, -34530.92541854746, -33011.16684120266,
+        -32677.017438225306, 2.7965564381747448, 0.45182624290682805,
+    ),
+    "trial-15": (
+        "log-normal", 2.145726270335625, -39872.350960224365, -38041.283629257894,
+        -37889.96184272691, 3.006074537130399, 0.5942486726862961,
+    ),
+    "trial-16": (
+        "log-normal", 2.5324811344681972, -34755.05920652682, -33203.372031184495,
+        -32843.88479815683, 2.809561022505569, 0.4514408460703423,
+    ),
+    "trial-17": (
+        "log-normal", 2.1499482598545114, -39803.432680069396, -38003.599472697584,
+        -37860.04991483654, 2.99868833790413, 0.5977538789641503,
+    ),
+    "trial-18": (
+        "log-normal", 2.551136842053946, -34555.149024306775, -33061.83389735668,
+        -32748.53336610865, 2.792483890672841, 0.45810127099858444,
+    ),
+    "trial-19": (
+        "log-normal", 2.1481790170070085, -39832.28872042913, -38022.97509937915,
+        -37860.28574456156, 3.0032504315164577, 0.5944819757833273,
+    ),
+}
+
+# Power-law tails on which both simplexes crawl a flat log-normal ridge for
+# 300-540 iterations: a last-bit difference in the start point or in Phi
+# stops them 1e-5 apart in mu, and 0.035 and 0.020 apart in log-likelihood.
+RIDGE_TRIALS = ("exponent-3.0", "trial-6")
+
+
+def criterion_12_tails():
+    """(name, histogram) for every tail criterion 12 fits: the three exponent
+    checks, then the 20 model-selection trials."""
+    for offset, gamma in enumerate((2.1, 2.5, 3.0)):
+        yield f"exponent-{gamma}", tail_sampler_power_law(
+            random.Random(101 + offset), gamma, 10, 10_000
+        )
+    trials = (
+        [("power-law", g) for g in (2.1, 2.5, 2.1, 2.5, 3.0, 2.1, 2.5)]
+        + [("exponential", r) for r in (0.15, 0.2, 0.15, 0.25, 0.15, 0.2, 0.15)]
+        + [("log-normal", params) for params in ((2.8, 0.45), (3.0, 0.6)) * 3]
+    )
+    for index, (family, params) in enumerate(trials):
+        rng = random.Random(index)
+        if family == "power-law":
+            hist = tail_sampler_power_law(rng, params, 10, 10_000)
+        elif family == "exponential":
+            hist = tail_sampler_exponential(rng, params, 10, 10_000)
+        else:
+            hist = tail_sampler_lognormal(rng, *params, 10, 10_000)
+        yield f"trial-{index}", hist
+
+
+class TestScipyPort:
+    def test_nelder_mead_reaches_a_shifted_quadratic_minimum(self):
+        # the zero start coordinates take the 0.00025 initial step
+        x = _nelder_mead(
+            lambda p: (p[0] - 3.0) ** 2 + 10.0 * (p[1] + 1.5) ** 2, [0.0, 0.0]
+        )
+        assert x == pytest.approx([3.0, -1.5], abs=XATOL)
+        # where scipy's Nelder-Mead stopped, to the bit
+        assert x == [3.000000236292328, -1.5000000717407915]
+
+    def test_nelder_mead_reaches_the_rosenbrock_minimum(self):
+        x = _nelder_mead(
+            lambda p: 100.0 * (p[1] - p[0] ** 2) ** 2 + (1.0 - p[0]) ** 2, [-1.2, 1.0]
+        )
+        assert x == pytest.approx([1.0, 1.0], abs=XATOL)
+        assert x == [0.9999998694739745, 0.9999997547287295]
+
+    def test_ndtr_identities(self):
+        assert ndtr(0.0) == 0.5
+        xs = [i / 8 for i in range(-80, 81)]
+        for x in xs:
+            assert ndtr(x) + ndtr(-x) == pytest.approx(1.0, abs=1e-15)
+        values = [ndtr(x) for x in xs]
+        assert all(a <= b for a, b in zip(values, values[1:]))
+        # strictly increasing until 1 - Phi(x) drops below half an ulp of 1
+        inner = [ndtr(x) for x in xs if abs(x) <= 8.0]
+        assert all(a < b for a, b in zip(inner, inner[1:]))
+        assert ndtr(-1.959963984540054) == pytest.approx(0.025, rel=1e-14)
+
+    def test_matches_recorded_scipy_fits(self):
+        names = []
+        for name, hist in criterion_12_tails():
+            lognormal_abs = 0.05 if name in RIDGE_TRIALS else 1e-6
+            fit = asdict(fit_heavy_tail(hist, k_min=10))
+            assert_matches_scipy_fit(fit, SCIPY_CRITERION_12_FITS[name], lognormal_abs)
+            names.append(name)
+        assert names == list(SCIPY_CRITERION_12_FITS)
 
 
 def random_snapshot() -> StatsSnapshot:

@@ -1,7 +1,8 @@
 """Import boundaries: each CLI command loads only the subsystems it runs.
 
 Every case runs in a fresh interpreter, because the test process itself has
-long since imported scipy, numpy and cryptography.
+long since imported cryptography. numpy and scipy stay watched: no command
+may load them.
 """
 
 import json
@@ -49,16 +50,40 @@ def run_command(args: list[str], cwd: Path) -> list[str]:
     return done["loaded"]
 
 
+# A 40-agent lossy scenario: too small a graph to fit a tail.
+SCENARIO = {
+    "agent_count": 40,
+    "arrival_schedule": {"kind": "fixed", "value": 10.0},
+    "loss_rate": 0.05,
+    "seed": 11,
+    "duration": 600.0,
+}
+
+
 @pytest.fixture(scope="module")
-def pipeline(tmp_path_factory) -> dict:
-    """generate -> analyze --out -> report at n = 300: the modules each command loaded."""
-    work = tmp_path_factory.mktemp("pipeline")
-    return {
+def loaded(tmp_path_factory) -> dict:
+    """The watched modules each command loaded.
+
+    generate -> analyze --out -> report at n = 300, analyze --audit on a
+    simulated snapshot, and a one-point sweep at n = 300.
+    """
+    work = tmp_path_factory.mktemp("commands")
+    (work / "scenario.json").write_text(json.dumps(SCENARIO))
+    run_command(["simulate", "--config", "scenario.json", "--out", "sim.json"], work)
+    loaded = {
         "generate": run_command(["generate", "--preset", "paper-2026", "--set", "n=300",
                                  "--seed", "7", "--out", "snapshot.json"], work),
-        "analyze": run_command(["analyze", "snapshot.json", "--out", "metrics.json"], work),
+        "analyze": run_command(["analyze", "snapshot.json", "--out", "metrics.json"],
+                               work),
         "report": run_command(["report", "metrics.json", "--charts", "charts"], work),
+        "analyze-audit": run_command(["analyze", "sim.json", "--audit"], work),
+        "sweep": run_command(["sweep", "n", "300", "--seeds", "7", "--out", "sweep.csv"],
+                             work),
     }
+    # analyze and sweep fit a tail; the simulated snapshot has none to fit
+    assert json.loads((work / "metrics.json").read_text())["powerlaw_fit"] is not None
+    assert (work / "sweep.csv").read_text().splitlines()[1].split(",")[-1] != ""
+    return loaded
 
 
 def test_importing_the_cli_loads_no_subsystem_it_may_not_run(tmp_path):
@@ -69,14 +94,11 @@ def test_importing_growth_loads_no_cryptography(tmp_path):
     assert run_fresh("import trustnet.growth", tmp_path)["loaded"] == []
 
 
-@pytest.mark.parametrize("command", ["generate", "report"])
-def test_command_loads_no_heavy_dependency(pipeline, command):
-    assert not set(pipeline[command]) & set(HEAVY)
-
-
-def test_analyze_loads_scipy(pipeline):
-    assert {"scipy", "numpy"} <= set(pipeline["analyze"])
-    assert "cryptography" not in pipeline["analyze"]
+@pytest.mark.parametrize(
+    "command", ["generate", "analyze", "report", "analyze-audit", "sweep"]
+)
+def test_command_loads_no_heavy_dependency(loaded, command):
+    assert not set(loaded[command]) & set(HEAVY)
 
 
 def test_star_import_resolves_every_public_name(tmp_path):
