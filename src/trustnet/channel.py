@@ -40,18 +40,16 @@ from .errors import (
     ResponderDeclinedError,
     SignatureInvalidError,
 )
-from .overlay import PacketHeader, VirtualAddress
+from .overlay import (
+    FRAME_ACCEPT,
+    FRAME_CONFIRM,
+    FRAME_DECLINE,
+    FRAME_REQUEST,
+    KEY_SIZE,
+    PacketHeader,
+    VirtualAddress,
+)
 
-FRAME_REQUEST = 1
-FRAME_ACCEPT = 2
-FRAME_CONFIRM = 3
-FRAME_DATA = 4
-FRAME_DECLINE = 5
-FRAME_ERROR = 6
-
-ERROR_UNKNOWN_DESTINATION = 1
-
-KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 NONCE_PREFIX_SIZE = 4
 NONCE_SIZE = 12
@@ -184,11 +182,8 @@ class ReplayWindow:
 class SecureSession:
     """One direction-symmetric sealed channel between two agents."""
 
-    local: VirtualAddress
-    peer: VirtualAddress
     session_key: bytes
     nonce_prefix: bytes
-    role: str
     send_counter: int = 0
     _window: ReplayWindow = field(default_factory=ReplayWindow, repr=False)
 
@@ -232,21 +227,15 @@ class SecureSession:
 def derive_session(
     local_eph_secret: x25519.X25519PrivateKey,
     remote_eph_public: bytes,
-    role: str,
     *,
-    local: VirtualAddress,
-    peer: VirtualAddress,
     transcript: bytes,
     rng: Optional[random.Random] = None,
 ) -> SecureSession:
     """Derive the shared session from an ephemeral exchange.
 
     Both sides obtain the identical key; each draws an independent random
-    nonce prefix so counters never collide across directions. `role` is
-    retained for traces and diagnostics.
+    nonce prefix so counters never collide across directions.
     """
-    if role not in ("initiator", "responder"):
-        raise ChannelError(f"unknown role {role!r}")
     shared = exchange(local_eph_secret, remote_eph_public)
     key = HKDF(
         algorithm=hashes.SHA256(),
@@ -255,11 +244,7 @@ def derive_session(
         info=transcript,
     ).derive(shared)
     return SecureSession(
-        local=local,
-        peer=peer,
-        session_key=key,
-        nonce_prefix=_random_bytes(NONCE_PREFIX_SIZE, rng),
-        role=role,
+        session_key=key, nonce_prefix=_random_bytes(NONCE_PREFIX_SIZE, rng)
     )
 
 
@@ -340,7 +325,6 @@ class HandshakeInitiator:
         self._eph = generate_exchange_key(rng)
         self._eph_pub = exchange_public_bytes(self._eph)
         self.session: Optional[SecureSession] = None
-        self.record: Optional[TrustRecord] = None
 
     def request_payload(self) -> bytes:
         signature = self.identity.sign(
@@ -368,15 +352,8 @@ class HandshakeInitiator:
             self.identity.address, self.responder, self._eph_pub, responder_eph
         )
         self.session = derive_session(
-            self._eph,
-            responder_eph,
-            "initiator",
-            local=self.identity.address,
-            peer=self.responder,
-            transcript=transcript,
-            rng=self._rng,
+            self._eph, responder_eph, transcript=transcript, rng=self._rng
         )
-        self.record = TrustRecord.of(self.identity.address, self.responder)
         confirm_sig = self.identity.sign(_SIG_CONFIRM + transcript)
         return bytes([FRAME_CONFIRM]) + confirm_sig
 
@@ -432,13 +409,7 @@ class HandshakeResponder:
             initiator, self.identity.address, initiator_eph, eph_pub
         )
         session = derive_session(
-            eph,
-            initiator_eph,
-            "responder",
-            local=self.identity.address,
-            peer=initiator,
-            transcript=transcript,
-            rng=self._rng,
+            eph, initiator_eph, transcript=transcript, rng=self._rng
         )
         self._pending[initiator] = {
             "initiator_eph": initiator_eph,

@@ -11,7 +11,8 @@ The default output directory is the current directory, overridable with the
 TRUSTNET_DATA_DIR environment variable.
 
 `simulate` and `serve-registry` import the simulator, registry and server in
-their bodies, so no other subcommand loads cryptography. The work functions
+their bodies. Only `simulate` loads cryptography: the registry reads no more
+of a handshake frame than its overlay header and type byte. The work functions
 (`run_scenario`, `analyze_snapshot`, ...) stay module attributes that each
 subcommand looks up when it runs, so a caller can wrap or replace them.
 """

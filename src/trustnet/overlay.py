@@ -11,17 +11,21 @@ Datagrams carry a fixed 20-byte header followed by the payload:
     magic(2) version(1) flags(1) src(6) dst(6) src_port(2) dst_port(2)
 
 All multi-byte fields are big-endian. The payload length is not carried on
-the wire; UDP preserves datagram boundaries, so it is derived from the
-datagram length on decode and validated against the header on encode. The
-payload ceiling of 65,487 bytes is the 65,535-byte UDP limit minus transport
-headers and this 20-byte header.
+the wire; UDP preserves datagram boundaries, so the payload is every byte
+after the header. The payload ceiling of 65,487 bytes is the 65,535-byte UDP
+limit minus transport headers and this 20-byte header.
+
+A payload on the trust-handshake port starts with one frame-type byte:
+REQUEST (1), ACCEPT (2), CONFIRM (3), DATA (4), DECLINE (5) or ERROR (6). An
+ERROR frame's second byte is its code; the only code is UNKNOWN_DESTINATION
+(1). Identity and exchange keys are KEY_SIZE (32) bytes.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BadMagicError,
@@ -40,6 +44,17 @@ MAX_PAYLOAD_SIZE = 65_487
 PORT_SECURE_CHANNEL = 443
 PORT_TRUST_HANDSHAKE = 444
 PORT_REGISTRY = 1
+
+FRAME_REQUEST = 1
+FRAME_ACCEPT = 2
+FRAME_CONFIRM = 3
+FRAME_DATA = 4
+FRAME_DECLINE = 5
+FRAME_ERROR = 6
+
+ERROR_UNKNOWN_DESTINATION = 1
+
+KEY_SIZE = 32
 
 _HEADER_STRUCT = struct.Struct("!2sBB6s6sHH")
 _ADDRESS_STRUCT = struct.Struct("!HI")
@@ -117,17 +132,12 @@ def _check_port(value: int, name: str) -> None:
 
 @dataclass
 class PacketHeader:
-    """Fixed-size datagram header.
-
-    payload_length is a logical field: encode_packet checks it against the
-    actual payload and decode_packet reconstructs it from the datagram size.
-    """
+    """Fixed-size datagram header: exactly the fields to_bytes writes."""
 
     src: VirtualAddress
     dst: VirtualAddress
     src_port: int
     dst_port: int
-    payload_length: int = 0
     version: int = PROTOCOL_VERSION
     flags: int = 0
 
@@ -138,12 +148,6 @@ class PacketHeader:
             raise CodecError(f"version {self.version} outside 8-bit range")
         if not 0 <= self.flags <= 0xFF:
             raise CodecError(f"flags {self.flags} outside 8-bit range")
-        if self.payload_length < 0:
-            raise CodecError("payload_length may not be negative")
-        if self.payload_length > MAX_PAYLOAD_SIZE:
-            raise OversizePayloadError(
-                f"payload_length {self.payload_length} exceeds {MAX_PAYLOAD_SIZE}"
-            )
 
     def to_bytes(self) -> bytes:
         """Serialize the constant 20-byte wire header."""
@@ -161,17 +165,11 @@ class PacketHeader:
 def encode_packet(header: PacketHeader, payload: bytes) -> bytes:
     """Serialize header and payload into one datagram.
 
-    Raises OversizePayloadError above the payload ceiling and CodecError when
-    header.payload_length disagrees with the payload.
+    Raises OversizePayloadError above the payload ceiling.
     """
     if len(payload) > MAX_PAYLOAD_SIZE:
         raise OversizePayloadError(
             f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_SIZE}"
-        )
-    if header.payload_length != len(payload):
-        raise CodecError(
-            f"header.payload_length {header.payload_length} != payload "
-            f"length {len(payload)}"
         )
     return header.to_bytes() + payload
 
@@ -204,7 +202,6 @@ def decode_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
         dst=VirtualAddress.from_bytes(dst_raw),
         src_port=src_port,
         dst_port=dst_port,
-        payload_length=len(payload),
         version=version,
         flags=flags,
     )

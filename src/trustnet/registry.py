@@ -27,15 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO, Union
 
-from .channel import (
-    FRAME_ACCEPT,
-    FRAME_CONFIRM,
-    FRAME_DECLINE,
-    FRAME_ERROR,
-    FRAME_REQUEST,
-    ERROR_UNKNOWN_DESTINATION,
-    KEY_SIZE,
-)
 from .errors import (
     ConfigInvalidError,
     DuplicateKeyError,
@@ -46,6 +37,13 @@ from .errors import (
     UnknownNodeError,
 )
 from .overlay import (
+    ERROR_UNKNOWN_DESTINATION,
+    FRAME_ACCEPT,
+    FRAME_CONFIRM,
+    FRAME_DECLINE,
+    FRAME_ERROR,
+    FRAME_REQUEST,
+    KEY_SIZE,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
     VirtualAddress,
@@ -67,7 +65,10 @@ HEARTBEAT_INTERVAL = 30.0
 MISSED_HEARTBEATS = 3
 OFFLINE_AFTER = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
-REGISTRY_ADDRESS = VirtualAddress(0, 1)
+# The registry's one network and its own well-known address on it.
+NETWORK_ID = 0
+NETWORK_NAME = "backbone"
+REGISTRY_ADDRESS = VirtualAddress(NETWORK_ID, 1)
 # Most capability tags one agent may register.
 TAG_LIMIT = 3
 
@@ -157,19 +158,13 @@ class RegistryService:
     def __init__(
         self,
         *,
-        network_id: int = 0,
-        network_name: str = "backbone",
         base_node_id: int = 1,
-        registry_address: VirtualAddress = REGISTRY_ADDRESS,
         clock: Optional[Callable[[], float]] = None,
         event_log: Union[str, Path, None] = None,
     ) -> None:
         if base_node_id < 0:
             raise ConfigInvalidError("base_node_id may not be negative")
-        self.network_id = network_id
-        self.network_name = network_name
         self.base_node_id = base_node_id
-        self.registry_address = registry_address
         self._clock = clock if clock is not None else time.time
         self._nodes: dict[VirtualAddress, NodeRecord] = {}
         self._by_key: dict[bytes, VirtualAddress] = {}
@@ -290,7 +285,7 @@ class RegistryService:
         hostname: Optional[str],
         at_time: float,
     ) -> NodeRecord:
-        address = VirtualAddress(self.network_id, self.base_node_id + len(self._nodes))
+        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._nodes))
         record = NodeRecord(
             address=address,
             public_key=public_key,
@@ -377,7 +372,7 @@ class RegistryService:
         return StatsSnapshot(
             generated_at=now,
             requests_served=self.requests_served,
-            networks=[NetworkView(self.network_id, self.network_name)],
+            networks=[NetworkView(NETWORK_ID, NETWORK_NAME)],
             nodes=nodes,
             trust_edges=edges,
             summary_trust_links=self._summary_trust_links,
@@ -405,11 +400,10 @@ class RegistryService:
             return []
         if header.dst not in self._nodes:
             error_header = PacketHeader(
-                src=self.registry_address,
+                src=REGISTRY_ADDRESS,
                 dst=header.src,
                 src_port=PORT_TRUST_HANDSHAKE,
                 dst_port=PORT_TRUST_HANDSHAKE,
-                payload_length=2,
             )
             error_payload = bytes([FRAME_ERROR, ERROR_UNKNOWN_DESTINATION])
             return [(header.src, encode_packet(error_header, error_payload))]

@@ -13,7 +13,8 @@ RegistryServer.dropped; no datagram stops the UDP thread.
 
 The stats endpoint is a line-oriented TCP listener on the same port number:
 the request line names the path `/api/stats` and the response is the full
-snapshot as one JSON document.
+snapshot as one JSON document. The line is read as bytes, at most 65,535 of
+them, and never decoded.
 
 All registry mutations funnel through one lock, preserving the serialized
 single-writer contract while the UDP and TCP threads run concurrently.
@@ -154,11 +155,10 @@ class RegistryServer:
         if header.dst_port == PORT_REGISTRY:
             reply = self._control_op(payload, peer)
             out = PacketHeader(
-                src=self.registry.registry_address,
+                src=REGISTRY_ADDRESS,
                 dst=header.src,
                 src_port=PORT_REGISTRY,
                 dst_port=header.src_port,
-                payload_length=len(reply),
             )
             self._udp.sendto(encode_packet(out, reply), peer)
         elif header.dst_port == PORT_TRUST_HANDSHAKE:
@@ -233,11 +233,11 @@ class RegistryServer:
             with conn:
                 conn.settimeout(2.0)
                 try:
-                    line = conn.makefile("r", encoding="utf-8").readline()
+                    line = conn.makefile("rb").readline(_RECV_SIZE)
                 except OSError:
                     continue
-                tokens = line.split()
-                if STATS_PATH in tokens:
+                # The line stays bytes: nothing is decoded, so nothing fails.
+                if STATS_PATH.encode() in line.split():
                     with self._lock:
                         snapshot = self.registry.snapshot()
                     body = snapshot.to_json()
@@ -285,7 +285,6 @@ class RegistryClient:
             dst=REGISTRY_ADDRESS,
             src_port=PORT_REGISTRY,
             dst_port=PORT_REGISTRY,
-            payload_length=len(body),
         )
         self._sock.sendto(encode_packet(header, body), self.server)
         while True:

@@ -34,13 +34,6 @@ from pathlib import Path
 from typing import Callable, Optional, Union
 
 from .channel import (
-    FRAME_ACCEPT,
-    FRAME_CONFIRM,
-    FRAME_DATA,
-    FRAME_DECLINE,
-    FRAME_ERROR,
-    FRAME_REQUEST,
-    SEAL_OVERHEAD,
     AcceptAllPolicy,
     HandshakeInitiator,
     HandshakeResponder,
@@ -58,6 +51,12 @@ from .growth import (
     pick_target,
 )
 from .overlay import (
+    FRAME_ACCEPT,
+    FRAME_CONFIRM,
+    FRAME_DATA,
+    FRAME_DECLINE,
+    FRAME_ERROR,
+    FRAME_REQUEST,
     PORT_SECURE_CHANNEL,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
@@ -533,7 +532,6 @@ class _SimAgent:
             dst=peer,
             src_port=PORT_SECURE_CHANNEL,
             dst_port=PORT_SECURE_CHANNEL,
-            payload_length=1 + len(plaintext) + SEAL_OVERHEAD,
         )
         sealed = session.seal(header, plaintext)
         datagram = encode_packet(header, bytes([FRAME_DATA]) + sealed)
@@ -560,7 +558,6 @@ def _handshake_datagram(
         dst=dst,
         src_port=PORT_TRUST_HANDSHAKE,
         dst_port=PORT_TRUST_HANDSHAKE,
-        payload_length=len(payload),
     )
     return encode_packet(header, payload)
 

@@ -210,7 +210,6 @@ def test_criterion_01_codec_round_trip():
             dst=dst,
             src_port=rng.randrange(1 << 16),
             dst_port=rng.randrange(1 << 16),
-            payload_length=len(payload),
             flags=rng.randrange(1 << 8),
         )
         decoded_header, decoded_payload = decode_packet(
@@ -273,8 +272,7 @@ def test_criterion_02_crypto_vectors_and_adversarial_rejection():
         alice, bob, AcceptAllPolicy(), directory.__getitem__, random.Random(23)
     )
     header = PacketHeader(
-        src=alice.address, dst=bob.address, src_port=443, dst_port=443,
-        payload_length=0,
+        src=alice.address, dst=bob.address, src_port=443, dst_port=443
     )
 
     rng = random.Random(0xADBEEF)

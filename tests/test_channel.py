@@ -215,26 +215,12 @@ def make_pair(seed: int = 7) -> tuple[SecureSession, SecureSession, PacketHeader
         a_addr, b_addr, exchange_public_bytes(a_eph), exchange_public_bytes(b_eph)
     )
     sender = derive_session(
-        a_eph,
-        exchange_public_bytes(b_eph),
-        "initiator",
-        local=a_addr,
-        peer=b_addr,
-        transcript=transcript,
-        rng=rng,
+        a_eph, exchange_public_bytes(b_eph), transcript=transcript, rng=rng
     )
     receiver = derive_session(
-        b_eph,
-        exchange_public_bytes(a_eph),
-        "responder",
-        local=b_addr,
-        peer=a_addr,
-        transcript=transcript,
-        rng=rng,
+        b_eph, exchange_public_bytes(a_eph), transcript=transcript, rng=rng
     )
-    header = PacketHeader(
-        src=a_addr, dst=b_addr, src_port=443, dst_port=443, payload_length=0
-    )
+    header = PacketHeader(src=a_addr, dst=b_addr, src_port=443, dst_port=443)
     return sender, receiver, header
 
 
@@ -279,11 +265,8 @@ class TestSealOpen:
                 tampered[position] ^= 1 << bit
                 # fresh window each time so the only possible verdict is auth
                 fresh = SecureSession(
-                    local=VirtualAddress(0, 11),
-                    peer=VirtualAddress(0, 10),
                     session_key=sender.session_key,
                     nonce_prefix=b"\x00\x00\x00\x00",
-                    role="responder",
                 )
                 with pytest.raises(AuthFailureError):
                     fresh.open(header, bytes(tampered))
@@ -296,7 +279,6 @@ class TestSealOpen:
             dst=header.dst,
             src_port=header.src_port,
             dst_port=80,
-            payload_length=0,
         )
         with pytest.raises(AuthFailureError):
             receiver.open(wrong, sealed)
@@ -399,7 +381,6 @@ class TestHandshake:
             dst=bob.address,
             src_port=443,
             dst_port=443,
-            payload_length=0,
         )
         assert s_resp.open(header, s_init.seal(header, b"hi")) == b"hi"
 

@@ -296,7 +296,6 @@ def test_registry_snapshot_digest():
                 dst=dst,
                 src_port=PORT_TRUST_HANDSHAKE,
                 dst_port=PORT_TRUST_HANDSHAKE,
-                payload_length=len(payload),
             )
             registry.relay_handshake(encode_packet(header, payload))
     registry.record_trust(addresses[3], addresses[3])

@@ -2,7 +2,8 @@
 
 Every case runs in a fresh interpreter, because the test process itself has
 long since imported cryptography. numpy and scipy stay watched: no command
-may load them.
+may load them. Only `simulate` loads cryptography; the registry daemon relays
+handshake frames without loading it or the channel.
 """
 
 import json
@@ -99,6 +100,41 @@ def test_importing_growth_loads_no_cryptography(tmp_path):
 )
 def test_command_loads_no_heavy_dependency(loaded, command):
     assert not set(loaded[command]) & set(HEAVY)
+
+
+# Two agents with opaque keys register, then pass a REQUEST/ACCEPT/CONFIRM
+# triple of opaque bodies through the relay, which records their trust pair.
+REGISTRY_SESSION = """
+from trustnet.overlay import (
+    FRAME_ACCEPT, FRAME_CONFIRM, FRAME_REQUEST, PORT_TRUST_HANDSHAKE, PacketHeader,
+    encode_packet,
+)
+from trustnet.server import RegistryClient, RegistryServer, fetch_stats
+
+with RegistryServer() as server:
+    a, b = RegistryClient(server.endpoint), RegistryClient(server.endpoint)
+    a.register(bytes(32))
+    b.register(bytes([1]) * 32)
+    relayed = []
+    for sender, receiver, kind in (
+        (a, b, FRAME_REQUEST), (b, a, FRAME_ACCEPT), (a, b, FRAME_CONFIRM)
+    ):
+        header = PacketHeader(src=sender.address, dst=receiver.address,
+                              src_port=PORT_TRUST_HANDSHAKE,
+                              dst_port=PORT_TRUST_HANDSHAKE)
+        datagram = encode_packet(header, bytes([kind]) + bytes(64))
+        sender.send_datagram(datagram)
+        relayed.append(receiver.recv_datagram() == datagram)
+    a.close()
+    b.close()
+    result = [relayed, len(fetch_stats(server.endpoint).trust_edges)]
+"""
+
+
+def test_registry_daemon_loads_no_cryptography(tmp_path):
+    done = run_fresh(REGISTRY_SESSION, tmp_path)
+    assert done["result"] == [[True, True, True], 1]
+    assert not set(done["loaded"]) & {"cryptography", "trustnet.channel"}
 
 
 def test_star_import_resolves_every_public_name(tmp_path):

@@ -37,7 +37,6 @@ def make_header(**overrides) -> PacketHeader:
         dst=VirtualAddress(0, 2),
         src_port=50_000,
         dst_port=443,
-        payload_length=0,
     )
     base.update(overrides)
     return PacketHeader(**base)
@@ -99,7 +98,7 @@ class TestAddressText:
 
 class TestPacketCodec:
     def test_two_byte_payload_is_22_bytes(self) -> None:
-        datagram = encode_packet(make_header(payload_length=2), b"hi")
+        datagram = encode_packet(make_header(), b"hi")
         assert len(datagram) == 22
         assert datagram[:2] == MAGIC
 
@@ -116,28 +115,21 @@ class TestPacketCodec:
             assert len(header.to_bytes()) == HEADER_SIZE
 
     def test_round_trip_identity(self) -> None:
-        header = make_header(payload_length=5, flags=3)
+        header = make_header(flags=3)
         decoded, payload = decode_packet(encode_packet(header, b"abcde"))
         assert decoded == header
         assert payload == b"abcde"
 
     def test_payload_at_ceiling_accepted(self) -> None:
         blob = b"\x00" * MAX_PAYLOAD_SIZE
-        header = make_header(payload_length=MAX_PAYLOAD_SIZE)
+        header = make_header()
         decoded, payload = decode_packet(encode_packet(header, blob))
-        assert decoded.payload_length == MAX_PAYLOAD_SIZE
+        assert decoded == header
         assert payload == blob
 
     def test_oversize_payload_rejected(self) -> None:
         with pytest.raises(OversizePayloadError):
-            make_header(payload_length=MAX_PAYLOAD_SIZE + 1)
-        header = make_header(payload_length=MAX_PAYLOAD_SIZE)
-        with pytest.raises(OversizePayloadError):
-            encode_packet(header, b"\x00" * (MAX_PAYLOAD_SIZE + 1))
-
-    def test_length_mismatch_rejected(self) -> None:
-        with pytest.raises(CodecError):
-            encode_packet(make_header(payload_length=3), b"hi")
+            encode_packet(make_header(), b"\x00" * (MAX_PAYLOAD_SIZE + 1))
 
     def test_truncated_rejected(self) -> None:
         with pytest.raises(TruncatedPacketError):
@@ -185,7 +177,6 @@ class TestPacketCodec:
             dst=dst,
             src_port=src_port,
             dst_port=dst_port,
-            payload_length=len(payload),
             flags=flags,
         )
         datagram = encode_packet(header, payload)

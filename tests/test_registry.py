@@ -6,12 +6,6 @@ import random
 import pytest
 
 from trustnet.channel import (
-    FRAME_ACCEPT,
-    FRAME_CONFIRM,
-    FRAME_DECLINE,
-    FRAME_ERROR,
-    FRAME_REQUEST,
-    ERROR_UNKNOWN_DESTINATION,
     AcceptAllPolicy,
     AgentIdentity,
     HandshakeInitiator,
@@ -26,6 +20,12 @@ from trustnet.errors import (
     UnknownNodeError,
 )
 from trustnet.overlay import (
+    ERROR_UNKNOWN_DESTINATION,
+    FRAME_ACCEPT,
+    FRAME_CONFIRM,
+    FRAME_DECLINE,
+    FRAME_ERROR,
+    FRAME_REQUEST,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
     VirtualAddress,
@@ -69,7 +69,6 @@ def frame(
         dst=dst,
         src_port=PORT_TRUST_HANDSHAKE,
         dst_port=PORT_TRUST_HANDSHAKE,
-        payload_length=len(payload),
     )
     return encode_packet(header, payload)
 
@@ -378,9 +377,7 @@ class TestRelay:
     def test_frames_not_addressed_to_port_444_are_ignored(self):
         registry, _ = make_registry()
         a, b = self.setup_pair(registry)
-        header = PacketHeader(
-            src=a, dst=b, src_port=443, dst_port=443, payload_length=5
-        )
+        header = PacketHeader(src=a, dst=b, src_port=443, dst_port=443)
         assert registry.relay_handshake(encode_packet(header, b"\x04data")) == []
 
     def test_real_handshake_through_relay(self, tmp_path):

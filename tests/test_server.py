@@ -13,11 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustnet.channel import (
-    FRAME_ACCEPT,
-    FRAME_CONFIRM,
-    FRAME_ERROR,
-    FRAME_REQUEST,
-    ERROR_UNKNOWN_DESTINATION,
     AcceptAllPolicy,
     AgentIdentity,
     HandshakeInitiator,
@@ -25,6 +20,11 @@ from trustnet.channel import (
 )
 from trustnet.errors import TrustNetError
 from trustnet.overlay import (
+    ERROR_UNKNOWN_DESTINATION,
+    FRAME_ACCEPT,
+    FRAME_CONFIRM,
+    FRAME_ERROR,
+    FRAME_REQUEST,
     PORT_REGISTRY,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
@@ -53,7 +53,6 @@ def handshake_datagram(src, dst, payload) -> bytes:
         dst=dst,
         src_port=PORT_TRUST_HANDSHAKE,
         dst_port=PORT_TRUST_HANDSHAKE,
-        payload_length=len(payload),
     )
     return encode_packet(header, payload)
 
@@ -64,7 +63,6 @@ def control_datagram(body: bytes, dst_port: int = PORT_REGISTRY) -> bytes:
         dst=REGISTRY_ADDRESS,
         src_port=PORT_REGISTRY,
         dst_port=dst_port,
-        payload_length=len(body),
     )
     return encode_packet(header, body)
 
@@ -96,7 +94,7 @@ class TestControlOps:
             addr_b = b.register(key_b)
             assert addr_b.node_id == addr_a.node_id + 1
             # default base keeps clear of the registry's own address
-            assert addr_a != server.registry.registry_address
+            assert addr_a != REGISTRY_ADDRESS
 
     def test_duplicate_key_reported(self, server):
         rng = random.Random(1)
@@ -321,6 +319,13 @@ class TestStatsEndpoint:
             conn.sendall(b"GET /api/everything\n")
             body = conn.recv(65536)
         assert json.loads(body) == {"ok": False, "error": "unknown-path"}
+
+    def test_undecodable_request_line_leaves_endpoint_up(self, server):
+        with socket.create_connection(server.endpoint, timeout=3.0) as conn:
+            conn.sendall(b"\xff\xfe GET /api/stats\n")
+            while conn.recv(65536):
+                pass
+        assert fetch_stats(server.endpoint).nodes == []
 
     def test_snapshot_fields_match_contract(self, server):
         rng = random.Random(7)
