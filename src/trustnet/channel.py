@@ -56,6 +56,7 @@ NONCE_SIZE = 12
 TAG_SIZE = 16
 SEAL_OVERHEAD = NONCE_SIZE + TAG_SIZE
 REPLAY_WINDOW_SIZE = 64
+_REPLAY_MASK = (1 << REPLAY_WINDOW_SIZE) - 1
 MAX_COUNTER = 2**64 - 1
 
 _HKDF_SALT = b"trustnet-channel-v1"
@@ -148,13 +149,12 @@ def transcript_hash(
 class ReplayWindow:
     """Sliding acceptance window over receive counters.
 
-    Tracks the highest accepted counter and a bitmap of the `size` counters
-    at and below it. Counters older than the window are indistinguishable
-    from replays and are rejected.
+    Tracks the highest accepted counter and a bitmap of the
+    REPLAY_WINDOW_SIZE counters at and below it. Counters older than the
+    window are indistinguishable from replays and are rejected.
     """
 
-    def __init__(self, size: int = REPLAY_WINDOW_SIZE) -> None:
-        self._size = size
+    def __init__(self) -> None:
         self._highest = -1
         self._mask = 0
 
@@ -162,17 +162,17 @@ class ReplayWindow:
         if counter > self._highest:
             return False
         offset = self._highest - counter
-        if offset >= self._size:
+        if offset >= REPLAY_WINDOW_SIZE:
             return True
         return bool((self._mask >> offset) & 1)
 
     def record(self, counter: int) -> None:
         if counter > self._highest:
             shift = counter - self._highest
-            if shift >= self._size:
+            if shift >= REPLAY_WINDOW_SIZE:
                 self._mask = 1
             else:
-                self._mask = ((self._mask << shift) | 1) & ((1 << self._size) - 1)
+                self._mask = ((self._mask << shift) | 1) & _REPLAY_MASK
             self._highest = counter
         else:
             self._mask |= 1 << (self._highest - counter)

@@ -71,16 +71,14 @@ def _axes(x_label: str, y_label: str) -> list[str]:
     ]
 
 
-def degree_histogram_svg(
-    hist: dict[int, int], title: str = "Trust degree distribution"
-) -> str:
+def degree_histogram_svg(hist: dict[int, int]) -> str:
     """Linear-scale bar chart of a degree histogram."""
     k_max = max(hist, default=0) + 1
     c_max = max(hist.values(), default=0)
     c_top = max(c_max, 1)
     slot = PLOT_W / (k_max + 1)
     bar_w = slot * 0.85
-    parts = _svg_open(title)
+    parts = _svg_open("Trust degree distribution")
     parts += _axes("degree", "agents")
     y_base = MARGIN_TOP + PLOT_H
     tick_step = max(1, -(-c_top // 5))
@@ -119,7 +117,6 @@ def degree_loglog_svg(
     hist: dict[int, int],
     gamma: Optional[float] = None,
     k_min: Optional[int] = None,
-    title: str = "Degree distribution (log-log)",
 ) -> str:
     """Log-log scatter of (degree, count) with an optional -gamma slope line.
 
@@ -130,7 +127,7 @@ def degree_loglog_svg(
     points = sorted(
         (k, c) for k, c in hist.items() if k >= 1 and c >= 1
     )
-    parts = _svg_open(title)
+    parts = _svg_open("Degree distribution (log-log)")
     parts += _axes("log10 degree", "log10 agents")
     if points:
         x_hi = max(1.0, math.log10(points[-1][0]))

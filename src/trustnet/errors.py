@@ -75,19 +75,15 @@ class SignatureInvalidError(HandshakeError):
 # --- registry ---
 
 
-class RegistryError(TrustNetError):
-    """Base for registry failures."""
-
-
-class DuplicateKeyError(RegistryError):
+class DuplicateKeyError(TrustNetError):
     """Public key or hostname is already registered."""
 
 
-class HostnameNotFoundError(RegistryError):
+class HostnameNotFoundError(TrustNetError):
     """Hostname has no binding."""
 
 
-class UnknownNodeError(RegistryError):
+class UnknownNodeError(TrustNetError):
     """Address is not registered."""
 
 

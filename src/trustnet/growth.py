@@ -34,7 +34,7 @@ import random
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import ClassVar, Iterable, Optional, Sequence, Union, get_type_hints
 
 from .errors import (
     ConfigInvalidError,
@@ -208,70 +208,62 @@ def check_field_types(config) -> None:
                 raise ConfigInvalidError(f"{f.name} must be {noun}")
 
 
-def config_from_dict(cls, doc, what: str, **readers):
-    """Build and validate a config dataclass from its JSON object form.
+class ConfigDocument:
+    """Base of the config dataclasses: each read from and written to JSON.
 
-    Keys are the fields; one without a default is required. A key in
-    ``readers`` goes through that function; a JSON int for a float field is
-    stored as a float, so ``2`` and ``2.0`` give the same config.
+    The JSON object form has one key per field, and ``to_dict``, ``from_dict``
+    and ``read`` work from the dataclass fields alone. A key without a
+    default is required and an unknown key is refused. A field annotated
+    with a ConfigDocument class is read by that class's ``from_dict``; a
+    JSON int for a float field is stored as a float, so ``2`` and ``2.0``
+    give the same config. Errors name the document by the class's ``what``.
     """
-    if not isinstance(doc, dict):
-        raise ConfigInvalidError(f"{what} must be an object")
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = set(doc) - set(types)
-    if unknown:
-        raise ConfigInvalidError(f"unknown {what} keys {sorted(unknown)}")
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
-            raise ConfigInvalidError(f"{what} requires {f.name}")
-    kwargs = {}
-    for name, value in doc.items():
-        if name in readers:
-            value = readers[name](value)
-        elif types[name] == "float" and is_number(value):
-            value = float(value)
-        kwargs[name] = value
-    config = cls(**kwargs)
-    config.validate()
-    return config
 
+    what: ClassVar[str]
 
-def config_to_dict(config, omit: tuple[str, ...] = ()) -> dict:
-    """One key per field: a nested config as its to_dict, a tuple as a list."""
-    names = [f.name for f in fields(config) if f.name not in omit]
-    doc = {name: getattr(config, name) for name in names}
-    for name, value in doc.items():
-        if hasattr(value, "to_dict"):
-            doc[name] = value.to_dict()
-        elif isinstance(value, tuple):
-            doc[name] = list(value)
-    return doc
+    def to_dict(self) -> dict:
+        doc = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            doc[f.name] = value.to_dict() if isinstance(value, ConfigDocument) else value
+        return doc
 
+    @classmethod
+    def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ConfigInvalidError(f"{cls.what} must be an object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigInvalidError(f"unknown {cls.what} keys {sorted(unknown)}")
+        for f in fields(cls):
+            if f.default is MISSING and f.default_factory is MISSING and f.name not in doc:
+                raise ConfigInvalidError(f"{cls.what} requires {f.name}")
+        types = get_type_hints(cls)
+        kwargs = {}
+        for name, value in doc.items():
+            kind = types[name]
+            if isinstance(kind, type) and issubclass(kind, ConfigDocument):
+                value = kind.from_dict(value)
+            elif kind is float and is_number(value):
+                value = float(value)
+            kwargs[name] = value
+        config = cls(**kwargs)
+        config.validate()
+        return config
 
-def _read_weights(doc) -> tuple[float, ...]:
-    if not isinstance(doc, list) or not all(map(is_number, doc)):
-        raise ConfigInvalidError("tags_per_tagged must be a list of numbers")
-    return tuple(map(float, doc))
-
-
-def _read_vocabulary(doc) -> tuple[tuple[str, float], ...]:
-    if not isinstance(doc, list) or not all(
-        isinstance(pair, list)
-        and len(pair) == 2
-        and isinstance(pair[0], str)
-        and is_number(pair[1])
-        for pair in doc
-    ):
-        raise ConfigInvalidError("tag_vocabulary must be [tag, weight] pairs")
-    return tuple((tag, float(weight)) for tag, weight in doc)
+    @classmethod
+    def read(cls, path: Union[str, Path]):
+        return cls.from_dict(read_json(Path(path).read_bytes(), cls.what))
 
 
 # --- configuration ---
 
 
 @dataclass(frozen=True)
-class MechanismMix:
+class MechanismMix(ConfigDocument):
     """Attachment mechanism weights; must sum to 1."""
+
+    what = "mix"
 
     propinquity: float = 0.35
     preferential: float = 0.25
@@ -316,17 +308,15 @@ class MechanismMix:
         scaled[name] = value
         return MechanismMix(**scaled)
 
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "MechanismMix":
-        return config_from_dict(cls, doc, "mix")
-
 
 @dataclass(frozen=True)
-class GrowthConfig:
-    """Full parameterization of one generated network."""
+class GrowthConfig(ConfigDocument):
+    """Full parameterization of one generated network.
+
+    Tags come from the default tag model; only its untagged share is a field.
+    """
+
+    what = "growth config"
 
     n: int = 626
     self_loop_probability: float = 0.64
@@ -335,10 +325,6 @@ class GrowthConfig:
     window: int = 10
     mix: MechanismMix = field(default_factory=MechanismMix)
     untagged_probability: float = 0.42
-    tags_per_tagged: tuple[float, float, float] = (0.09, 0.29, 0.62)
-    tag_vocabulary: tuple[tuple[str, float], ...] = field(
-        default_factory=default_tag_vocabulary
-    )
     seed: int = 0
     # Mean arrival-burst size; 0 disables sessions entirely, making the
     # propinquity window global over all prior arrivals.
@@ -375,39 +361,7 @@ class GrowthConfig:
             raise ConfigInvalidError(
                 "connector_stub_mean must be at least 1 when connectors are enabled"
             )
-        weights = self.tags_per_tagged
-        if len(weights) != 3 or min(weights) < 0 or not sum(weights):
-            raise ConfigInvalidError(
-                "tags_per_tagged must be three non-negative weights, not all 0"
-            )
-        if not self.tag_vocabulary or min(w for _, w in self.tag_vocabulary) <= 0:
-            raise ConfigInvalidError("tag_vocabulary needs positive tag weights")
         self.mix.validate()
-
-    def build_tag_model(self) -> TagModel:
-        return TagModel(
-            vocabulary=self.tag_vocabulary,
-            untagged_probability=self.untagged_probability,
-            count_distribution=self.tags_per_tagged,
-        )
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self, omit=("tag_vocabulary",))
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "GrowthConfig":
-        return config_from_dict(
-            cls,
-            doc,
-            "growth config",
-            mix=MechanismMix.from_dict,
-            tags_per_tagged=_read_weights,
-            tag_vocabulary=_read_vocabulary,
-        )
-
-    @classmethod
-    def read(cls, path: Union[str, Path]) -> "GrowthConfig":
-        return cls.from_dict(read_json(Path(path).read_bytes(), "growth config"))
 
 
 # Shipped calibration targeting the observed 626-agent topology. Structural
@@ -542,7 +496,10 @@ class GrowthTrace:
         return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
 
     def replay(self) -> StatsSnapshot:
-        """Rebuild the output snapshot from nothing but the trace."""
+        """Rebuild the output snapshot from nothing but the trace.
+
+        Nodes keep event order, which ``generate`` makes address order.
+        """
         edges: list[tuple[str, str]] = []
         degree: dict[str, int] = {}
         loops: set[str] = set()
@@ -574,9 +531,7 @@ class GrowthTrace:
                 online=True,
                 trust_links=degree[address] + (2 if address in loops else 0),
             )
-            for address in sorted(
-                degree, key=lambda text: VirtualAddress.from_text(text)
-            )
+            for address in degree
         ]
         return StatsSnapshot(
             generated_at=0.0,
@@ -700,7 +655,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
     """Grow one network; pure function of the config (including seed)."""
     config.validate()
     rng = random.Random(config.seed)
-    tag_model = config.build_tag_model()
+    tag_model = default_tag_model(config.untagged_probability)
     graph = AttachmentGraph()
     events: list[GrowthEvent] = []
     session_pool: list[int] = []

@@ -43,10 +43,9 @@ from .channel import (
 from .errors import BeaconUnavailableError, ConfigInvalidError
 from .growth import (
     AttachmentGraph,
+    ConfigDocument,
     MechanismMix,
     check_field_types,
-    config_from_dict,
-    config_to_dict,
     default_tag_model,
     pick_target,
 )
@@ -65,7 +64,7 @@ from .overlay import (
     encode_packet,
 )
 from .registry import RegistryService
-from .snapshot import StatsSnapshot, read_json
+from .snapshot import StatsSnapshot
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
@@ -80,12 +79,15 @@ NAT_KINDS = ("cone", "symmetric")
 
 
 @dataclass(frozen=True)
-class Distribution:
+class Distribution(ConfigDocument):
     """Scalar sampler for inter-arrival times, latencies, and link counts.
 
     Times are virtual seconds and latencies virtual milliseconds; the unit is
     set by where the distribution is used, not by the distribution itself.
+    Its JSON form names exactly the keys of its kind.
     """
+
+    what = "distribution"
 
     kind: str
     value: float = 0.0
@@ -137,8 +139,8 @@ class Distribution:
         return {"kind": "exponential", "mean": self.mean}
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Distribution":
-        dist = config_from_dict(cls, doc, "distribution")
+    def from_dict(cls, doc) -> "Distribution":
+        dist = super().from_dict(doc)
         keys = dist.to_dict().keys()
         if doc.keys() != keys:
             raise ConfigInvalidError(f"{dist.kind} keys must be {sorted(keys)}")
@@ -232,7 +234,7 @@ def relay_via_beacon(
 
 
 @dataclass(frozen=True)
-class BehaviorPolicy:
+class BehaviorPolicy(ConfigDocument):
     """Behavioral knobs shared by every simulated agent.
 
     `window` bounds the propinquity pool to the most recent arrivals;
@@ -240,6 +242,8 @@ class BehaviorPolicy:
     tags (otherwise it draws 1-3 from the default vocabulary); responders
     accept every handshake request.
     """
+
+    what = "behavior"
 
     self_trust_probability: float = 0.0
     peer_selection: MechanismMix = field(default_factory=MechanismMix)
@@ -263,23 +267,12 @@ class BehaviorPolicy:
         if not 0 <= self.untagged_probability <= 1:
             raise ConfigInvalidError("untagged_probability must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BehaviorPolicy":
-        return config_from_dict(
-            cls,
-            doc,
-            "behavior",
-            peer_selection=MechanismMix.from_dict,
-            target_links=Distribution.from_dict,
-        )
-
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(ConfigDocument):
     """Full parameterization of one scenario run."""
+
+    what = "scenario"
 
     agent_count: int
     arrival_schedule: Distribution = field(
@@ -310,30 +303,6 @@ class SimConfig:
         self.arrival_schedule.validate()
         self.latency.validate()
         self.behavior.validate()
-
-    def to_dict(self) -> dict:
-        return config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "SimConfig":
-        return config_from_dict(
-            cls,
-            doc,
-            "scenario",
-            arrival_schedule=Distribution.from_dict,
-            latency=Distribution.from_dict,
-            behavior=BehaviorPolicy.from_dict,
-        )
-
-    @classmethod
-    def read(cls, path: Union[str, Path]) -> "SimConfig":
-        return cls.from_dict(read_json(Path(path).read_bytes(), "scenario"))
-
-    def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
 
 
 def _split_rng(seed: int, label: str) -> random.Random:

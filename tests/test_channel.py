@@ -335,7 +335,7 @@ class TestReplayWindowOracle:
     def test_random_sequences_match_oracle(self) -> None:
         rng = random.Random(1234)
         for _ in range(200):
-            window = ReplayWindow(size=64)
+            window = ReplayWindow()
             seen: set[int] = set()
             highest = -1
             for _ in range(300):
@@ -352,7 +352,7 @@ class TestReplayWindowOracle:
         import itertools
 
         for perm in itertools.permutations(range(4)):
-            window = ReplayWindow(size=64)
+            window = ReplayWindow()
             for counter in perm:
                 assert not window.seen(counter)
                 window.record(counter)

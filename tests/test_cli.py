@@ -211,6 +211,52 @@ class TestSimulate:
             assert main(["simulate", "--config", str(config)]) == 2
 
 
+# The scenario file README.md shows.
+README_SCENARIO = {
+    "agent_count": 50,
+    "arrival_schedule": {"kind": "exponential", "mean": 12.0},
+    "loss_rate": 0.05,
+    "latency": {"kind": "uniform", "low": 20.0, "high": 80.0},
+    "behavior": {
+        "self_trust_probability": 0.64,
+        "target_links": {"kind": "fixed", "value": 2.0},
+    },
+    "symmetric_nat_fraction": 0.3,
+    "seed": 11,
+    "duration": 900.0,
+}
+
+
+class TestHeaderReproducesRun:
+    """The `config` a run prints, given back as --config, repeats the run byte for byte."""
+
+    @staticmethod
+    def rerun_printed_config(tmp_path, capsys, command: str, out) -> Path:
+        header = capsys.readouterr().out.split("resolved configuration:\n", 1)[1]
+        config = tmp_path / "printed.json"
+        config.write_text(json.dumps(json.JSONDecoder().raw_decode(header)[0]["config"]))
+        again = tmp_path / f"again-{out.name}"
+        assert main([command, "--config", str(config), "--out", str(again)]) == 0
+        return again
+
+    def test_generate(self, tmp_path, capsys):
+        out = tmp_path / "first.json"
+        args = ["generate", "--preset", "paper-2026", "--set", "n=300", "--seed", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        again = self.rerun_printed_config(tmp_path, capsys, "generate", out)
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_simulate(self, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(README_SCENARIO))
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(scenario), "--out", str(out)]) == 0
+        again = self.rerun_printed_config(tmp_path, capsys, "simulate", out)
+        assert again.read_bytes() == out.read_bytes()
+        events = again.with_name(again.stem + ".events.jsonl")
+        assert events.read_bytes() == (tmp_path / "sim.events.jsonl").read_bytes()
+
+
 class TestReplaceableEntryPoints:
     """The benchmark harness wraps or replaces these `trustnet.cli` attributes."""
 

@@ -407,9 +407,6 @@ class TestGrowthConfig:
             {"connector_fraction": 1.5},
             {"connector_stub_mean": -2.0},
             {"connector_fraction": 0.1, "connector_stub_mean": 0.5},
-            {"tags_per_tagged": (0.5, 0.5)},
-            {"tags_per_tagged": (-0.1, 0.5, 0.6)},
-            {"tag_vocabulary": ()},
             {"n": "10"},
             {"n": 10.0},
             {"n": True},
@@ -419,8 +416,6 @@ class TestGrowthConfig:
             {"stub_mean": "3"},
             {"self_loop_probability": None},
             {"connector_fraction": False},
-            {"tags_per_tagged": (0.0, 0.0, 0.0)},
-            {"tag_vocabulary": (("a", 1.0), ("b", 0.0))},
             {"stub_mean": float("nan")},
             {"session_mean": float("inf")},
             {"connector_stub_mean": 10**400},
@@ -494,6 +489,22 @@ class TestGenerate:
     def test_snapshot_equals_trace_replay(self):
         snapshot, trace = generate(small_config())
         assert trace.replay().to_json() == snapshot.to_json()
+
+    def test_generate_parses_no_address(self, monkeypatch):
+        """Replay keeps event order, which is address order; no text is parsed."""
+        parsed = []
+        from_text = VirtualAddress.from_text
+
+        def counted(cls, text):
+            parsed.append(text)
+            return from_text(text)
+
+        monkeypatch.setattr(VirtualAddress, "from_text", classmethod(counted))
+        snapshot, _ = generate(replace(preset("paper-2026"), n=2000))
+        assert parsed == []
+        assert [node.address for node in snapshot.nodes] == [
+            VirtualAddress(0, i).to_text() for i in range(1, 2001)
+        ]
 
     def test_trace_file_round_trip(self, tmp_path):
         snapshot, trace = generate(small_config())
