@@ -407,6 +407,9 @@ class TestGrowthConfig:
             {"connector_fraction": 1.5},
             {"connector_stub_mean": -2.0},
             {"connector_fraction": 0.1, "connector_stub_mean": 0.5},
+            {"untagged_probability": -0.5},
+            {"isolate_probability": 1.01},
+            {"mix": MechanismMix(propinquity=0.5)},
             {"n": "10"},
             {"n": 10.0},
             {"n": True},
@@ -416,6 +419,8 @@ class TestGrowthConfig:
             {"stub_mean": "3"},
             {"self_loop_probability": None},
             {"connector_fraction": False},
+            {"untagged_probability": "0.4"},
+            {"mix": MechanismMix(propinquity=0.7, preferential=-0.1)},
             {"stub_mean": float("nan")},
             {"session_mean": float("inf")},
             {"connector_stub_mean": 10**400},
