@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Optional, TextIO, Union
 
@@ -79,7 +79,11 @@ _SAW_ACCEPT = 2
 
 @dataclass
 class NodeRecord:
-    """Registry-side state for one registered agent."""
+    """Registry-side state for one registered agent.
+
+    text is the address's canonical text, rendered once, at registration;
+    snapshots and event-log lines read it instead of formatting the address.
+    """
 
     address: VirtualAddress
     public_key: bytes
@@ -88,6 +92,10 @@ class NodeRecord:
     registered_at: float
     last_heartbeat: float
     trust_links: int = 0
+    text: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.text = self.address.to_text()
 
     def online(self, now: float) -> bool:
         return (now - self.last_heartbeat) <= OFFLINE_AFTER
@@ -169,7 +177,8 @@ class RegistryService:
         self._nodes: dict[VirtualAddress, NodeRecord] = {}
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
-        self._edges: dict[tuple[VirtualAddress, VirtualAddress], None] = {}  # ordered set
+        # ordered set of pairs, each mapped to its two stored address texts
+        self._edges: dict[tuple[VirtualAddress, VirtualAddress], tuple[str, str]] = {}
         self._summary_trust_links = 0
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
@@ -269,7 +278,7 @@ class RegistryService:
         self._log_event(
             {
                 "event": "register",
-                "address": record.address.to_text(),
+                "address": record.text,
                 "public_key": public_key.hex(),
                 "tags": list(normalized),
                 "hostname": host,
@@ -334,12 +343,11 @@ class RegistryService:
         # run ahead of the deduplicated edge list when the same pair is
         # recorded twice (e.g. both endpoints initiated a handshake).
         self._summary_trust_links += 1
-        self._log_event(
-            {"event": "trust", "a": pair[0].to_text(), "b": pair[1].to_text()}
-        )
+        texts = (self._nodes[pair[0]].text, self._nodes[pair[1]].text)
+        self._log_event({"event": "trust", "a": texts[0], "b": texts[1]})
         if pair in self._edges:
             return False
-        self._edges[pair] = None
+        self._edges[pair] = texts
         if pair[0] == pair[1]:
             self._nodes[pair[0]].trust_links += 2
         else:
@@ -350,24 +358,22 @@ class RegistryService:
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
         now = self._clock()
-        self.node(address).last_heartbeat = now
-        self._log_event({"event": "heartbeat", "address": address.to_text(), "t": now})
+        record = self.node(address)
+        record.last_heartbeat = now
+        self._log_event({"event": "heartbeat", "address": record.text, "t": now})
 
     def snapshot(self) -> StatsSnapshot:
         """Consistent full view; the call itself counts as a request."""
         self.requests_served += 1
         now = self._clock()
         # _nodes holds records in allocation order, which is address order.
+        # Every value copied is immutable, so the snapshot shares no state
+        # with the registry and may be serialised after the lock is released.
         nodes = [
-            NodeView(
-                address=record.address.to_text(),
-                tags=record.tags,
-                online=record.online(now),
-                trust_links=record.trust_links,
-            )
+            NodeView(record.text, record.tags, record.online(now), record.trust_links)
             for record in self._nodes.values()
         ]
-        edges = [(a.to_text(), b.to_text()) for a, b in self._edges]
+        edges = list(self._edges.values())
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         return StatsSnapshot(
             generated_at=now,

@@ -17,7 +17,9 @@ snapshot as one JSON document. The line is read as bytes, at most 65,535 of
 them, and never decoded.
 
 All registry mutations funnel through one lock, preserving the serialized
-single-writer contract while the UDP and TCP threads run concurrently.
+single-writer contract while the UDP and TCP threads run concurrently. The
+stats thread holds the lock only for RegistryService.snapshot(), which copies
+stored address texts and counters, and writes the JSON after the release.
 """
 
 from __future__ import annotations

@@ -144,18 +144,18 @@ class StatsSnapshot:
 
     def to_json(self) -> str:
         """The document's bytes, by the contract in the module docstring."""
-        def listed(items: list[str], depth: int) -> str:  # as indent=2 lays a list out
-            inner = "\n" + "  " * (depth + 1)
-            return f"[{inner}{(',' + inner).join(items)}\n{'  ' * depth}]" if items else "[]"
+        def listed(items: list[str]) -> str:  # a top-level list, as indent=2 lays it out
+            return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
         q, field = encode_basestring_ascii, ",\n      "  # between fields of a list entry
+        first, tag, last = "[\n        ", ",\n        ", "\n      ]"  # a node's tags
         networks = [
             f'{{\n      "id": {int.__repr__(net.id)}{field}"name": {q(net.name)}\n    }}'
             for net in self.networks
         ]
         nodes = [
             f'{{\n      "address": {q(node.address)}{field}"tags": '
-            f"{listed([q(tag) for tag in node.tags], 3)}{field}"
+            f'{first + tag.join(map(q, node.tags)) + last if node.tags else "[]"}{field}'
             f'"online": {"true" if node.online else "false"}{field}'
             f'"trust_links": {int.__repr__(node.trust_links)}\n    }}'
             for node in self.nodes
@@ -165,9 +165,9 @@ class StatsSnapshot:
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'
             f'  "requests_per_agent": {json.dumps(self.requests_per_agent)},\n'
-            f'  "networks": {listed(networks, 1)},\n'
-            f'  "nodes": {listed(nodes, 1)},\n'
-            f'  "trust_edges": {listed(edges, 1)},\n'
+            f'  "networks": {listed(networks)},\n'
+            f'  "nodes": {listed(nodes)},\n'
+            f'  "trust_edges": {listed(edges)},\n'
             f'  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
         )
 

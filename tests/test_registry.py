@@ -277,6 +277,62 @@ class TestSnapshot:
         snap = registry.snapshot()
         assert [(net.id, net.name) for net in snap.networks] == [(0, "backbone")]
 
+    def test_snapshot_renders_no_address(self, monkeypatch):
+        """Each record's text is rendered at registration, not per snapshot."""
+        registry, _ = make_registry()
+        addresses = [registry.register(key(n)) for n in range(200)]
+        for i in range(150):
+            registry.record_trust(addresses[i], addresses[i // 2])
+        rendered = []
+        to_text = VirtualAddress.to_text
+
+        def counted(address):
+            rendered.append(address)
+            return to_text(address)
+
+        monkeypatch.setattr(VirtualAddress, "to_text", counted)
+        snap = registry.snapshot()
+        assert rendered == []
+        assert len(snap.nodes) == 200 and len(snap.trust_edges) == 150
+        assert [node.address for node in snap.nodes] == [a.to_text() for a in addresses]
+        assert snap.trust_edges[3] == (addresses[1].to_text(), addresses[3].to_text())
+
+    def test_record_text_is_its_address_text(self, tmp_path):
+        log_path = tmp_path / "events.jsonl"
+        registry, _ = make_registry(base_node_id=0xFFFE, event_log=log_path)
+        addresses = [registry.register(key(n)) for n in range(4)]
+        registry.record_trust(addresses[3], addresses[0])
+        registry.close()
+        restored = RegistryService.restore(
+            log_path, base_node_id=0xFFFE, clock=ManualClock()
+        )
+        for service in (registry, restored):
+            for address in addresses:
+                record = service.node(address)
+                assert record.text == record.address.to_text() == address.to_text()
+
+    def test_kept_snapshot_is_unchanged_by_later_calls(self):
+        """The server serialises a snapshot after it releases the registry lock."""
+        registry, clock = make_registry()
+        a = registry.register(key(1), tags=("coding",), hostname="alice")
+        b = registry.register(key(2))
+        registry.record_trust(a, b)
+        snap = registry.snapshot()
+        body = snap.to_json()
+        c = registry.register(key(3), tags=("web",))
+        clock.advance(OFFLINE_AFTER + 1.0)
+        registry.heartbeat(a)
+        for frame_type, src, dst in (
+            (FRAME_REQUEST, b, c),
+            (FRAME_ACCEPT, c, b),
+            (FRAME_CONFIRM, b, c),
+        ):
+            registry.relay_handshake(frame(src, dst, frame_type))
+        registry.record_trust(a, a)
+        registry.record_trust(a, b)
+        assert registry.snapshot().to_json() != body
+        assert snap.to_json() == body
+
 
 def relay_loop(registry, deliveries, inboxes):
     """Deliver relay output into per-address inboxes."""

@@ -5,6 +5,7 @@ import json
 import pathlib
 import random
 import socket
+import threading
 import warnings
 from collections import Counter
 
@@ -39,6 +40,7 @@ from trustnet.server import (
     RegistryServer,
     fetch_stats,
 )
+from trustnet.snapshot import StatsSnapshot
 
 
 @pytest.fixture()
@@ -307,7 +309,44 @@ class TestHandshakeRelay:
             assert header.dst == identity.address
 
 
+class _HeldLock:
+    """The server's lock, recording whether some thread holds it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.held = False
+
+    def __enter__(self) -> None:
+        self._lock.acquire()
+        self.held = True
+
+    def __exit__(self, *exc_info) -> None:
+        self.held = False
+        self._lock.release()
+
+
 class TestStatsEndpoint:
+    def test_snapshot_is_serialised_outside_the_lock(self, server, monkeypatch):
+        """Only RegistryService.snapshot() holds the lock that the UDP thread waits on."""
+        lock = server._lock = _HeldLock()
+        held_during = []
+
+        def recording(name, method):
+            def call(self):
+                held_during.append((name, lock.held))
+                return method(self)
+
+            return call
+
+        monkeypatch.setattr(
+            RegistryService, "snapshot", recording("snapshot", RegistryService.snapshot)
+        )
+        monkeypatch.setattr(
+            StatsSnapshot, "to_json", recording("to_json", StatsSnapshot.to_json)
+        )
+        fetch_stats(server.endpoint)
+        assert held_during == [("snapshot", True), ("to_json", False)]
+
     def test_fresh_registry_serves_empty_snapshot(self, server):
         snapshot = fetch_stats(server.endpoint)
         assert snapshot.nodes == []
