@@ -42,7 +42,14 @@ from .errors import (
     UnknownPresetError,
 )
 from .overlay import VirtualAddress
-from .snapshot import NetworkView, NodeView, StatsSnapshot, is_number, read_json
+from .snapshot import (
+    NetworkView,
+    NodeView,
+    StatsSnapshot,
+    compact_json,
+    is_number,
+    read_json,
+)
 
 MECHANISMS = ("propinquity", "preferential", "triadic", "uniform")
 
@@ -439,9 +446,7 @@ class GrowthEvent:
     tags: tuple[str, ...]
 
     def to_line(self) -> str:
-        import json
-
-        return json.dumps(
+        return compact_json(
             {
                 "index": self.index,
                 "address": self.address,
@@ -449,15 +454,12 @@ class GrowthEvent:
                 "isolate": self.isolate,
                 "attempts": [attempt.to_dict() for attempt in self.attempts],
                 "tags": list(self.tags),
-            },
-            separators=(",", ":"),
+            }
         )
 
     @classmethod
     def from_line(cls, line: str) -> "GrowthEvent":
-        import json
-
-        doc = json.loads(line)
+        doc = read_json(line, "growth trace line")
         return cls(
             index=doc["index"],
             address=doc["address"],

@@ -4,7 +4,10 @@ An overlay address combines a 16-bit network id with a 32-bit node id and is
 location independent. The canonical text form is ``D:NNNN.HHHH.LLLL`` where
 ``D`` is the network id in decimal and the three dot-separated groups are
 16-bit hex values: the network id again, then the high and low halves of the
-node id. The decimal prefix and the first hex group must agree.
+node id. The decimal prefix and the first hex group must agree. A
+VirtualAddress is an immutable ``(network_id, node_id)`` tuple: it compares,
+orders and hashes as that tuple, and so equals a plain
+``(network_id, node_id)``.
 
 Datagrams carry a fixed 20-byte header followed by the payload:
 
@@ -26,6 +29,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadMagicError,
@@ -56,27 +60,31 @@ ERROR_UNKNOWN_DESTINATION = 1
 
 KEY_SIZE = 32
 
-_HEADER_STRUCT = struct.Struct("!2sBB6s6sHH")
+# Each address is read and written as its two ints: network id, node id.
+_HEADER_STRUCT = struct.Struct("!2sBBHIHIHH")
 _ADDRESS_STRUCT = struct.Struct("!HI")
+_PORT_REGISTRY_BYTES = PORT_REGISTRY.to_bytes(2, "big")
 _ADDRESS_RE = re.compile(
     r"\A([0-9]+):([0-9A-Fa-f]{4})\.([0-9A-Fa-f]{4})\.([0-9A-Fa-f]{4})\Z"
 )
 
 
-@dataclass(frozen=True, order=True)
-class VirtualAddress:
-    """Overlay endpoint identity: (network_id, node_id)."""
-
+class _AddressFields(NamedTuple):
     network_id: int
     node_id: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.network_id <= 0xFFFF:
-            raise MalformedAddressError(
-                f"network_id {self.network_id} outside 16-bit range"
-            )
-        if not 0 <= self.node_id <= 0xFFFF_FFFF:
-            raise MalformedAddressError(f"node_id {self.node_id} outside 32-bit range")
+
+class VirtualAddress(_AddressFields):
+    """Overlay endpoint identity: (network_id, node_id)."""
+
+    __slots__ = ()
+
+    def __new__(cls, network_id: int, node_id: int) -> "VirtualAddress":
+        if not 0 <= network_id <= 0xFFFF:
+            raise MalformedAddressError(f"network_id {network_id} outside 16-bit range")
+        if not 0 <= node_id <= 0xFFFF_FFFF:
+            raise MalformedAddressError(f"node_id {node_id} outside 32-bit range")
+        return tuple.__new__(cls, (network_id, node_id))
 
     def to_text(self) -> str:
         """Render the canonical text form (hex groups uppercase)."""
@@ -112,7 +120,7 @@ class VirtualAddress:
 
     def to_bytes(self) -> bytes:
         """Serialize to the 6-byte big-endian wire form."""
-        return _ADDRESS_STRUCT.pack(self.network_id, self.node_id)
+        return _ADDRESS_STRUCT.pack(*self)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "VirtualAddress":
@@ -155,8 +163,8 @@ class PacketHeader:
             MAGIC,
             self.version,
             self.flags,
-            self.src.to_bytes(),
-            self.dst.to_bytes(),
+            *self.src,
+            *self.dst,
             self.src_port,
             self.dst_port,
         )
@@ -185,9 +193,9 @@ def decode_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
             f"datagram of {len(datagram)} bytes is shorter than the "
             f"{HEADER_SIZE}-byte header"
         )
-    magic, version, flags, src_raw, dst_raw, src_port, dst_port = (
-        _HEADER_STRUCT.unpack_from(datagram)
-    )
+    (
+        magic, version, flags, src_net, src_node, dst_net, dst_node, src_port, dst_port
+    ) = _HEADER_STRUCT.unpack_from(datagram)
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
     if version != PROTOCOL_VERSION:
@@ -198,11 +206,28 @@ def decode_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
             f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_SIZE}"
         )
     header = PacketHeader(
-        src=VirtualAddress.from_bytes(src_raw),
-        dst=VirtualAddress.from_bytes(dst_raw),
+        src=VirtualAddress(src_net, src_node),
+        dst=VirtualAddress(dst_net, dst_node),
         src_port=src_port,
         dst_port=dst_port,
         version=version,
         flags=flags,
     )
     return header, payload
+
+
+def reply_prefix(src: VirtualAddress) -> bytes:
+    """Header bytes 0-9 of every control reply sent from src."""
+    return MAGIC + bytes([PROTOCOL_VERSION, 0]) + src.to_bytes()
+
+
+def reply_header(prefix: bytes, request: bytes) -> bytes:
+    """Header of the control reply to a decoded request datagram.
+
+    The reply goes from reply_prefix's address and port PORT_REGISTRY, with
+    no flags, back to the request's source address and port: the bytes of
+    PacketHeader(src, request src, PORT_REGISTRY, request src_port), copied
+    from the request instead of decoded and encoded again.
+    """
+    # A request's source address is header bytes 4-9, its source port 16-17.
+    return prefix + request[4:10] + _PORT_REGISTRY_BYTES + request[16:18]

@@ -20,7 +20,6 @@ restored after a restart.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -54,6 +53,7 @@ from .snapshot import (
     NetworkView,
     NodeView,
     StatsSnapshot,
+    compact_json,
     read_fields,
     read_json,
     read_list_of,
@@ -197,7 +197,7 @@ class RegistryService:
             return
         if self._event_log is None:
             self._event_log = self._event_log_path.open("a", encoding="utf-8")
-        self._event_log.write(json.dumps(event, separators=(",", ":")) + "\n")
+        self._event_log.write(compact_json(event) + "\n")
         self._event_log.flush()
 
     def close(self) -> None:
@@ -316,6 +316,10 @@ class RegistryService:
         if address is None:
             raise HostnameNotFoundError(f"hostname {hostname!r} is not bound")
         return address
+
+    def __contains__(self, address: VirtualAddress) -> bool:
+        """Whether address is registered; does not count toward requests_served."""
+        return address in self._nodes
 
     def node(self, address: VirtualAddress) -> NodeRecord:
         record = self._nodes.get(address)

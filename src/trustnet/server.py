@@ -11,6 +11,15 @@ bodies. A datagram that still fails (a codec error, an unsendable reply, a
 socket error) is dropped and counted by exception class in
 RegistryServer.dropped; no datagram stops the UDP thread.
 
+Per datagram, the UDP thread decodes the header once, and learns the
+sender's endpoint when its source address is registered (a membership test,
+no exception for an unknown sender). A control reply is written by
+snapshot.compact_json, and its header is copied from the request by
+overlay.reply_header: the request's source address and port behind the
+registry's constant header prefix, with no address or header object built.
+A port-444 frame goes to RegistryService.relay_handshake, which decodes it
+again and returns the datagrams to forward.
+
 The stats endpoint is a line-oriented TCP listener on the same port number:
 the request line names the path `/api/stats` and the response is the full
 snapshot as one JSON document. The line is read as bytes, at most 65,535 of
@@ -27,10 +36,10 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from collections import Counter
+from collections import Counter, deque
 from typing import Optional
 
-from .errors import SchemaViolationError, TrustNetError, UnknownNodeError
+from .errors import SchemaViolationError, TrustNetError
 from .overlay import (
     MAX_PAYLOAD_SIZE,
     PORT_REGISTRY,
@@ -39,6 +48,8 @@ from .overlay import (
     VirtualAddress,
     decode_packet,
     encode_packet,
+    reply_header,
+    reply_prefix,
 )
 from .registry import (
     REGISTRY_ADDRESS,
@@ -48,9 +59,10 @@ from .registry import (
     read_public_key,
     read_tags,
 )
-from .snapshot import StatsSnapshot, read_fields, read_json, read_string
+from .snapshot import StatsSnapshot, compact_json, read_fields, read_json, read_string
 
 NULL_ADDRESS = VirtualAddress(0, 0)
+_REPLY_PREFIX = reply_prefix(REGISTRY_ADDRESS)
 STATS_PATH = "/api/stats"
 _RECV_SIZE = 65_535
 _POLL_INTERVAL = 0.2
@@ -148,21 +160,12 @@ class RegistryServer:
     def _handle_datagram(self, data: bytes, peer: tuple[str, int]) -> None:
         header, payload = decode_packet(data)
         with self._lock:
-            try:
-                self.registry.node(header.src)
-            except UnknownNodeError:
-                pass
-            else:
+            if header.src in self.registry:
                 self.endpoints[header.src] = peer
         if header.dst_port == PORT_REGISTRY:
+            # _MESSAGE_LIMIT keeps every reply far below MAX_PAYLOAD_SIZE.
             reply = self._control_op(payload, peer)
-            out = PacketHeader(
-                src=REGISTRY_ADDRESS,
-                dst=header.src,
-                src_port=PORT_REGISTRY,
-                dst_port=header.src_port,
-            )
-            self._udp.sendto(encode_packet(out, reply), peer)
+            self._udp.sendto(reply_header(_REPLY_PREFIX, data) + reply, peer)
         elif header.dst_port == PORT_TRUST_HANDSHAKE:
             with self._lock:
                 deliveries = self.registry.relay_handshake(data)
@@ -193,7 +196,7 @@ class RegistryServer:
                     reply = {"ok": False, "error": type(exc).__name__, "message": str(exc)}
         if "message" in reply:
             reply["message"] = reply["message"][:_MESSAGE_LIMIT]
-        return json.dumps(reply, separators=(",", ":")).encode("utf-8")
+        return compact_json(reply).encode("utf-8")
 
     # Op handlers run under the lock with the arguments their readers returned.
 
@@ -259,7 +262,9 @@ class RegistryClient:
 
     The socket is the client's network identity: the server learns this
     endpoint at registration and relays handshake frames back to it, so use
-    recv_datagram() to receive them.
+    recv_datagram() to receive them. A frame that arrives while a control
+    call waits for its reply is kept, and recv_datagram() returns the kept
+    frames first, in arrival order.
     """
 
     def __init__(self, server: tuple[str, int], timeout: float = 3.0) -> None:
@@ -268,6 +273,7 @@ class RegistryClient:
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sock.bind(("127.0.0.1", 0))
         self._sock.settimeout(timeout)
+        self._kept: deque[bytes] = deque()
 
     def close(self) -> None:
         self._sock.close()
@@ -279,7 +285,7 @@ class RegistryClient:
         self.close()
 
     def _call(self, doc: dict) -> dict:
-        body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        body = compact_json(doc).encode("utf-8")
         if len(body) > MAX_PAYLOAD_SIZE:
             raise ValueError("control body exceeds one datagram")
         header = PacketHeader(
@@ -291,9 +297,12 @@ class RegistryClient:
         self._sock.sendto(encode_packet(header, body), self.server)
         while True:
             data, _ = self._sock.recvfrom(_RECV_SIZE)
-            reply_header, payload = decode_packet(data)
-            if reply_header.src_port == PORT_REGISTRY:
+            header, payload = decode_packet(data)
+            # Only a reply comes from the registry's address and port: the relay
+            # forwards frames of registered agents, and its ERROR frames use port 444.
+            if header.src == REGISTRY_ADDRESS and header.src_port == PORT_REGISTRY:
                 return json.loads(payload.decode("utf-8"))
+            self._kept.append(data)
 
     def register(self, public_key: bytes, tags=(), hostname=None) -> VirtualAddress:
         doc = {"op": "register", "public_key": public_key.hex(), "tags": list(tags)}
@@ -316,6 +325,8 @@ class RegistryClient:
         self._sock.sendto(datagram, self.server)
 
     def recv_datagram(self) -> bytes:
+        if self._kept:
+            return self._kept.popleft()
         data, _ = self._sock.recvfrom(_RECV_SIZE)
         return data
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,7 +63,7 @@ from .overlay import (
     encode_packet,
 )
 from .registry import RegistryService
-from .snapshot import StatsSnapshot
+from .snapshot import StatsSnapshot, compact_json
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
@@ -336,7 +335,7 @@ class ScenarioResult:
         return edges
 
     def event_lines(self) -> list[str]:
-        return [json.dumps(event, separators=(",", ":")) for event in self.events]
+        return [compact_json(event) for event in self.events]
 
     def write_events(self, path: Union[str, Path]) -> None:
         Path(path).write_text(

@@ -265,6 +265,11 @@ class StatsSnapshot:
         return cls.from_json(Path(path).read_bytes())
 
 
+# The writer of every compact JSON line and body: the bytes of
+# json.dumps(doc, separators=(",", ":")), with the encoder built once.
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 # Readers for input documents. read_json parses every one (config, scenario,
 # snapshot, metrics, event-log line, control body) from its raw bytes; the
 # others each return the value they checked or raise SchemaViolationError.

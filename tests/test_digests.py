@@ -15,8 +15,16 @@ import pytest
 from _oracles import assert_matches_scipy_fit
 from trustnet.channel import FRAME_ACCEPT, FRAME_CONFIRM, FRAME_REQUEST
 from trustnet.cli import main
-from trustnet.overlay import PORT_TRUST_HANDSHAKE, PacketHeader, encode_packet
-from trustnet.registry import RegistryService
+from trustnet.overlay import (
+    FRAME_DECLINE,
+    PORT_REGISTRY,
+    PORT_TRUST_HANDSHAKE,
+    PacketHeader,
+    VirtualAddress,
+    encode_packet,
+)
+from trustnet.registry import REGISTRY_ADDRESS, RegistryService
+from trustnet.server import NULL_ADDRESS, RegistryServer
 
 # Keyed by pytest id: a paper-2026 seed, a GROWTH_CONFIGS entry or a
 # PRESET_RUNS entry.
@@ -301,3 +309,102 @@ def test_registry_snapshot_digest():
     registry.record_trust(addresses[3], addresses[3])
     body = registry.snapshot().to_json().encode("utf-8")
     assert hashlib.sha256(body).hexdigest() == REGISTRY_SNAPSHOT_DIGEST
+
+
+# Every datagram RegistryServer._handle_datagram sends, with its destination
+# endpoint, for the request sequence in daemon_requests().
+REGISTRY_REPLY_DIGEST = "95b8bbe991f45abe94714618353270bfbe3701b3ae694d7bf37deda3f3e7b4ac"
+
+
+def daemon_requests():
+    """(datagram, peer) pairs covering each control reply and relay outcome."""
+    rng = random.Random(20)
+    requests = []
+
+    def send(src, dst_port, body, peer, src_port=PORT_REGISTRY, flags=0, dst=None):
+        header = PacketHeader(
+            src=src,
+            dst=REGISTRY_ADDRESS if dst is None else dst,
+            src_port=src_port,
+            dst_port=dst_port,
+            flags=flags,
+        )
+        if isinstance(body, dict):
+            body = json.dumps(body).encode("utf-8")
+        requests.append((encode_packet(header, body), peer))
+
+    def control(body, peer, src=NULL_ADDRESS, **kwargs):
+        send(src, PORT_REGISTRY, body, peer, **kwargs)
+
+    keys = [rng.randbytes(32) for _ in range(6)]
+    peers = [("127.0.0.1", 41_000 + n) for n in range(6)]
+    agents = [VirtualAddress(0, 2 + n) for n in range(6)]
+    for n, (key, peer) in enumerate(zip(keys, peers)):
+        tags = list(REGISTRY_TAGS[n : n + 2 * (n % 2)])
+        body = {"op": "register", "public_key": key.hex(), "tags": tags}
+        if n % 3:
+            body["hostname"] = f"Agent-{n}"
+        control(body, peer, src_port=7_000 + n)
+    stranger = ("127.0.0.1", 41_099)
+    control({"op": "register", "public_key": keys[0].hex()}, stranger)
+    many_tags = ["a", "b", "c", "d"]
+    control(
+        {"op": "register", "public_key": rng.randbytes(32).hex(), "tags": many_tags},
+        ("127.0.0.1", 41_098),
+    )
+    for hostname in ("AGENT-1", "nobody"):
+        control({"op": "resolve", "hostname": hostname}, peers[0], src=agents[0])
+    control({"op": "heartbeat", "address": agents[2].to_text()}, peers[2], src=agents[2])
+    for text in ("0:0000.0000.0999", "0:00zz"):
+        control({"op": "heartbeat", "address": text}, peers[3], src=agents[3])
+    control({"op": "teleport"}, peers[4], src=agents[4], src_port=65_535)
+    control(b'{"op":"register","public_key":"' + b"11" * 32 + b'","tags":5}', peers[4])
+    control(
+        {"op": "heartbeat", "address": agents[5].to_text()},
+        peers[5],
+        src=agents[5],
+        src_port=9,
+        flags=0xA5,
+    )
+    for a, b in ((0, 1), (2, 3), (1, 4)):
+        for src, dst, frame_type in (
+            (a, b, FRAME_REQUEST),
+            (b, a, FRAME_ACCEPT),
+            (a, b, FRAME_CONFIRM),
+        ):
+            send(
+                agents[src],
+                PORT_TRUST_HANDSHAKE,
+                bytes([frame_type]) + rng.randbytes(16),
+                peers[src],
+                src_port=PORT_TRUST_HANDSHAKE,
+                dst=agents[dst],
+            )
+    # An unknown destination, a DECLINE, and a frame from an unregistered
+    # sender, which is not answered.
+    frame = {"src_port": PORT_TRUST_HANDSHAKE, "dst": VirtualAddress(0, 9_999)}
+    send(agents[5], PORT_TRUST_HANDSHAKE, bytes([FRAME_REQUEST]), peers[5], **frame)
+    frame["dst"] = agents[0]
+    send(agents[3], PORT_TRUST_HANDSHAKE, bytes([FRAME_DECLINE]), peers[3], **frame)
+    send(VirtualAddress(0, 9_998), PORT_TRUST_HANDSHAKE, b"\x01", peers[3], **frame)
+    return requests
+
+
+class _RecordingSocket:
+    def __init__(self) -> None:
+        self.sent = []
+
+    def sendto(self, data, peer) -> None:
+        self.sent.append((data, peer))
+
+
+def test_registry_reply_digest():
+    server = RegistryServer(RegistryService(base_node_id=2, clock=lambda: 3000.0))
+    server._udp = _RecordingSocket()
+    for datagram, peer in daemon_requests():
+        server._handle_datagram(datagram, peer)
+    digest = hashlib.sha256()
+    for data, (host, port) in server._udp.sent:
+        digest.update(f"{host}:{port} {len(data)}\n".encode("ascii") + data)
+    assert len(server._udp.sent) == 27
+    assert digest.hexdigest() == REGISTRY_REPLY_DIGEST

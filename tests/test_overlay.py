@@ -18,10 +18,13 @@ from trustnet.overlay import (
     HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD_SIZE,
+    PORT_REGISTRY,
     PacketHeader,
     VirtualAddress,
     decode_packet,
     encode_packet,
+    reply_header,
+    reply_prefix,
 )
 
 addresses = st.builds(
@@ -87,6 +90,44 @@ class TestAddressText:
     @settings(max_examples=300)
     def test_text_round_trip(self, addr: VirtualAddress) -> None:
         assert VirtualAddress.from_text(addr.to_text()) == addr
+
+    @given(addresses, addresses)
+    @settings(max_examples=300)
+    def test_address_contract(self, a: VirtualAddress, b: VirtualAddress) -> None:
+        """An address hashes, orders and compares as its (network_id, node_id) pair.
+
+        The text and byte round trips are test_text_round_trip and
+        test_bytes_round_trip below.
+        """
+        pair_a, pair_b = (a.network_id, a.node_id), (b.network_id, b.node_id)
+        assert hash(a) == hash(pair_a)
+        assert (a < b) == (pair_a < pair_b)
+        assert (a == b) == (pair_a == pair_b)
+        same = VirtualAddress(*pair_a)
+        assert same == a and hash(same) == hash(a) and not same < a
+        assert repr(a) == "VirtualAddress(network_id=%d, node_id=%d)" % pair_a
+        with pytest.raises(AttributeError):
+            a.network_id = b.network_id
+        with pytest.raises(AttributeError):
+            a.node_id = b.node_id
+        with pytest.raises(AttributeError):
+            a.port = 444
+
+    @given(
+        st.integers(max_value=-1) | st.integers(0, 0xFFFF) | st.integers(2**16),
+        st.integers(max_value=-1) | st.integers(0, 2**32 - 1) | st.integers(2**32),
+    )
+    def test_out_of_range_messages(self, network_id: int, node_id: int) -> None:
+        if not 0 <= network_id <= 0xFFFF:
+            message = f"network_id {network_id} outside 16-bit range"
+        elif not 0 <= node_id <= 0xFFFF_FFFF:
+            message = f"node_id {node_id} outside 32-bit range"
+        else:
+            assert VirtualAddress(network_id, node_id).node_id == node_id
+            return
+        with pytest.raises(MalformedAddressError) as caught:
+            VirtualAddress(network_id, node_id)
+        assert str(caught.value) == message
 
     @given(addresses)
     @settings(max_examples=300)
@@ -184,3 +225,24 @@ class TestPacketCodec:
         decoded, decoded_payload = decode_packet(datagram)
         assert decoded == header
         assert decoded_payload == payload
+
+    @given(
+        src=addresses,
+        request=st.builds(
+            PacketHeader,
+            src=addresses,
+            dst=addresses,
+            src_port=st.integers(0, 65535),
+            dst_port=st.integers(0, 65535),
+            flags=st.integers(0, 255),
+        ),
+        payload=st.binary(max_size=64),
+    )
+    def test_reply_header_is_the_encoded_reply(
+        self, src: VirtualAddress, request: PacketHeader, payload: bytes
+    ) -> None:
+        reply = PacketHeader(
+            src=src, dst=request.src, src_port=PORT_REGISTRY, dst_port=request.src_port
+        )
+        datagram = encode_packet(request, payload)
+        assert reply_header(reply_prefix(src), datagram) == reply.to_bytes()

@@ -289,6 +289,31 @@ class TestHandshakeRelay:
             ]
             assert snapshot.summary_trust_links == 1
 
+    def test_frame_arriving_during_a_call_is_kept(self, server):
+        rng = random.Random(10)
+        with RegistryClient(server.endpoint, timeout=1.0) as a, RegistryClient(
+            server.endpoint, timeout=1.0
+        ) as b:
+            a.register(rng.randbytes(32))
+            b.register(rng.randbytes(32))
+            # The second frame's source port is the registry port, which the
+            # sending peer picks: only its source address tells it from a reply.
+            frames = [
+                encode_packet(
+                    PacketHeader(a.address, b.address, src_port, PORT_TRUST_HANDSHAKE),
+                    bytes([frame_type]) + b"\xffbody",
+                )
+                for src_port, frame_type in (
+                    (PORT_TRUST_HANDSHAKE, FRAME_REQUEST),
+                    (PORT_REGISTRY, FRAME_CONFIRM),
+                )
+            ]
+            for frame in frames:
+                a.send_datagram(frame)
+            # Both frames reach b before the heartbeat reply does.
+            assert b.heartbeat() == {"ok": True}
+            assert [b.recv_datagram(), b.recv_datagram()] == frames
+
     def test_unknown_destination_gets_error_frame(self, server):
         rng = random.Random(6)
         with RegistryClient(server.endpoint) as client:
