@@ -28,11 +28,12 @@ communities can never form):
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import ClassVar, Iterable, Optional, Sequence, Union, get_type_hints
 
@@ -164,34 +165,43 @@ def default_tag_vocabulary() -> tuple[tuple[str, float], ...]:
 
 @dataclass(frozen=True)
 class TagModel:
-    """Weighted tag sampler: 0 tags with untagged_probability, else 1-3."""
+    """Weighted tag sampler: 0 tags with untagged_probability, else 1-3 tags by
+    successive weighted draws without replacement, one random() per tag."""
 
     vocabulary: tuple[tuple[str, float], ...]
     untagged_probability: float = 0.42
     count_distribution: tuple[float, float, float] = (0.09, 0.29, 0.62)
 
     @cached_property
-    def _keyed_vocabulary(self) -> tuple[tuple[float, ...], tuple[str, ...]]:
-        exponents = tuple(1.0 / weight for _, weight in self.vocabulary)
-        return exponents, tuple(tag for tag, _ in self.vocabulary)
+    def _cumulative_vocabulary(self) -> tuple[tuple, tuple, tuple[str, ...]]:
+        weights = tuple(weight for _, weight in self.vocabulary)
+        return weights, (0.0, *accumulate(weights)), tuple(t for t, _ in self.vocabulary)
 
     def draw(self, rng: random.Random) -> tuple[str, ...]:
         if rng.random() < self.untagged_probability:
             return ()
         count = rng.choices((1, 2, 3), weights=self.count_distribution)[0]
-        # weighted sampling without replacement (Efraimidis-Spirakis keys):
-        # the count largest of random() ** (1 / weight), one draw per entry
-        exponents, tags = self._keyed_vocabulary
-        random_ = rng.random
-        keys = [random_() ** exponent for exponent in exponents]
-        return tuple(tag for _, tag in heapq.nlargest(count, zip(keys, tags)))
+        # Each random() is scaled to the weight left and carried past the picks,
+        # which bisect then never returns (rounding is monotone). Past the end or
+        # once picks hold half the weight (sums lose light entries), use the rest.
+        weights, bounds, tags = self._cumulative_vocabulary
+        picked, left = [], bounds[-1]
+        for _ in range(min(count, len(tags))):
+            x = (u := rng.random()) * left
+            for p in sorted(picked):
+                x += weights[p] if x >= bounds[p] else 0.0
+            i = bisect_right(bounds, x) - 1
+            if i == len(tags) or 2 * left < bounds[-1]:
+                rest = [j for j in range(len(tags)) if j not in picked]
+                part = tuple(accumulate(weights[j] for j in rest))
+                i = rest[bisect_right(part, u * part[-1], 0, len(part) - 1)]
+            picked.append(i)
+            left -= weights[i]
+        return tuple(tags[i] for i in picked)
 
 
 def default_tag_model(untagged_probability: float = 0.42) -> TagModel:
-    return TagModel(
-        vocabulary=default_tag_vocabulary(),
-        untagged_probability=untagged_probability,
-    )
+    return TagModel(default_tag_vocabulary(), untagged_probability)
 
 
 # --- configuration documents ---

@@ -4,7 +4,8 @@ The graph oracles work on a dense adjacency matrix with exhaustive
 enumeration — deliberately naive, sharing no code with the package under
 test. The snapshot oracle is the general-purpose JSON encoder that the
 snapshot writer must match byte for byte. The tail-fit oracle is a table of
-scipy fits recorded before the fit was ported to pure math.
+scipy fits recorded before the fit was ported to pure math. The tag-draw
+oracle rebuilds the list of entries left before every pick.
 """
 
 from __future__ import annotations
@@ -105,6 +106,31 @@ def random_edge_list(
         if rng.random() < 0.15:
             edges.append((a, a))
     return n, edges
+
+
+def reference_tag_draw(model, rng: random.Random) -> tuple[str, ...]:
+    """TagModel.draw by successive weighted sampling without replacement.
+
+    Before each pick it rebuilds the list of entries not yet picked and sums
+    their weights; one random() scaled to that sum is walked along the running
+    sum, and the first entry whose running sum passes it is picked (the last
+    entry if rounding leaves none). The untagged test and the count draw are
+    the model's own.
+    """
+    if rng.random() < model.untagged_probability:
+        return ()
+    count = rng.choices((1, 2, 3), weights=model.count_distribution)[0]
+    left = list(model.vocabulary)
+    picked = []
+    for _ in range(min(count, len(left))):
+        x = rng.random() * sum(weight for _, weight in left)
+        running = 0.0
+        for index, (_, weight) in enumerate(left):
+            running += weight
+            if running > x:
+                break
+        picked.append(left.pop(index)[0])
+    return tuple(picked)
 
 
 def tail_sampler_power_law(

@@ -30,76 +30,77 @@ from trustnet.server import NULL_ADDRESS, RegistryServer
 # PRESET_RUNS entry.
 GENERATE_DIGESTS = {
     "0": {
-        "snapshot": "8ac2ed69bf56170714b59620e5648d855244356d74264b7ac7586a37f2612f1a",
-        "trace": "23bde3ed197e7e651b9ad8317b89f0897cd2154463de6141c6df3459d0632ec6",
-        "metrics": "119a3ac057dac38f864b0a08f21e8619a78b9f19ab8f6dd440045eda82f8fe7d",
+        "snapshot": "1b318adafb1f979b4dee7f8c8c0bb62425ce9709a53c01126bfba12fef13401c",
+        "trace": "91e837a47fd8105654c190e9a342b5f09bb9ea6e46f6b9e731c3acc631246afa",
+        "metrics": "35dd5a3172e2ccf4c3033f503d807ec73ef75353b9fe8df81a00031ed6dee24e",
     },
     "7": {
-        "snapshot": "d7fe24de66f3f2f888be0fb453a7ff715c808bf691a0e5679ba48e46ee3a3ed9",
-        "trace": "9c7729e3cc9e9fd7ec3c1bde746af9619ad188e2da2187658b0beb59cbf1bf52",
-        "metrics": "1f8a0329c391390cd185e3bf28bc658bbf7c7cdf414b968e2c04186ae527350b",
+        "snapshot": "e53239c4611bcb13cd5166eef428cfecdb925d6cc954de6a3a60fa8a74929d9b",
+        "trace": "7d711ad9ab1b0c5d3c76bf38aa450230501e9b6b617c7386722402c4f6d71cc2",
+        "metrics": "2f482524dc1a1222e8a1116ca5791f5604aa491cd72a28a2dc7dda925fe2e548",
     },
     "2026": {
-        "snapshot": "899fc9d00010d13cbef2dfa881b1ffa8e4ed6bc3915954a514b1086d032f1e6f",
-        "trace": "1fb2423d68ae399365035479269048075db7c84fe8ddb9339d8d6ad74cf2c0a3",
-        "metrics": "705600c17282fa5f7107154454c7ce2108aa7bc0e02f3e3eaa0f0d88e367ed6e",
+        "snapshot": "32aab3b568a41cb7d261934e2763272c3592c0773ff21b46446018e815513c63",
+        "trace": "be3d7fb84282f2d576ee745a4571bfa38f5e0d18a8e8ef98152c3706d05e3f35",
+        "metrics": "35b44cee39cbda944e782fa9a60b58eca39043cbdf2b3ecda0c492b6d24c7f17",
     },
     "config-n2000-seed5": {
-        "snapshot": "5ba0ec46da1431d6bedaca535b70af38e3c170d286851a8eeff9e73174ff4da1",
-        "trace": "e7233dd147c30f5ed265c7f9d61d4b147f63626a38d60f89a7178477b750e44f",
-        "metrics": "1f42b1a2c9d75bc076ce5fdb52f0ec84845461c44cfd74c5c97a09e62a2d7438",
+        "snapshot": "57169d51df6bb6b6970f3573a2f2b731371bd94fc14bb70fdecde953d42b2097",
+        "trace": "014fbae58112b9d83e1e40851aaa8d58da6e1114ffc337f8643fe144c845025b",
+        "metrics": "5176e4541d3eb4ee90d7f3f4ba1a2a354a4c5e914dafc5a39731cd5293b73f39",
     },
     "config-n1500-seed4": {
-        "snapshot": "a175a88dfe8e8fce268b4c6901d4b3818db7993f6f12fedbba59357273c3b133",
-        "trace": "70055b6c1bf77167ab640004b21d0c7a1778627efc93ddd07a1e9169c01f993a",
-        "metrics": "329d5692ac09fefdeefa04f64f641ee1fd95f5f0fc404df176def6007a346662",
+        "snapshot": "114d673f09aed5f64c60b4288436cf56dc4f4927f933f9e51fc160fd6ab5b680",
+        "trace": "cbb12f1e718d2a0eecd3ae83317d5f20ab00347abf758fba32b7a94afd9785df",
+        "metrics": "dfba3e0b0ca28e830e07451d9c4ff13c16da25afab54f3521df3124a827e1d27",
     },
     "paper-n10000-seed7": {
-        "snapshot": "8860c596fae91774d8e9b9f03dbd68f618db43d6f4031e52b687baa292e697ce",
-        "trace": "f7bd52ee66beed2a6911837314cec5dcff8805c2aad6e5d7218274a096ebb52a",
-        "metrics": "86a942f9b98494f531e80bd0fa887714217084b18a0541772b46cc4f764f3967",
+        "snapshot": "5c191cd82f5c34c89e5cf336cdddcf4b8d857dc8b69f7f3d727f07533823de1b",
+        "trace": "b6a3bd753289c16a4e02fe1be730adb268454b1e1241e60a3958560fb18a48c7",
+        "metrics": "55c4716a8a908f4962df9a40d8dc8f938d25b1b2827ba68d9518b44c34f3174c",
     },
 }
 
-# scipy 1.17.1 / numpy 2.4.6 tail fits of the GENERATE_DIGESTS metrics,
-# recorded before the fit was ported to pure math, in
-# _oracles.SCIPY_FIT_FIELDS order. The port moved five metrics digests above
-# by moving these floats in their last digits; config-n1500-seed4 kept its.
+# scipy 1.17.1 / numpy 2.4.6 tail fits of the GENERATE_DIGESTS metrics, in
+# _oracles.SCIPY_FIT_FIELDS order: the scipy fit_heavy_tail that the pure-math
+# port replaced (`git show 44d6c51^:src/trustnet/analytics/tailfit.py`) run on
+# each case's non-self degree histogram. Run on the outputs of the key-per-entry
+# tag draw, the same fit gives the literals recorded before the port, exactly.
 SCIPY_FITS = {
     "0": (
-        "log-normal", 2.475509917937762, -219.3654420200725, -235.06705354635045,
-        -218.48511466515768, -34.43025436296355, 5.15660384138185,
+        "power-law", 2.4472713637436403, -114.26618820779186, -120.02240512658726,
+        -114.27708506841053, -25.22667790207312, 4.465211857146636,
     ),
     "7": (
-        "log-normal", 2.4576584150437437, -199.29580029128405, -202.91115753735315,
-        -198.86104026529375, -0.4338802219489756, 1.6369381527799631,
+        "log-normal", 2.135353355888398, -56.05639703334534, -56.23568469922608,
+        -55.721459663263516, 1.3806624315124503, 1.4349599820456695,
     ),
     "2026": (
-        "log-normal", 2.4275620320424696, -79.07559819411668, -78.50028606679419,
-        -78.2187604187466, 2.0768778397212078, 0.9522409608713079,
+        "power-law", 2.5444844576564694, -110.78737659863747, -114.75574236096192,
+        -110.78919586763614, -23.790844672109927, 4.201236469178967,
     ),
     "config-n2000-seed5": (
-        "log-normal", 7.073079043842395, -17.51913992563509, -17.14824500630932,
-        -16.775576328187388, 2.3180287137055293, 0.16870371729232822,
+        "log-normal", 5.511846217609823, -25.412091570880996, -25.610386802970933,
+        -25.408037571330297, -6.523699595937103, 1.4175220582069135,
     ),
     "config-n1500-seed4": (
-        "power-law", 3.0008509865496875, -140.51192690180216, -146.93728560344067,
-        -140.55900300557676, -20.22668813276607, 3.393863989554883,
+        "log-normal", 2.6040639942570927, -159.81261197504068, -164.31588349621458,
+        -159.65374304257128, -2.5634986268598245, 1.9271528030280416,
     ),
     "paper-n10000-seed7": (
-        "log-normal", 2.246298430183993, -2556.0009851801797, -2708.4285971130303,
-        -2555.8719505990457, -33.950646915831854, 5.523845956032011,
+        "log-normal", 2.3663149420769343, -2234.6873932994104, -2398.846804704062,
+        -2234.3803357900547, -33.041582596497996, 5.196801381932646,
     ),
 }
 
 # `report --charts` on the paper-2026 seed-7 metrics document.
 CHART_DIGESTS = {
-    "address_delta_histogram.csv": "646a95dd9a3943dc3f37e2e2eb8fc9c8c490ffdf0a55d203d9deced8304e1fa8",
-    "degree_histogram.svg": "ca9e894e11ab1d7de5e21782fc5c8299e0c5eb5c5e4ca738f1c3160ac1aebadf",
-    "degree_histogram_api.csv": "6c521bde802321b4c3575c744ed6e4798257b552bb659a0b6837835ee71b1856",
-    "degree_histogram_nonself.csv": "67531930e77d7344b5eb871da7fe295ce7a7dcd3df53624cb28f91ea40d44ff9",
-    "degree_loglog.svg": "afa9c34f7ded1419a129484b54e509c75763d0d8c6fdc2f4483368f365ff5dfa",
-    "dunbar_bins.csv": "377c8cb96744bf7d16e7cef7875dc4ea3401fb9ff71b75b12bf41420f70daf30",
+    "address_delta_histogram.csv": "972b5bde92e8ca9a428626f7adbacc528ac43a5375a50f7226dd63f865068697",
+    "degree_histogram.svg": "049cf7c373ec999abf102f333d127dca3f4a046ecae4b57acc345c3891e6aa5d",
+    "degree_histogram_api.csv": "b46b4663386685b69eecef745080c20d18ac2b1432285a36763db3a6c82ed508",
+    "degree_histogram_nonself.csv": "968a9abec002825e63f214827a77bf7ae7a5aed49e5445909e48b3a48d9f2361",
+    "degree_loglog.svg": "b8fe9729fbfc34dffd6e7b7d09d6982fc311b7d30e67c26e868bb721eca4e9a3",
+    "dunbar_bins.csv": "176e928825eb380a37d9ada291a3e6ce231d5df30988e789018f0bf600ece185",
 }
 
 GROWTH_CONFIGS = {
@@ -131,9 +132,9 @@ LOSSY_SCENARIO = {
 }
 
 LOSSY_DIGESTS = {
-    "snapshot": "101928ddbe54e36d41d700ce0921691be4ad8c89670ce16d10a6eefd126255e6",
-    "events": "47bc50bb45f6052e068e1e39a25cfdb34fedfa45519965fc43a80ab4aad93cfe",
-    "metrics": "24ba3b65437dd94d33f56e4da9bd24a325b7a6f67f6bdd06302a25bffee4bdda",
+    "snapshot": "3e5fd65ba94bd26f81241afd934e7388170d94b198cf383013710f6f0d3d042f",
+    "events": "92f95706f9eaf95758e2db3a16771e1e05169c13679a74ab7a6f09414bcd6dab",
+    "metrics": "f11fe6993dab7047bd50b496532da67aa084f4f7bfec943f655646567ae79041",
 }
 
 # Three links per arrival over a 5-wide window, so each pick excludes the
@@ -151,9 +152,9 @@ WIDE_SCENARIO = {
 }
 
 WIDE_DIGESTS = {
-    "snapshot": "69652a0fe4bbd7e56732bf15906a9c31a84c00db8bf2f147fe5b6ab2b6c74aa9",
-    "events": "a53b8a0ef4f4dc11ab09480de38b62e146794f20342905feede5e9783b7e7122",
-    "metrics": "1bbad92edf0d4162eea2ef7de28fb575d21e2b3d659d1290a28a22d326fa22cd",
+    "snapshot": "7ea9d69a8787a11da041ea04ed9b71f94a80cf0025a5efb02a65a06d8697b89c",
+    "events": "28194271061a542dd6a12041db697ae1deccb74b6e4e4596c0fb6cd9d937e9ab",
+    "metrics": "63624073d7c1706cd0ba948db915e7d74284fe700363c0efd6f5bde4fdb28e65",
 }
 
 
@@ -177,9 +178,9 @@ INT_SCENARIO = {
 }
 
 INT_DIGESTS = {
-    "snapshot": "b3efca3a23581b3a413184916f06803f390fb6690f588a74e51d4282bfa17d45",
-    "events": "88b0f77a25db8b72981cef0227bfaffd57bc21acc5c2c826cdb680d877041b27",
-    "metrics": "197207c383a22bb5f55907aa4963f769ac187bd3c12d337277caf2eefaa591f8",
+    "snapshot": "c7e325409e739194a5a8ff99f2237dce7ec84b07d189ddf62748d8db5ab2c3ea",
+    "events": "7329c95d510086d4abdb4ada8269d47b861c181ba356146115419b19befa8273",
+    "metrics": "e46ee74d72904bf6fd0cc12d541a1d02ffe8aee91771723f71debf160e87856e",
 }
 
 # The daemon's /api/stats body: RegistryService.snapshot().to_json() after

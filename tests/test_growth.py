@@ -2,6 +2,7 @@
 
 import math
 import random
+import threading
 from dataclasses import replace
 from statistics import mean
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import reference_tag_draw
 from trustnet.errors import (
     ConfigInvalidError,
     UnknownParameterError,
@@ -135,20 +137,7 @@ class TestTagModel:
         assert len(vocabulary) > 400
 
 
-def sorted_tag_draw(model: TagModel, rng: random.Random) -> tuple[str, ...]:
-    """TagModel.draw as first written: a key per entry, then a full sort."""
-    if rng.random() < model.untagged_probability:
-        return ()
-    count = rng.choices((1, 2, 3), weights=model.count_distribution)[0]
-    count = min(count, len(model.vocabulary))
-    keyed = [
-        (rng.random() ** (1.0 / weight), tag) for tag, weight in model.vocabulary
-    ]
-    keyed.sort(reverse=True)
-    return tuple(tag for _, tag in keyed[:count])
-
-
-# 1e300 rounds every key to 1.0, so equal keys fall back to the tag order.
+# 1e300 absorbs every light weight beside it in the cumulative sums.
 tag_weights = st.sampled_from([1.0, 3.0, 1e300]) | st.floats(0.01, 100.0)
 
 
@@ -161,12 +150,142 @@ tag_weights = st.sampled_from([1.0, 3.0, 1e300]) | st.floats(0.01, 100.0)
     seed=st.integers(0, 2**32),
 )
 @settings(max_examples=200, deadline=None)
-def test_tag_draw_equals_sorted_formulation(vocabulary, untagged, counts, seed):
+def test_tag_draw_equals_reference(vocabulary, untagged, counts, seed):
     model = TagModel(tuple(vocabulary), untagged, counts)
     rng, twin = random.Random(seed), random.Random(seed)
     for _ in range(10):
-        assert model.draw(rng) == sorted_tag_draw(model, twin)
+        assert model.draw(rng) == reference_tag_draw(model, twin)
     assert rng.getstate() == twin.getstate()
+
+
+def test_tag_draw_ordered_pair_law():
+    # P(a then b) = w_a / W * w_b / (W - w_a). Each of the 12 frequencies over
+    # 40,000 seeded draws must lie within 5 standard errors of it.
+    weights = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0}
+    model = TagModel(tuple(weights.items()), 0.0, (0.0, 1.0, 0.0))
+    rng = random.Random(21)
+    draws = 40_000
+    seen: dict[tuple[str, ...], int] = {}
+    for _ in range(draws):
+        pair = model.draw(rng)
+        seen[pair] = seen.get(pair, 0) + 1
+    total = sum(weights.values())
+    expected = {
+        (a, b): wa / total * wb / (total - wa)
+        for a, wa in weights.items()
+        for b, wb in weights.items()
+        if a != b
+    }
+    assert set(seen) == set(expected)
+    for pair, p in expected.items():
+        error = 5 * math.sqrt(p * (1 - p) / draws)
+        assert seen[pair] / draws == pytest.approx(p, abs=error), pair
+
+
+class CountingRandom(random.Random):
+    """A Random that counts its random() calls, rng.choices' included."""
+
+    calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return super().random()
+
+
+@pytest.mark.parametrize("count", [1, 2, 3])
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_tag_draw_makes_one_random_call_per_tag(count, size):
+    vocabulary = tuple((f"t{i}", float(i + 1)) for i in range(size))
+    counts = tuple(float(c == count) for c in (1, 2, 3))
+    tagged = TagModel(vocabulary, 0.0, counts)
+    untagged = TagModel(vocabulary, 1.0, counts)
+    rng = CountingRandom(count * 10 + size)
+    for _ in range(50):
+        before = rng.calls
+        assert len(tagged.draw(rng)) == min(count, size)
+        assert rng.calls - before == 2 + min(count, size)
+        before = rng.calls
+        assert untagged.draw(rng) == ()
+        assert rng.calls - before == 1
+
+
+def test_default_tag_draw_makes_one_random_call_per_tag():
+    model = default_tag_model()
+    rng = CountingRandom(5)
+    for _ in range(2_000):
+        before = rng.calls
+        tags = model.draw(rng)
+        assert rng.calls - before == (2 + len(tags) if tags else 1)
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose random() returns the given values in turn."""
+
+    def __init__(self, values) -> None:
+        super().__init__(0)
+        self.values = iter(values)
+
+    def random(self) -> float:
+        return next(self.values)
+
+
+TOP = 1 - 2**-53  # the largest random()
+
+
+# The first two values pass the untagged test and draw the count. A random()
+# of 0.0 puts each later pick exactly on a picked entry's lower bound; TOP puts
+# each pick at the top of the weight left; in the last case the carry past
+# entry 0 rounds x up to the end of the cumulative weights.
+@pytest.mark.parametrize(
+    "weights, values, expected",
+    [
+        ((1.0, 1.0, 2.0), [0.5] * 2 + [0.0] * 3, ("t0", "t1", "t2")),
+        ((1.0, 1.0, 2.0), [0.5] * 2 + [TOP] * 3, ("t2", "t1", "t0")),
+        ((2.0, 2.0), [0.5, 0.5, 0.0, TOP], ("t0", "t1")),
+    ],
+    ids=["zero", "top", "carry-past-the-end"],
+)
+def test_tag_draw_at_the_ends_of_random(weights, values, expected):
+    vocabulary = tuple((f"t{i}", weight) for i, weight in enumerate(weights))
+    counts = tuple(float(c == len(expected)) for c in (1, 2, 3))
+    model = TagModel(vocabulary, 0.0, counts)
+    assert model.draw(ScriptedRandom(values)) == expected
+    assert reference_tag_draw(model, ScriptedRandom(values)) == expected
+
+
+@pytest.mark.parametrize(
+    "weights, count",
+    [
+        ((1e300, 0.01), 2),
+        ((0.01, 1e300), 2),
+        ((1e300, 0.5, 0.5), 3),
+        ((5e-324, 1.0), 2),
+        ((1.0, 5e-324), 2),
+        ((1.0,), 3),
+    ],
+    ids=["heavy-light", "light-heavy", "heavy-light-light", "subnormal-first",
+         "subnormal-last", "one-entry-count-3"],
+)
+def test_tag_draw_is_bounded_when_rounding_hides_entries(weights, count):
+    """Entries with zero width in the cumulative sums still come out distinct."""
+    vocabulary = tuple((f"t{i}", weight) for i, weight in enumerate(weights))
+    model = TagModel(vocabulary, 0.0, tuple(float(c == count) for c in (1, 2, 3)))
+    draws = []
+
+    def run() -> None:
+        rng = CountingRandom(3)
+        for _ in range(2_000):
+            draws.append(model.draw(rng))
+        draws.append(rng.calls)
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    calls = draws.pop()
+    picks = min(count, len(weights))
+    assert calls == 2_000 * (2 + picks)
+    assert all(len(set(tags)) == len(tags) == picks for tags in draws)
 
 
 class TestMechanismMix:

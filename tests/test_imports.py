@@ -65,20 +65,20 @@ SCENARIO = {
 def loaded(tmp_path_factory) -> dict:
     """The watched modules each command loaded.
 
-    generate -> analyze --out -> report at n = 300, analyze --audit on a
-    simulated snapshot, and a one-point sweep at n = 300.
+    generate -> analyze --out -> report at n = 626, the paper's census size,
+    analyze --audit on a simulated snapshot, and a one-point sweep at n = 626.
     """
     work = tmp_path_factory.mktemp("commands")
     (work / "scenario.json").write_text(json.dumps(SCENARIO))
     run_command(["simulate", "--config", "scenario.json", "--out", "sim.json"], work)
     loaded = {
-        "generate": run_command(["generate", "--preset", "paper-2026", "--set", "n=300",
+        "generate": run_command(["generate", "--preset", "paper-2026", "--set", "n=626",
                                  "--seed", "7", "--out", "snapshot.json"], work),
         "analyze": run_command(["analyze", "snapshot.json", "--out", "metrics.json"],
                                work),
         "report": run_command(["report", "metrics.json", "--charts", "charts"], work),
         "analyze-audit": run_command(["analyze", "sim.json", "--audit"], work),
-        "sweep": run_command(["sweep", "n", "300", "--seeds", "7", "--out", "sweep.csv"],
+        "sweep": run_command(["sweep", "n", "626", "--seeds", "7", "--out", "sweep.csv"],
                              work),
     }
     # analyze and sweep fit a tail; the simulated snapshot has none to fit
