@@ -3,6 +3,7 @@
 import math
 import random
 import threading
+from collections import Counter
 from dataclasses import replace
 from statistics import mean
 
@@ -165,10 +166,7 @@ def test_tag_draw_ordered_pair_law():
     model = TagModel(tuple(weights.items()), 0.0, (0.0, 1.0, 0.0))
     rng = random.Random(21)
     draws = 40_000
-    seen: dict[tuple[str, ...], int] = {}
-    for _ in range(draws):
-        pair = model.draw(rng)
-        seen[pair] = seen.get(pair, 0) + 1
+    seen = Counter(model.draw(rng) for _ in range(draws))
     total = sum(weights.values())
     expected = {
         (a, b): wa / total * wb / (total - wa)
@@ -180,6 +178,12 @@ def test_tag_draw_ordered_pair_law():
     for pair, p in expected.items():
         error = 5 * math.sqrt(p * (1 - p) / draws)
         assert seen[pair] / draws == pytest.approx(p, abs=error), pair
+
+
+def numbered_model(weights, count: int, untagged: float = 0.0) -> TagModel:
+    """Tags t0, t1, ... with these weights; a tagged draw asks for count tags."""
+    vocabulary = tuple((f"t{i}", weight) for i, weight in enumerate(weights))
+    return TagModel(vocabulary, untagged, tuple(float(c == count) for c in (1, 2, 3)))
 
 
 class CountingRandom(random.Random):
@@ -195,10 +199,9 @@ class CountingRandom(random.Random):
 @pytest.mark.parametrize("count", [1, 2, 3])
 @pytest.mark.parametrize("size", [1, 2, 3, 5])
 def test_tag_draw_makes_one_random_call_per_tag(count, size):
-    vocabulary = tuple((f"t{i}", float(i + 1)) for i in range(size))
-    counts = tuple(float(c == count) for c in (1, 2, 3))
-    tagged = TagModel(vocabulary, 0.0, counts)
-    untagged = TagModel(vocabulary, 1.0, counts)
+    weights = [float(i + 1) for i in range(size)]
+    tagged = numbered_model(weights, count)
+    untagged = numbered_model(weights, count, untagged=1.0)
     rng = CountingRandom(count * 10 + size)
     for _ in range(50):
         before = rng.calls
@@ -246,9 +249,7 @@ TOP = 1 - 2**-53  # the largest random()
     ids=["zero", "top", "carry-past-the-end"],
 )
 def test_tag_draw_at_the_ends_of_random(weights, values, expected):
-    vocabulary = tuple((f"t{i}", weight) for i, weight in enumerate(weights))
-    counts = tuple(float(c == len(expected)) for c in (1, 2, 3))
-    model = TagModel(vocabulary, 0.0, counts)
+    model = numbered_model(weights, len(expected))
     assert model.draw(ScriptedRandom(values)) == expected
     assert reference_tag_draw(model, ScriptedRandom(values)) == expected
 
@@ -268,23 +269,19 @@ def test_tag_draw_at_the_ends_of_random(weights, values, expected):
 )
 def test_tag_draw_is_bounded_when_rounding_hides_entries(weights, count):
     """Entries with zero width in the cumulative sums still come out distinct."""
-    vocabulary = tuple((f"t{i}", weight) for i, weight in enumerate(weights))
-    model = TagModel(vocabulary, 0.0, tuple(float(c == count) for c in (1, 2, 3)))
+    model = numbered_model(weights, count)
+    rng = CountingRandom(3)
     draws = []
 
     def run() -> None:
-        rng = CountingRandom(3)
-        for _ in range(2_000):
-            draws.append(model.draw(rng))
-        draws.append(rng.calls)
+        draws.extend(model.draw(rng) for _ in range(2_000))
 
     worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(timeout=30)
     assert not worker.is_alive()
-    calls = draws.pop()
     picks = min(count, len(weights))
-    assert calls == 2_000 * (2 + picks)
+    assert len(draws) == 2_000 and rng.calls == 2_000 * (2 + picks)
     assert all(len(set(tags)) == len(tags) == picks for tags in draws)
 
 
