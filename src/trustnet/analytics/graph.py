@@ -1,9 +1,11 @@
 """Trust-graph construction and structural metrics.
 
-All metrics are pure functions of the graph. A TrustGraph built from a
-snapshot numbers its vertices as the snapshot numbers its nodes, and keeps
-one integer core: adjacency sets of ids, the ids carrying a self-loop, and
-an ``edges`` list holding each undirected non-self pair exactly once.
+All metrics are pure functions of the graph. A snapshot owns its one
+TrustGraph (defined in trustnet.snapshot, where vertex i is node i), builds
+it on first use and keeps it, so the report and the audit share it. The
+graph keeps one integer core: adjacency sets of ids, the ids carrying a
+self-loop, and an ``edges`` list holding each undirected non-self pair
+exactly once.
 Metrics read that core directly instead of re-deduplicating; self-loops
 enter only the "api" degree mode (where each one adds 2, matching the
 registry's trust_links convention).
@@ -11,71 +13,25 @@ registry's trust_links convention).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import BadBoundariesError, DegenerateGraphError
-from ..overlay import VirtualAddress
-from ..snapshot import StatsSnapshot
+from ..snapshot import StatsSnapshot, TrustGraph
 
 ADDRESS_DELTA_WITHIN = 10
 HUB_TABLE_SIZE = 10
 
 
-@dataclass
-class TrustGraph:
-    """Undirected trust graph over integer vertex ids.
-
-    ``addresses[i]`` is the address of vertex i. ``adjacency[i]`` holds the
-    non-self neighbor ids of i, ``self_loop_ids`` the ids with a self-loop,
-    and ``edges`` every non-self pair exactly once, in first-insertion order.
-    """
-
-    addresses: list[VirtualAddress] = field(default_factory=list)
-    adjacency: list[set[int]] = field(default_factory=list)
-    self_loop_ids: set[int] = field(default_factory=set)
-    edges: list[tuple[int, int]] = field(default_factory=list)
-
-    def link(self, i: int, j: int) -> None:
-        """Add the edge between vertex ids i and j (once, however often called)."""
-        if i == j:
-            self.self_loop_ids.add(i)
-        elif j not in self.adjacency[i]:
-            self.adjacency[i].add(j)
-            self.adjacency[j].add(i)
-            self.edges.append((i, j))
-
-    def _degree_api(self, vid: int) -> int:
-        return len(self.adjacency[vid]) + (2 if vid in self.self_loop_ids else 0)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def edge_count_nonself(self) -> int:
-        return len(self.edges)
-
-    @property
-    def self_loop_count(self) -> int:
-        return len(self.self_loop_ids)
-
-
 def build_graph(snapshot: StatsSnapshot) -> TrustGraph:
-    """Vertex i is node i; edges are deduplicated.
+    """The snapshot's own trust graph: vertex i is node i, edges deduplicated.
 
-    Addresses and edge ends come from the snapshot's node table, so nothing
-    is parsed here. Differently-written texts of one address are one vertex,
-    and an edge end that names no node raises DanglingEdgeError.
+    The first call links the trust edges over the snapshot's node table;
+    later calls return the same graph. Differently-written texts of one
+    address are one vertex, and an edge end that names no node raises
+    DanglingEdgeError.
     """
-    table = snapshot.node_table
-    graph = TrustGraph(
-        addresses=list(table.addresses), adjacency=[set() for _ in table.addresses]
-    )
-    index = table.index
-    for a_text, b_text in snapshot.trust_edges:
-        graph.link(index[a_text], index[b_text])
-    return graph
+    return snapshot.graph
 
 
 # --- degrees ---
@@ -383,7 +339,7 @@ class HubTable:
 
 def hub_table(graph: TrustGraph, snapshot: StatsSnapshot) -> HubTable:
     """The HUB_TABLE_SIZE vertices of highest API degree, ties broken by
-    address; graph is build_graph(snapshot), so vertex i's tags are
+    address; graph is snapshot.graph, so vertex i's tags are
     snapshot.nodes[i].tags."""
     addresses = graph.addresses
     degree = [graph._degree_api(vid) for vid in range(graph.node_count)]

@@ -2,7 +2,7 @@
 
 Every subcommand prints its fully-resolved configuration before doing any
 work, so a run can be reproduced from its own output. Exit codes: 0 success,
-1 usage error, 2 input or schema error, 3 internal invariant violation.
+1 usage error, 2 input or schema error.
 Randomized subcommands take their seed from the resolved configuration and
 print it; no seed is ever derived from the clock. No subcommand mutates its
 input files.
@@ -32,7 +32,7 @@ import click
 from . import growth
 from .analytics.report import analyze_snapshot, consistency_audit, render_table
 from .charts import load_metrics, render_report_artifacts, sweep_csv
-from .errors import ConfigInvalidError, InvariantViolationError, TrustNetError
+from .errors import ConfigInvalidError, TrustNetError
 from .snapshot import StatsSnapshot
 
 DATA_DIR_ENV = "TRUSTNET_DATA_DIR"
@@ -341,9 +341,6 @@ def main(argv=None) -> int:
     except click.ClickException as exc:
         exc.show()
         return 1
-    except InvariantViolationError as exc:
-        click.echo(f"invariant violation: {exc}", err=True)
-        return 3
     except (TrustNetError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

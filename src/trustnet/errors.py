@@ -1,8 +1,8 @@
 """Exception taxonomy shared across the package.
 
 Every error raised by the public API derives from TrustNetError so callers
-can catch one base. The CLI maps these onto exit codes (input and schema
-problems exit 2, internal invariant breaches exit 3).
+can catch one base. The CLI maps these onto exit code 2 (input and schema
+problems).
 """
 
 
@@ -130,7 +130,3 @@ class UnknownParameterError(ConfigInvalidError):
 
 class BeaconUnavailableError(TrustNetError):
     """Relay required but no beacon is registered."""
-
-
-class InvariantViolationError(TrustNetError):
-    """Internal consistency check failed; indicates a bug, not bad input."""

@@ -30,7 +30,6 @@ from .errors import (
     ConfigInvalidError,
     DuplicateKeyError,
     HostnameNotFoundError,
-    InvariantViolationError,
     MalformedAddressError,
     SchemaViolationError,
     UnknownNodeError,
@@ -249,7 +248,7 @@ class RegistryService:
                 fields["public_key"], fields["tags"], fields["hostname"], fields["t"]
             )
             if record.address != fields["address"]:
-                raise InvariantViolationError(
+                raise SchemaViolationError(
                     f"replay allocated {record.address} but the log says "
                     f"{fields['address']}"
                 )
@@ -434,23 +433,9 @@ class RegistryService:
             self._relay_phase.pop((header.dst, header.src), None)
         return [(header.dst, datagram)]
 
-    # --- invariants and introspection ---
+    # --- introspection ---
 
     @property
     def node_count(self) -> int:
         return len(self._nodes)
 
-    def check_invariants(self) -> None:
-        """Degree identity: sum of trust_links == 2*nonself + 2*selfloops."""
-        nonself = sum(1 for a, b in self._edges if a != b)
-        selfloops = len(self._edges) - nonself
-        total = sum(record.trust_links for record in self._nodes.values())
-        if total != 2 * nonself + 2 * selfloops:
-            raise InvariantViolationError(
-                f"trust_links sum {total} != 2*{nonself} + 2*{selfloops}"
-            )
-        if self._summary_trust_links < len(self._edges):
-            raise InvariantViolationError(
-                f"summary counter {self._summary_trust_links} fell behind "
-                f"{len(self._edges)} stored edges"
-            )

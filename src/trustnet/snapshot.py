@@ -16,19 +16,22 @@ StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": key
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 
-A snapshot's node table is the trust graph's vertex table: node i is vertex
-i, each address text maps to its node's index, and each distinct text is
-parsed once, by VirtualAddress.from_text. from_dict builds the table while it
-validates. A snapshot built in code builds it on first use, with the reader's
-checks and messages, and keeps it; so its nodes and trust_edges must not
-change once it has been analysed.
+A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
+use. Its vertex table is the snapshot's node table: node i is vertex i, each
+address text maps to its node's index, and each distinct text is parsed once,
+by VirtualAddress.from_text. from_dict builds the table while it validates
+and keeps it; the first use of the graph links the trust edges, by then
+without the parsed document in memory. A snapshot built in code builds the
+table on first use too, with the reader's checks and messages. The graph is
+kept, so a snapshot's nodes and trust_edges must not change once it has been
+analysed.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -67,19 +70,26 @@ class NetworkView:
         return {"id": self.id, "name": self.name}
 
 
-class _NodeTable:
-    """Node i's parsed address is addresses[i]; index maps each address text
-    met so far, as written and canonical, to its node's index."""
+@dataclass
+class TrustGraph:
+    """Undirected trust graph over integer vertex ids: a snapshot's node table.
 
-    __slots__ = ("addresses", "index")
+    ``addresses[i]`` is the parsed address of vertex i, node i of the
+    snapshot, and ``index`` maps each address text met so far, as written and
+    canonical, to its vertex. ``adjacency[i]`` holds the non-self neighbor ids
+    of i, ``self_loop_ids`` the ids with a self-loop, and ``edges`` every
+    non-self pair exactly once, in first-insertion order.
+    """
 
-    def __init__(self) -> None:
-        self.addresses: list[VirtualAddress] = []
-        self.index: dict[str, int] = {}
+    addresses: list[VirtualAddress] = field(default_factory=list)
+    adjacency: list[set[int]] = field(default_factory=list)
+    self_loop_ids: set[int] = field(default_factory=set)
+    edges: list[tuple[int, int]] = field(default_factory=list)
+    index: dict[str, int] = field(default_factory=dict)
 
     # Names such as "nodes[7].address" are formatted only for the error that quotes them.
     def add_node(self, text: Any, i: int) -> str:
-        """Enter nodes[i] and return its canonical text."""
+        """Enter nodes[i] as the next vertex and return its canonical text."""
         if not isinstance(text, str):
             read_string(text, f"nodes[{i}].address")
         vid = self.index.get(text)
@@ -94,7 +104,7 @@ class _NodeTable:
         return canonical
 
     def edge(self, a: Any, b: Any, i: int) -> tuple[int, int]:
-        """Node indices of trust_edges[i]; both ends are parsed before either is looked up."""
+        """Vertex ids of trust_edges[i]; both ends are parsed before either is looked up."""
         if isinstance(a, str) and isinstance(b, str):  # a list is not hashable
             try:
                 return self.index[a], self.index[b]
@@ -106,10 +116,10 @@ class _NodeTable:
                 raise DanglingEdgeError(f"trust_edges[{i}] references unknown node {end}")
         return ends
 
-    def _find(self, text: Any, i: int, field: str) -> Union[int, str]:
-        """The node index of an edge end, or the canonical text of an address no node has."""
+    def _find(self, text: Any, i: int, side: str) -> Union[int, str]:
+        """The vertex id of an edge end, or the canonical text of an address no node has."""
         if not isinstance(text, str):
-            read_string(text, f"trust_edges[{i}].{field}")
+            read_string(text, f"trust_edges[{i}].{side}")
         vid = self.index.get(text)
         if vid is None:
             canonical = VirtualAddress.from_text(text).to_text()
@@ -117,6 +127,30 @@ class _NodeTable:
                 return canonical
             vid = self.index[text] = self.index[canonical]
         return vid
+
+    def link(self, i: int, j: int) -> None:
+        """Add the edge between vertex ids i and j (once, however often called)."""
+        if i == j:
+            self.self_loop_ids.add(i)
+        elif j not in self.adjacency[i]:
+            self.adjacency[i].add(j)
+            self.adjacency[j].add(i)
+            self.edges.append((i, j))
+
+    def _degree_api(self, vid: int) -> int:
+        return len(self.adjacency[vid]) + (2 if vid in self.self_loop_ids else 0)
+
+    @property
+    def node_count(self) -> int:
+        return len(self.addresses)
+
+    @property
+    def edge_count_nonself(self) -> int:
+        return len(self.edges)
+
+    @property
+    def self_loop_count(self) -> int:
+        return len(self.self_loop_ids)
 
 
 @dataclass
@@ -172,14 +206,20 @@ class StatsSnapshot:
         )
 
     @cached_property
-    def node_table(self) -> _NodeTable:
-        """The node table of the module docstring, built once per snapshot."""
-        table = _NodeTable()
-        for i, node in enumerate(self.nodes):
-            table.add_node(node.address, i)
-        for i, (a, b) in enumerate(self.trust_edges):
-            table.edge(a, b, i)
-        return table
+    def graph(self) -> TrustGraph:
+        """The trust graph of the module docstring, built on first use and kept."""
+        graph = vars(self).pop("_vertices", None)  # the table from_dict left
+        if graph is None:
+            graph = TrustGraph()
+            for i, node in enumerate(self.nodes):
+                graph.add_node(node.address, i)
+            for i, (a, b) in enumerate(self.trust_edges):
+                graph.edge(a, b, i)  # checks both ends and indexes their texts
+        index = graph.index
+        graph.adjacency = [set() for _ in graph.addresses]
+        for a, b in self.trust_edges:
+            graph.link(index[a], index[b])
+        return graph
 
     def write(self, path: Union[str, Path]) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
@@ -221,7 +261,7 @@ class StatsSnapshot:
                 )
             )
 
-        table = _NodeTable()
+        table = TrustGraph()
         nodes = []
         for i, raw in enumerate(read_list_of(doc["nodes"], "nodes", dict)):
             for name in ("address", "tags", "online", "trust_links"):
@@ -253,7 +293,7 @@ class StatsSnapshot:
             summary_trust_links=summary,
             requests_per_agent=requests_per_agent,
         )
-        snapshot.node_table = table
+        snapshot._vertices = table  # linked by the first snapshot.graph, once doc is freed
         return snapshot
 
     @classmethod

@@ -14,6 +14,7 @@ import trustnet.analytics.report
 import trustnet.cli
 from trustnet.analytics.report import analyze_snapshot
 from trustnet.cli import main
+from trustnet.registry import RegistryService
 from trustnet.snapshot import StatsSnapshot
 
 
@@ -278,14 +279,19 @@ class TestReplaceableEntryPoints:
         assert len(results[0].snapshot.nodes) == 20
 
     def test_every_traced_cli_name_is_a_module_attribute(self):
+        """The perfbench tracer looks each name up where it wraps it."""
         path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
         spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
         tracing = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(tracing)
-        names = [name for module, name in tracing.FUNCTIONS if module == "trustnet.cli"]
-        assert "run_scenario" in names
-        for name in names:
-            assert callable(getattr(trustnet.cli, name)), name
+        assert ("trustnet.cli", "run_scenario") in tracing.FUNCTIONS
+        for module, name in tracing.FUNCTIONS:
+            assert callable(getattr(importlib.import_module(module), name, None)), (
+                f"{module}.{name}"
+            )
+        for module, owner, name in tracing.METHODS:
+            cls = getattr(importlib.import_module(module), owner)
+            assert name in vars(cls), f"{module}.{owner}.{name}"
 
 
 class TestAnalyzeAndReport:
@@ -448,6 +454,17 @@ class TestExitCodes:
         args = ["serve-registry", "--bind", "127.0.0.1:0", "--log", str(log_path)]
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_log_from_another_base_node_id_is_input_error(self, tmp_path, capsys):
+        log_path = tmp_path / "events.jsonl"
+        registry = RegistryService(base_node_id=2, event_log=log_path)
+        registry.register(bytes(32))
+        registry.close()
+        args = ["serve-registry", "--bind", "127.0.0.1:0", "--log", str(log_path)]
+        assert main([*args, "--base-node-id", "5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "0:0000.0000.0005" in err and "0:0000.0000.0002" in err
 
     def test_malformed_json_config_is_input_error(self, tmp_path):
         config = tmp_path / "broken.json"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from trustnet.analytics.report import consistency_audit
 from trustnet.channel import (
     AcceptAllPolicy,
     AgentIdentity,
@@ -15,7 +16,6 @@ from trustnet.errors import (
     ConfigInvalidError,
     DuplicateKeyError,
     HostnameNotFoundError,
-    InvariantViolationError,
     SchemaViolationError,
     UnknownNodeError,
 )
@@ -197,7 +197,6 @@ class TestTrustRecords:
         addresses = [registry.register(key(n)) for n in range(30)]
         for _ in range(200):
             registry.record_trust(rng.choice(addresses), rng.choice(addresses))
-        registry.check_invariants()
         snap = registry.snapshot()
         nonself = sum(1 for a, b in snap.trust_edges if a != b)
         loops = len(snap.trust_edges) - nonself
@@ -631,18 +630,13 @@ class TestEventLog:
 
 
 class TestInvariants:
-    def test_check_invariants_passes_on_consistent_state(self):
+    def test_consistency_audit_checks_registry_snapshots(self):
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
         registry.record_trust(a, b)
         registry.record_trust(a, a)
-        registry.check_invariants()
-
-    def test_check_invariants_detects_corruption(self):
-        registry, _ = make_registry()
-        a = registry.register(key(1))
-        registry.record_trust(a, a)
+        assert consistency_audit(registry.snapshot()) == []
         registry.node(a).trust_links = 5
-        with pytest.raises(InvariantViolationError):
-            registry.check_invariants()
+        findings = consistency_audit(registry.snapshot())
+        assert [finding.check for finding in findings] == ["trust-links-identity"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from _oracles import reference_snapshot_json
 
+from trustnet.analytics.graph import TrustGraph, build_graph
 from trustnet.analytics.report import analyze_snapshot, consistency_audit
 from trustnet.errors import (
     DanglingEdgeError,
@@ -201,17 +202,37 @@ class TestAddressCanonicaliser:
         monkeypatch.setattr(VirtualAddress, "from_text", classmethod(counted))
         return texts
 
-    def test_each_distinct_text_is_parsed_once(self, parsed):
+    @pytest.fixture
+    def linked(self, monkeypatch) -> list:
+        """Every vertex pair TrustGraph.link is given during the test."""
+        pairs = []
+        link = TrustGraph.link
+
+        def counted(graph, i, j):
+            pairs.append((i, j))
+            link(graph, i, j)
+
+        monkeypatch.setattr(TrustGraph, "link", counted)
+        return pairs
+
+    @staticmethod
+    def assert_one_graph(snapshot: StatsSnapshot, linked: list) -> None:
+        """The report and the audit share the snapshot's one graph."""
+        consistency_audit(snapshot, analyze_snapshot(snapshot))
+        assert len(linked) == len(snapshot.trust_edges)
+        assert build_graph(snapshot) is build_graph(snapshot)
+
+    def test_each_distinct_text_is_parsed_once(self, parsed, linked):
         doc = sample_snapshot().to_dict()
         doc["trust_edges"].append({"a": "0:0000.0000.0002", "b": "0:0000.0000.0003"})
         snapshot = StatsSnapshot.from_dict(doc)
-        consistency_audit(snapshot, analyze_snapshot(snapshot))
+        self.assert_one_graph(snapshot, linked)
         texts = [node["address"] for node in doc["nodes"]]
         assert parsed == texts
 
-    def test_code_built_snapshot_parses_each_node_text_once(self, parsed):
+    def test_code_built_snapshot_parses_each_node_text_once(self, parsed, linked):
         snapshot = sample_snapshot()
-        consistency_audit(snapshot, analyze_snapshot(snapshot))
+        self.assert_one_graph(snapshot, linked)
         assert parsed == [node.address for node in snapshot.nodes]
 
     def test_edge_in_other_case_is_canonicalized(self):
