@@ -630,13 +630,20 @@ class TestEventLog:
 
 
 class TestInvariants:
-    def test_consistency_audit_checks_registry_snapshots(self):
+    """consistency_audit checks the degree identity on registry snapshots."""
+
+    def test_check_invariants_passes_on_consistent_state(self):
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
         registry.record_trust(a, b)
         registry.record_trust(a, a)
         assert consistency_audit(registry.snapshot()) == []
+
+    def test_check_invariants_detects_corruption(self):
+        registry, _ = make_registry()
+        a = registry.register(key(1))
+        registry.record_trust(a, a)
         registry.node(a).trust_links = 5
         findings = consistency_audit(registry.snapshot())
         assert [finding.check for finding in findings] == ["trust-links-identity"]
