@@ -13,9 +13,13 @@ MISSED_HEARTBEATS * HEARTBEAT_INTERVAL seconds old.
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
 when the relay forwards the first CONFIRM of a handshake that it saw pass
-through REQUEST and ACCEPT, it records the trust pair. The registry also
-keeps an optional append-only JSON-lines event log from which state can be
-restored after a restart.
+through REQUEST and ACCEPT, it records the trust pair.
+
+An optional append-only JSON-lines event log restores state after a restart.
+Each mutation has one method that checks, stores and logs it (_register,
+_heartbeat, _record_trust_pair); restore() replays every line through it, so
+a line the live call would refuse stops the replay. OP_FIELDS reads the
+fields of each control op, for the server and the event log alike.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import (
     HostnameNotFoundError,
     MalformedAddressError,
     SchemaViolationError,
+    TrustNetError,
     UnknownNodeError,
 )
 from .overlay import (
@@ -87,8 +92,6 @@ class NodeRecord:
     address: VirtualAddress
     public_key: bytes
     tags: tuple[str, ...]
-    hostname: Optional[str]
-    registered_at: float
     last_heartbeat: float
     trust_links: int = 0
     text: str = field(init=False)
@@ -144,18 +147,20 @@ def read_hostname(value: Any, name: str) -> Optional[str]:
     return None if value is None else read_string(value, name)
 
 
+# Control op -> reader per field of its body.
+OP_FIELDS = {
+    "register": {"public_key": read_public_key, "tags": read_tags, "hostname": read_hostname},
+    "resolve": {"hostname": read_string},
+    "heartbeat": {"address": read_address},
+}
+
 # Event kind -> reader per field; the fields are exactly those the matching
-# _log_event call writes.
+# _log_event call writes: an op's fields plus the address and time the
+# registry chose.
 _EVENT_FIELDS = {
-    "register": {
-        "address": read_address,
-        "public_key": read_public_key,
-        "tags": read_tags,
-        "hostname": read_hostname,
-        "t": read_number,
-    },
+    "register": {"address": read_address, **OP_FIELDS["register"], "t": read_number},
     "trust": {"a": read_address, "b": read_address},
-    "heartbeat": {"address": read_address, "t": read_number},
+    "heartbeat": {**OP_FIELDS["heartbeat"], "t": read_number},
 }
 
 
@@ -211,10 +216,12 @@ class RegistryService:
     ) -> "RegistryService":
         """Rebuild registry state by replaying an append-only event log.
 
-        Every line is read through the event's field readers, and a malformed
-        line raises SchemaViolationError. A last line that lacks its newline
-        and does not parse is a torn write: it is dropped and cut from the
-        file, so the next event is not appended onto the fragment.
+        Every line is read through the event's field readers and applied by
+        the method the live call uses, with the same checks. A line that
+        fails either step raises SchemaViolationError naming the line. A last
+        line that lacks its newline and does not parse is a torn write: it is
+        dropped and cut from the file, so the next event is not appended onto
+        the fragment.
         """
         path = Path(event_log)
         service = cls(event_log=None, **kwargs)
@@ -223,39 +230,44 @@ class RegistryService:
             *lines, tail = data.split(b"\n")
             for number, line in enumerate(lines, 1):
                 if line.strip():
-                    service._apply_event(read_json(line, f"{path} line {number}"))
+                    where = f"{path} line {number}"
+                    service._apply_event(read_json(line, where), where)
             if tail.strip():
+                where = f"{path} line {len(lines) + 1}"
                 try:
-                    event = read_json(tail, f"{path} line {len(lines) + 1}")
+                    event = read_json(tail, where)
                 except SchemaViolationError:
                     os.truncate(path, len(data) - len(tail))
                 else:
-                    service._apply_event(event)
+                    service._apply_event(event, where)
                     with path.open("ab") as handle:
                         handle.write(b"\n")
         service._event_log_path = path
         return service
 
-    def _apply_event(self, event: Any) -> None:
-        if not isinstance(event, dict):
-            raise SchemaViolationError("an event must be a JSON object")
-        kind = read_string(event.get("event"), "event")
-        if kind not in _EVENT_FIELDS:
-            raise SchemaViolationError(f"unknown event kind {kind!r}")
-        fields = read_fields(event, _EVENT_FIELDS[kind], {})
-        if kind == "register":
-            record = self._register_node(
-                fields["public_key"], fields["tags"], fields["hostname"], fields["t"]
-            )
-            if record.address != fields["address"]:
-                raise SchemaViolationError(
-                    f"replay allocated {record.address} but the log says "
-                    f"{fields['address']}"
+    def _apply_event(self, event: Any, where: str) -> None:
+        """Apply one event-log line; any refusal names the line (where)."""
+        try:
+            if not isinstance(event, dict):
+                raise SchemaViolationError("an event must be a JSON object")
+            kind = read_string(event.get("event"), "event")
+            if kind not in _EVENT_FIELDS:
+                raise SchemaViolationError(f"unknown event kind {kind!r}")
+            fields = read_fields(event, _EVENT_FIELDS[kind], {})
+            if kind == "register":
+                address = self._register(
+                    fields["public_key"], fields["tags"], fields["hostname"], fields["t"]
                 )
-        elif kind == "trust":
-            self._record_trust_pair(fields["a"], fields["b"])
-        elif fields["address"] in self._nodes:
-            self._nodes[fields["address"]].last_heartbeat = fields["t"]
+                if address != fields["address"]:
+                    raise SchemaViolationError(
+                        f"replay allocated {address} but the log says {fields['address']}"
+                    )
+            elif kind == "trust":
+                self._record_trust_pair(fields["a"], fields["b"])
+            else:
+                self._heartbeat(fields["address"], fields["t"])
+        except TrustNetError as exc:
+            raise SchemaViolationError(f"{where}: {exc}") from exc
 
     # --- core API; every public call counts toward requests_served ---
 
@@ -267,13 +279,23 @@ class RegistryService:
     ) -> VirtualAddress:
         """Allocate the next sequential address for a new public key."""
         self.requests_served += 1
+        return self._register(public_key, tags, hostname, self._clock())
+
+    def _register(
+        self, public_key: bytes, tags, hostname: Optional[str], at_time: float
+    ) -> VirtualAddress:
         if public_key in self._by_key:
             raise DuplicateKeyError("public key is already registered")
         normalized = normalize_tags(tags, TAG_LIMIT)
         host = hostname.lower() if hostname is not None else None
         if host is not None and host in self._hostnames:
             raise DuplicateKeyError(f"hostname {host!r} is already bound")
-        record = self._register_node(public_key, normalized, host, self._clock())
+        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._nodes))
+        record = NodeRecord(address, public_key, normalized, at_time)
+        self._nodes[address] = record
+        self._by_key[public_key] = address
+        if host is not None:
+            self._hostnames[host] = address
         self._log_event(
             {
                 "event": "register",
@@ -281,32 +303,10 @@ class RegistryService:
                 "public_key": public_key.hex(),
                 "tags": list(normalized),
                 "hostname": host,
-                "t": record.registered_at,
+                "t": at_time,
             }
         )
-        return record.address
-
-    def _register_node(
-        self,
-        public_key: bytes,
-        tags: tuple[str, ...],
-        hostname: Optional[str],
-        at_time: float,
-    ) -> NodeRecord:
-        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._nodes))
-        record = NodeRecord(
-            address=address,
-            public_key=public_key,
-            tags=tags,
-            hostname=hostname,
-            registered_at=at_time,
-            last_heartbeat=at_time,
-        )
-        self._nodes[address] = record
-        self._by_key[public_key] = address
-        if hostname is not None:
-            self._hostnames[hostname] = address
-        return record
+        return address
 
     def resolve(self, hostname: str) -> VirtualAddress:
         """Case-insensitive hostname lookup."""
@@ -360,7 +360,9 @@ class RegistryService:
 
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
-        now = self._clock()
+        self._heartbeat(address, self._clock())
+
+    def _heartbeat(self, address: VirtualAddress, now: float) -> None:
         record = self.node(address)
         record.last_heartbeat = now
         self._log_event({"event": "heartbeat", "address": record.text, "t": now})

@@ -3,13 +3,14 @@
 Control operations (register, resolve, heartbeat) arrive as overlay packets
 addressed to the registry's well-known address with destination port 1; the
 body is one JSON object per packet and the reply mirrors it. One op table,
-RegistryServer._OPS, names each op's handler and the reader of each field;
-every body is read into typed arguments before the registry is touched, and
-a body that fails to read is answered with error "bad-request". Port-444
-frames are relayed between learned agent endpoints without reading their
-bodies. A datagram that still fails (a codec error, an unsendable reply, a
-socket error) is dropped and counted by exception class in
-RegistryServer.dropped; no datagram stops the UDP thread.
+RegistryServer._OPS, names each op's handler, the readers of its fields and
+the defaults of the optional ones; the readers are registry.OP_FIELDS, which
+also read the event log. Every body is read into typed arguments before the
+registry is touched, and a body that fails to read is answered with error
+"bad-request". Port-444 frames are relayed between learned agent endpoints
+without reading their bodies. A datagram that still fails (a codec error, an
+unsendable reply, a socket error) is dropped and counted by exception class
+in RegistryServer.dropped; no datagram stops the UDP thread.
 
 Per datagram, the UDP thread decodes the header once, and learns the
 sender's endpoint when its source address is registered (a membership test,
@@ -51,15 +52,8 @@ from .overlay import (
     reply_header,
     reply_prefix,
 )
-from .registry import (
-    REGISTRY_ADDRESS,
-    RegistryService,
-    read_address,
-    read_hostname,
-    read_public_key,
-    read_tags,
-)
-from .snapshot import StatsSnapshot, compact_json, read_fields, read_json, read_string
+from .registry import OP_FIELDS, REGISTRY_ADDRESS, RegistryService
+from .snapshot import StatsSnapshot, compact_json, read_fields, read_json
 
 NULL_ADDRESS = VirtualAddress(0, 0)
 _REPLY_PREFIX = reply_prefix(REGISTRY_ADDRESS)
@@ -215,13 +209,9 @@ class RegistryServer:
 
     # op -> (handler, reader per field, defaults of the optional fields)
     _OPS = {
-        "register": (
-            _register,
-            {"public_key": read_public_key, "tags": read_tags, "hostname": read_hostname},
-            {"tags": (), "hostname": None},
-        ),
-        "resolve": (_resolve, {"hostname": read_string}, {}),
-        "heartbeat": (_heartbeat, {"address": read_address}, {}),
+        "register": (_register, OP_FIELDS["register"], {"tags": (), "hostname": None}),
+        "resolve": (_resolve, OP_FIELDS["resolve"], {}),
+        "heartbeat": (_heartbeat, OP_FIELDS["heartbeat"], {}),
     }
     _UNKNOWN_OP = (lambda self, peer: {"ok": False, "error": "unknown-op"}, {}, {})
 

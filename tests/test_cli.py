@@ -465,6 +465,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "0:0000.0000.0005" in err and "0:0000.0000.0002" in err
+        assert "line 1" in err
 
     def test_malformed_json_config_is_input_error(self, tmp_path):
         config = tmp_path / "broken.json"
