@@ -71,8 +71,9 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
     from .server import STATS_PATH, RegistryServer
 
     host, _, port_text = bind.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise click.UsageError(f"--bind must be host:port, got {bind!r}")
+    # isdigit() alone accepts digits such as "²" that int() refuses
+    if not (host and port_text.isascii() and port_text.isdigit() and int(port_text) <= 65535):
+        raise click.UsageError(f"--bind must be host:port with port 0-65535, got {bind!r}")
     resolved = {
         "bind": bind,
         "base_node_id": base_node_id,

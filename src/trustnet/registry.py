@@ -10,6 +10,14 @@ trust_links, so the sum of trust_links over all nodes is always
 Liveness: a node is online while the last heartbeat is at most
 MISSED_HEARTBEATS * HEARTBEAT_INTERVAL seconds old.
 
+The node table is columnar: one list per field (public key, last heartbeat,
+snapshot row), indexed by node_id - base_node_id, so an address is its own
+index. Each row is an immutable snapshot.NodeView that renders its JSON
+entry once. The registry replaces a row only when the node's trust_links
+changes or a snapshot finds its online flag flipped; snapshot() copies the
+row list, so unchanged rows are shared between snapshots and never rendered
+twice.
+
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
 when the relay forwards the first CONFIRM of a handshake that it saw pass
@@ -26,9 +34,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Optional, TextIO, Union
+from typing import Any, Callable, NamedTuple, Optional, TextIO, Union
 
 from .errors import (
     ConfigInvalidError,
@@ -81,26 +88,15 @@ _SAW_REQUEST = 1
 _SAW_ACCEPT = 2
 
 
-@dataclass
-class NodeRecord:
-    """Registry-side state for one registered agent.
-
-    text is the address's canonical text, rendered once, at registration;
-    snapshots and event-log lines read it instead of formatting the address.
-    """
+class NodeState(NamedTuple):
+    """A copy of one node's registry state, as RegistryService.node reads it."""
 
     address: VirtualAddress
     public_key: bytes
     tags: tuple[str, ...]
     last_heartbeat: float
-    trust_links: int = 0
-    text: str = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.text = self.address.to_text()
-
-    def online(self, now: float) -> bool:
-        return (now - self.last_heartbeat) <= OFFLINE_AFTER
+    trust_links: int
+    text: str
 
 
 def normalize_tags(tags, limit: int) -> tuple[str, ...]:
@@ -178,11 +174,15 @@ class RegistryService:
             raise ConfigInvalidError("base_node_id may not be negative")
         self.base_node_id = base_node_id
         self._clock = clock if clock is not None else time.time
-        self._nodes: dict[VirtualAddress, NodeRecord] = {}
+        # The node table of the module docstring: entry i is node
+        # base_node_id + i. A row's online flag is as of the last snapshot.
+        self._keys: list[bytes] = []
+        self._heartbeats: list[float] = []
+        self._rows: list[NodeView] = []
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
-        # ordered set of pairs, each mapped to its two stored address texts
-        self._edges: dict[tuple[VirtualAddress, VirtualAddress], tuple[str, str]] = {}
+        # ordered set of index pairs, each mapped to its two address texts
+        self._edges: dict[tuple[int, int], tuple[str, str]] = {}
         self._summary_trust_links = 0
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
@@ -290,16 +290,18 @@ class RegistryService:
         host = hostname.lower() if hostname is not None else None
         if host is not None and host in self._hostnames:
             raise DuplicateKeyError(f"hostname {host!r} is already bound")
-        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._nodes))
-        record = NodeRecord(address, public_key, normalized, at_time)
-        self._nodes[address] = record
+        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._rows))
+        text = address.to_text()
+        self._keys.append(public_key)
+        self._heartbeats.append(at_time)
+        self._rows.append(NodeView(text, normalized, True, 0))
         self._by_key[public_key] = address
         if host is not None:
             self._hostnames[host] = address
         self._log_event(
             {
                 "event": "register",
-                "address": record.text,
+                "address": text,
                 "public_key": public_key.hex(),
                 "tags": list(normalized),
                 "hostname": host,
@@ -318,18 +320,26 @@ class RegistryService:
 
     def __contains__(self, address: VirtualAddress) -> bool:
         """Whether address is registered; does not count toward requests_served."""
-        return address in self._nodes
+        network_id, node_id = address
+        return network_id == NETWORK_ID and 0 <= node_id - self.base_node_id < len(self._rows)
 
-    def node(self, address: VirtualAddress) -> NodeRecord:
-        record = self._nodes.get(address)
-        if record is None:
+    def _index(self, address: VirtualAddress) -> int:
+        """The node table index of address; UnknownNodeError if it is not registered."""
+        if address not in self:
             raise UnknownNodeError(f"{address} is not registered")
-        return record
+        return address[1] - self.base_node_id
+
+    def node(self, address: VirtualAddress) -> NodeState:
+        i = self._index(address)
+        row = self._rows[i]
+        return NodeState(
+            address, self._keys[i], row.tags, self._heartbeats[i], row.trust_links, row.address
+        )
 
     def public_key_of(self, address: VirtualAddress) -> bytes:
         """Directory lookup used by handshake verification."""
         self.requests_served += 1
-        return self.node(address).public_key
+        return self._keys[self._index(address)]
 
     def record_trust(self, a: VirtualAddress, b: VirtualAddress) -> bool:
         """Store an unordered trust pair; returns False when already present."""
@@ -337,25 +347,21 @@ class RegistryService:
         return self._record_trust_pair(a, b)
 
     def _record_trust_pair(self, a: VirtualAddress, b: VirtualAddress) -> bool:
-        if a not in self._nodes:
-            raise UnknownNodeError(f"{a} is not registered")
-        if b not in self._nodes:
-            raise UnknownNodeError(f"{b} is not registered")
-        pair = (min(a, b), max(a, b))
+        pair = tuple(sorted((self._index(a), self._index(b))))
         # The summary counter is monotonic over recording attempts, so it can
         # run ahead of the deduplicated edge list when the same pair is
         # recorded twice (e.g. both endpoints initiated a handshake).
         self._summary_trust_links += 1
-        texts = (self._nodes[pair[0]].text, self._nodes[pair[1]].text)
+        rows = self._rows
+        texts = (rows[pair[0]].address, rows[pair[1]].address)
         self._log_event({"event": "trust", "a": texts[0], "b": texts[1]})
         if pair in self._edges:
             return False
         self._edges[pair] = texts
-        if pair[0] == pair[1]:
-            self._nodes[pair[0]].trust_links += 2
-        else:
-            self._nodes[pair[0]].trust_links += 1
-            self._nodes[pair[1]].trust_links += 1
+        # each end gains a link; a self-loop's one node is both ends
+        for i in pair:
+            row = rows[i]
+            rows[i] = NodeView(row.address, row.tags, row.online, row.trust_links + 1)
         return True
 
     def heartbeat(self, address: VirtualAddress) -> None:
@@ -363,21 +369,23 @@ class RegistryService:
         self._heartbeat(address, self._clock())
 
     def _heartbeat(self, address: VirtualAddress, now: float) -> None:
-        record = self.node(address)
-        record.last_heartbeat = now
-        self._log_event({"event": "heartbeat", "address": record.text, "t": now})
+        i = self._index(address)
+        self._heartbeats[i] = now
+        self._log_event({"event": "heartbeat", "address": self._rows[i].address, "t": now})
 
     def snapshot(self) -> StatsSnapshot:
         """Consistent full view; the call itself counts as a request."""
         self.requests_served += 1
         now = self._clock()
-        # _nodes holds records in allocation order, which is address order.
-        # Every value copied is immutable, so the snapshot shares no state
-        # with the registry and may be serialised after the lock is released.
-        nodes = [
-            NodeView(record.text, record.tags, record.online(now), record.trust_links)
-            for record in self._nodes.values()
-        ]
+        # Only a row whose online flag flipped is replaced. The table is in
+        # allocation order, which is address order, and the rows are
+        # immutable, so the snapshot shares no mutable state with the
+        # registry and may be serialised after the lock is released.
+        rows = self._rows
+        for i, (last, row) in enumerate(zip(self._heartbeats, rows)):
+            if (now - last <= OFFLINE_AFTER) is not row.online:
+                rows[i] = NodeView(row.address, row.tags, not row.online, row.trust_links)
+        nodes = rows.copy()
         edges = list(self._edges.values())
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         return StatsSnapshot(
@@ -407,9 +415,9 @@ class RegistryService:
         header, payload = decode_packet(datagram)
         if header.dst_port != PORT_TRUST_HANDSHAKE or not payload:
             return []
-        if header.src not in self._nodes:
+        if header.src not in self:
             return []
-        if header.dst not in self._nodes:
+        if header.dst not in self:
             error_header = PacketHeader(
                 src=REGISTRY_ADDRESS,
                 dst=header.src,
@@ -439,5 +447,5 @@ class RegistryService:
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
+        return len(self._rows)
 

@@ -15,6 +15,11 @@ the consistency audit reports it.
 StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
+Each node's entry is rendered by its row, NodeView.render, on the row's
+first write and kept on the row (NodeView.entry); to_json joins the entries.
+Rows are immutable, so snapshots share them: the registry replaces a row
+only when the node's online flag or trust_links changes, and each later
+snapshot writes the unchanged rows without rendering them again.
 
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
@@ -41,9 +46,28 @@ from .errors import DanglingEdgeError, SchemaViolationError
 from .overlay import VirtualAddress
 
 
-@dataclass
+# Between the fields of a list entry in StatsSnapshot.to_json.
+_FIELD = ",\n      "
+
+
+class _Entry:
+    """NodeView.entry: rendered by NodeView.render on first read, then kept.
+
+    The text goes into the row's __dict__, where later reads find it first.
+    functools.cached_property does the same, but up to Python 3.11 it takes a
+    lock on every first read, which doubled the cost of a first write.
+    """
+
+    def __get__(self, row: Any, owner: Any = None) -> Any:
+        if row is None:
+            return self
+        entry = row.__dict__["entry"] = row.render()
+        return entry
+
+
+@dataclass(frozen=True)
 class NodeView:
-    """Per-node snapshot row."""
+    """Per-node snapshot row, immutable, so snapshots may share it."""
 
     address: str
     tags: tuple[str, ...] = ()
@@ -57,6 +81,18 @@ class NodeView:
             "online": self.online,
             "trust_links": self.trust_links,
         }
+
+    entry = _Entry()  # the row's entry in the nodes list of StatsSnapshot.to_json
+
+    def render(self) -> str:
+        """The row as json.dumps(indent=2) lays it out inside the nodes list."""
+        q, field, tags = encode_basestring_ascii, _FIELD, self.tags
+        tags = "[\n        " + ",\n        ".join(map(q, tags)) + "\n      ]" if tags else "[]"
+        return (
+            f'{{\n      "address": {q(self.address)}{field}"tags": {tags}{field}'
+            f'"online": {"true" if self.online else "false"}{field}'
+            f'"trust_links": {int.__repr__(self.trust_links)}\n    }}'
+        )
 
 
 @dataclass
@@ -181,20 +217,13 @@ class StatsSnapshot:
         def listed(items: list[str]) -> str:  # a top-level list, as indent=2 lays it out
             return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
-        q, field = encode_basestring_ascii, ",\n      "  # between fields of a list entry
-        first, tag, last = "[\n        ", ",\n        ", "\n      ]"  # a node's tags
+        q = encode_basestring_ascii
         networks = [
-            f'{{\n      "id": {int.__repr__(net.id)}{field}"name": {q(net.name)}\n    }}'
+            f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
             for net in self.networks
         ]
-        nodes = [
-            f'{{\n      "address": {q(node.address)}{field}"tags": '
-            f'{first + tag.join(map(q, node.tags)) + last if node.tags else "[]"}{field}'
-            f'"online": {"true" if node.online else "false"}{field}'
-            f'"trust_links": {int.__repr__(node.trust_links)}\n    }}'
-            for node in self.nodes
-        ]
-        edges = [f'{{\n      "a": {q(a)}{field}"b": {q(b)}\n    }}' for a, b in self.trust_edges]
+        nodes = [node.entry for node in self.nodes]
+        edges = [f'{{\n      "a": {q(a)}{_FIELD}"b": {q(b)}\n    }}' for a, b in self.trust_edges]
         return (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'

@@ -425,7 +425,8 @@ class TestExitCodes:
         assert main(["frobnicate"]) == 1
 
     def test_bad_bind_is_usage_error(self):
-        assert main(["serve-registry", "--bind", "nonsense"]) == 1
+        for bind in ("nonsense", "127.0.0.1:70000", "127.0.0.1:\u00b2"):
+            assert main(["serve-registry", "--bind", bind]) == 1, bind
 
     @pytest.mark.parametrize(
         "args",

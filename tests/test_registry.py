@@ -2,7 +2,11 @@
 
 import json
 import random
+import sys
 import tempfile
+import threading
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -42,6 +46,7 @@ from trustnet.registry import (
     RegistryService,
     normalize_tags,
 )
+from trustnet.snapshot import NodeView
 
 
 class ManualClock:
@@ -335,6 +340,99 @@ class TestSnapshot:
         registry.record_trust(a, b)
         assert registry.snapshot().to_json() != body
         assert snap.to_json() == body
+
+
+class TestSnapshotRows:
+    """A snapshot re-renders the entry of a node only when its row changed."""
+
+    @pytest.fixture
+    def rendered(self, monkeypatch):
+        """Address texts of the rows rendered since the last clear()."""
+        texts = []
+        render = NodeView.render
+
+        def counted(row):
+            texts.append(row.address)
+            return render(row)
+
+        monkeypatch.setattr(NodeView, "render", counted)
+        return texts
+
+    def test_unchanged_registry_renders_no_entry(self, rendered):
+        registry, _ = make_registry()
+        for n in range(6):
+            registry.register(key(n), tags=("coding",))
+        registry.snapshot().to_json()
+        assert len(rendered) == 6
+        rendered.clear()
+        snap = registry.snapshot()
+        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert rendered == []
+
+    def test_trust_pair_renders_its_two_rows(self, rendered):
+        registry, _ = make_registry()
+        addresses = [registry.register(key(n)) for n in range(6)]
+        registry.snapshot().to_json()
+        rendered.clear()
+        registry.record_trust(addresses[4], addresses[1])
+        snap = registry.snapshot()
+        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert rendered == [addresses[1].to_text(), addresses[4].to_text()]
+
+    def test_heartbeat_back_online_renders_one_row(self, rendered):
+        registry, clock = make_registry()
+        addresses = [registry.register(key(n)) for n in range(6)]
+        clock.advance(OFFLINE_AFTER + 1.0)
+        registry.snapshot().to_json()
+        rendered.clear()
+        registry.heartbeat(addresses[2])
+        snap = registry.snapshot()
+        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert rendered == [addresses[2].to_text()]
+        assert [node.online for node in snap.nodes] == [n == 2 for n in range(6)]
+
+    def test_rows_stay_consistent_under_threads(self):
+        """Writers and readers share rows the way the server's two threads do."""
+        registry, clock = make_registry()
+        addresses = [registry.register(key(n)) for n in range(40)]
+        lock, stop, failures, kept = threading.Lock(), threading.Event(), [], []
+
+        def write(seed):
+            rng = random.Random(seed)
+            while not stop.is_set():
+                with lock:
+                    clock.advance(rng.choice([1.0, OFFLINE_AFTER]))
+                    registry.heartbeat(rng.choice(addresses))
+                    registry.record_trust(rng.choice(addresses), rng.choice(addresses))
+
+        def read():
+            while not stop.is_set():
+                with lock:
+                    snap = registry.snapshot()
+                body = snap.to_json()
+                links = sum(node.trust_links for node in snap.nodes)
+                if links != 2 * len(snap.trust_edges):
+                    failures.append(f"{links} links for {len(snap.trust_edges)} edges")
+                if body != json.dumps(snap.to_dict(), indent=2) + "\n":
+                    failures.append("a body disagrees with its rows")
+                kept.append((snap, body))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(n,)) for n in range(2)]
+            threads += [threading.Thread(target=read) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            time.sleep(1.0)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and len(kept) > 10
+        assert all(snap.to_json() == body for snap, body in kept)
 
 
 def relay_loop(registry, deliveries, inboxes):
@@ -719,6 +817,84 @@ class TestReplayRoundTrip:
             assert restored.resolve(hostname.swapcase()) == address
 
 
+# _LIVE_CALLS, plus a direct record_trust of two possible addresses (the same
+# one twice for a self-loop, any pair repeated) and a lapse: a clock step past
+# OFFLINE_AFTER, then a heartbeat, with no snapshot between the two.
+_ROW_CALLS = _LIVE_CALLS | st.one_of(
+    st.tuples(st.just("trust"), st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.just("lapse"), st.integers(0, 6)),
+)
+
+
+class TestRowsNeverGoStale:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_ROW_CALLS, min_size=8, max_size=40))
+    def test_every_row_matches_a_model_of_the_calls(self, calls):
+        """After each call the rows equal a model of heartbeats and trust pairs."""
+        registry, clock = make_registry()
+        tags, last, links, pairs = [], [], [], set()
+
+        def known(n):
+            return 0 <= n < len(last)
+
+        def trust(a, b):  # node indices; a self-loop counts twice toward its node
+            if known(a) and known(b) and frozenset((a, b)) not in pairs:
+                pairs.add(frozenset((a, b)))
+                links[a] += 1
+                links[b] += 1
+
+        kept = []  # every snapshot taken so far, with its body
+        for call in calls:
+            if call[0] == "register":
+                _, n, raw_tags, hostname = call
+                try:
+                    address = registry.register(key(n), tags=raw_tags, hostname=hostname)
+                except (DuplicateKeyError, ConfigInvalidError):
+                    continue
+                assert address == VirtualAddress(0, 1 + len(last))
+                tags.append(tuple(dict.fromkeys(tag.lower() for tag in raw_tags)))
+                last.append(clock.now)
+                links.append(0)
+            elif call[0] in ("heartbeat", "lapse"):
+                if call[0] == "lapse":
+                    clock.advance(OFFLINE_AFTER + 1.0)
+                try:
+                    registry.heartbeat(VirtualAddress(0, 1 + call[1]))
+                except UnknownNodeError:
+                    assert not known(call[1])
+                else:
+                    last[call[1]] = clock.now
+            elif call[0] == "handshake":
+                a, b = VirtualAddress(0, 1 + call[1]), VirtualAddress(0, 1 + call[2])
+                registry.relay_handshake(frame(a, b, FRAME_REQUEST))
+                registry.relay_handshake(frame(b, a, FRAME_ACCEPT))
+                registry.relay_handshake(frame(a, b, FRAME_CONFIRM))
+                trust(call[1], call[2])
+            elif call[0] == "trust":
+                try:
+                    registry.record_trust(
+                        VirtualAddress(0, 1 + call[1]), VirtualAddress(0, 1 + call[2])
+                    )
+                except UnknownNodeError:
+                    assert not (known(call[1]) and known(call[2]))
+                trust(call[1], call[2])
+            else:
+                clock.advance(call[1])
+            snap = registry.snapshot()
+            assert [
+                (node.address, node.tags, node.online, node.trust_links) for node in snap.nodes
+            ] == [
+                (VirtualAddress(0, 1 + n).to_text(), tags[n], clock.now - last[n] <= OFFLINE_AFTER,
+                 links[n])
+                for n in range(len(last))
+            ]
+            body = snap.to_json()
+            assert body == json.dumps(snap.to_dict(), indent=2) + "\n"
+            kept.append((snap, body))
+        for snap, body in kept:
+            assert snap.to_json() == body
+
+
 class TestInvariants:
     """consistency_audit checks the degree identity on registry snapshots."""
 
@@ -734,6 +910,7 @@ class TestInvariants:
         registry, _ = make_registry()
         a = registry.register(key(1))
         registry.record_trust(a, a)
-        registry.node(a).trust_links = 5
+        i = a.node_id - registry.base_node_id
+        registry._rows[i] = replace(registry._rows[i], trust_links=5)  # rows are immutable
         findings = consistency_audit(registry.snapshot())
         assert [finding.check for finding in findings] == ["trust-links-identity"]
