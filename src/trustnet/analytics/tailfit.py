@@ -31,7 +31,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from ..errors import InsufficientTailError
+from ..errors import ConfigInvalidError, InsufficientTailError
 
 MIN_TAIL_SIZE = 10
 
@@ -116,7 +116,9 @@ def _nelder_mead(
 
 
 def fit_heavy_tail(histogram: dict[int, int], k_min: int = 10) -> PowerLawFit:
-    """Fit the three tail models to all observations with k >= k_min."""
+    """Fit the three tail models to all observations with k >= k_min >= 1."""
+    if k_min < 1:  # the lowest bin starts at k_min - 0.5, whose log is taken
+        raise ConfigInvalidError(f"k_min must be at least 1, got {k_min}")
     tail = sorted(
         (int(k), int(count))
         for k, count in histogram.items()

@@ -202,8 +202,8 @@ def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
 @click.argument("snapshot_path", type=click.Path())
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Write the metrics document (JSON) here.")
-@click.option("--k-min", default=10, show_default=True, type=int,
-              help="Tail threshold for the heavy-tail fit.")
+@click.option("--k-min", default=10, show_default=True, type=click.IntRange(min=1),
+              help="Tail threshold for the heavy-tail fit (at least 1).")
 @click.option("--audit/--no-audit", default=False,
               help="Also print structural audit findings.")
 def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:

@@ -14,6 +14,10 @@ Duplicate pairs are rejected (consuming the stub). Tags come from a weighted
 vocabulary with a Zipf-like tail so that type/token statistics resemble an
 organically grown capability market.
 
+Fixed-weight draws (a stub's mechanism, a tag count) bisect cumulative sums
+cached per frozen mix or tag model, each node's address text is formatted
+once, and the trace is written by template (``GrowthEvent.to_line``).
+
 Three deliberate structural choices keep fragmentation possible (without them
 every non-isolate attaches to one giant cluster and small detached
 communities can never form):
@@ -34,8 +38,9 @@ from bisect import bisect_right
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import ClassVar, Iterable, Optional, Sequence, Union, get_type_hints
+from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence, Union, get_type_hints
 
 from .errors import (
     ConfigInvalidError,
@@ -47,7 +52,6 @@ from .snapshot import (
     NetworkView,
     NodeView,
     StatsSnapshot,
-    compact_json,
     is_number,
     read_json,
 )
@@ -79,6 +83,24 @@ def poisson(rng: random.Random, mean: float) -> int:
 def one_plus_poisson(rng: random.Random, mean: float) -> int:
     """Draw from 1 + Poisson(mean - 1); mean must be >= 1."""
     return 1 + poisson(rng, mean - 1.0)
+
+
+def fixed_choice(
+    population: Sequence, weights: Iterable[float]
+) -> Callable[[random.Random], Any]:
+    """Return draw(rng), which picks what ``rng.choices(population, weights)[0]``
+    would: the same one ``random()`` and ``bisect_right`` (Python 3.10-3.13),
+    over cumulative sums built once. A total that is not positive and finite
+    raises ValueError, as in ``random.choices``."""
+    cum = list(accumulate(weights))
+    total, hi = cum[-1] + 0.0, len(cum) - 1
+    if not 0.0 < total < math.inf:
+        raise ValueError("total of weights must be positive and finite")
+
+    def draw(rng: random.Random) -> Any:
+        return population[bisect_right(cum, rng.random() * total, 0, hi)]
+
+    return draw
 
 
 def geometric(rng: random.Random, mean: float) -> int:
@@ -177,10 +199,14 @@ class TagModel:
         weights = tuple(weight for _, weight in self.vocabulary)
         return weights, (0.0, *accumulate(weights)), tuple(t for t, _ in self.vocabulary)
 
+    @cached_property
+    def _draw_count(self) -> Callable[[random.Random], int]:
+        return fixed_choice((1, 2, 3), self.count_distribution)
+
     def draw(self, rng: random.Random) -> tuple[str, ...]:
         if rng.random() < self.untagged_probability:
             return ()
-        count = rng.choices((1, 2, 3), weights=self.count_distribution)[0]
+        count = self._draw_count(rng)
         # Each random() is scaled to the weight left and carried past the picks,
         # which bisect then never returns (rounding is monotone). Past the end or
         # once picks hold half the weight (sums lose light entries), use the rest.
@@ -290,9 +316,13 @@ class MechanismMix(ConfigDocument):
     def weights(self) -> tuple[float, float, float, float]:
         return (self.propinquity, self.preferential, self.triadic, self.uniform)
 
+    @cached_property
+    def _draw(self) -> Callable[[random.Random], str]:
+        return fixed_choice(MECHANISMS, self.weights())
+
     def draw(self, rng: random.Random) -> str:
         """Pick one mechanism name with these weights (one rng call)."""
-        return rng.choices(MECHANISMS, weights=self.weights())[0]
+        return self._draw(rng)
 
     def validate(self) -> None:
         check_field_types(self)
@@ -436,13 +466,6 @@ class LinkAttempt:
     target: Optional[str]
     accepted: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "mechanism": self.mechanism,
-            "target": self.target,
-            "accepted": self.accepted,
-        }
-
 
 @dataclass(frozen=True)
 class GrowthEvent:
@@ -456,15 +479,20 @@ class GrowthEvent:
     tags: tuple[str, ...]
 
     def to_line(self) -> str:
-        return compact_json(
-            {
-                "index": self.index,
-                "address": self.address,
-                "self_loop": self.self_loop,
-                "isolate": self.isolate,
-                "attempts": [attempt.to_dict() for attempt in self.attempts],
-                "tags": list(self.tags),
-            }
+        """The bytes of snapshot.compact_json on the event's dict form (fields in
+        order, an attempt as mechanism, target, accepted), by template."""
+        q = encode_basestring_ascii
+        attempts = ",".join([
+            f'{{"mechanism":{q(a.mechanism)},'
+            f'"target":{"null" if a.target is None else q(a.target)},'
+            f'"accepted":{"true" if a.accepted else "false"}}}'
+            for a in self.attempts
+        ])
+        return (
+            f'{{"index":{int.__repr__(self.index)},"address":{q(self.address)},'
+            f'"self_loop":{"true" if self.self_loop else "false"},'
+            f'"isolate":{"true" if self.isolate else "false"},'
+            f'"attempts":[{attempts}],"tags":[{",".join(map(q, self.tags))}]}}'
         )
 
     @classmethod
@@ -670,12 +698,14 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
     tag_model = default_tag_model(config.untagged_probability)
     graph = AttachmentGraph()
     events: list[GrowthEvent] = []
+    texts = [""]  # texts[v]: node v's address text, formatted once on arrival
     session_pool: list[int] = []
     session_left = 0
     use_sessions = config.session_mean > 0
 
     for node in range(1, config.n + 1):
         address = VirtualAddress(0, node).to_text()
+        texts.append(address)
         graph.add_node(node)
         if use_sessions:
             if session_left == 0:
@@ -718,8 +748,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
                 accepted = target not in graph.adjacency[node]
                 if accepted:
                     graph.connect(node, target)
-                text = VirtualAddress(0, target).to_text()
-                attempts.append(LinkAttempt(mechanism, text, accepted))
+                attempts.append(LinkAttempt(mechanism, texts[target], accepted))
         tags = tag_model.draw(rng)
         events.append(
             GrowthEvent(

@@ -39,6 +39,7 @@ from trustnet.analytics.tags import entropy_bits, tag_stats_from_counts
 from trustnet.analytics.tailfit import XATOL, _nelder_mead, ndtr
 from trustnet.errors import (
     BadBoundariesError,
+    ConfigInvalidError,
     DanglingEdgeError,
     DegenerateGraphError,
     InsufficientTailError,
@@ -460,6 +461,12 @@ class TestTailFit:
     def test_insufficient_tail(self):
         with pytest.raises(InsufficientTailError):
             fit_heavy_tail({12: 3}, k_min=10)
+
+    @pytest.mark.parametrize("k_min", [0, -3])
+    def test_k_min_below_one_is_refused(self, k_min):
+        hist = tail_sampler_power_law(random.Random(3), gamma=2.5, k_min=1, size=500)
+        with pytest.raises(ConfigInvalidError, match="k_min"):
+            fit_heavy_tail(hist, k_min=k_min)
 
     def test_gamma_above_one(self):
         rng = random.Random(11)

@@ -428,6 +428,11 @@ class TestExitCodes:
         for bind in ("nonsense", "127.0.0.1:70000", "127.0.0.1:\u00b2"):
             assert main(["serve-registry", "--bind", bind]) == 1, bind
 
+    @pytest.mark.parametrize("k_min", ["0", "-3"])
+    def test_k_min_below_one_is_usage_error(self, snapshot_path, capsys, k_min):
+        assert main(["analyze", str(snapshot_path), "--k-min", k_min]) == 1
+        assert "--k-min" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "args",
         [

@@ -8,7 +8,7 @@ from dataclasses import replace
 from statistics import mean
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import reference_tag_draw
@@ -21,11 +21,14 @@ from trustnet.growth import (
     MECHANISMS,
     AttachmentGraph,
     GrowthConfig,
+    GrowthEvent,
     GrowthTrace,
+    LinkAttempt,
     MechanismMix,
     TagModel,
     default_tag_model,
     default_tag_vocabulary,
+    fixed_choice,
     generate,
     geometric,
     one_plus_poisson,
@@ -38,7 +41,7 @@ from trustnet.growth import (
 )
 from trustnet.analytics import analyze_snapshot, build_graph, clustering
 from trustnet.overlay import VirtualAddress
-from trustnet.snapshot import StatsSnapshot
+from trustnet.snapshot import StatsSnapshot, compact_json
 
 
 def small_config(**overrides) -> GrowthConfig:
@@ -346,6 +349,40 @@ class TestMechanismMix:
         assert {mix.draw(rng) for _ in range(100)} == {"triadic"}
 
 
+# Zero weights first and last, where bisect must step past or stop short of them.
+mix_weight = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+mix_weights = st.tuples(*[mix_weight] * 4).filter(lambda w: sum(w) > 0)
+
+
+@given(weights=mix_weights, seed=st.integers(0, 2**32))
+@example(weights=(0.0, 0.3, 0.7, 0.0), seed=0)
+@example(weights=(0.0, 0.0, 0.0, 1.0), seed=1)
+@settings(max_examples=200, deadline=None)
+def test_fixed_weight_draws_equal_random_choices(weights, seed):
+    """MechanismMix.draw and the tag-count draw pick what rng.choices picks."""
+    total = sum(weights)
+    mix = MechanismMix(*(w / total for w in weights))
+    counts = default_tag_model().count_distribution
+    draw_count = fixed_choice((1, 2, 3), counts)
+    rng, twin = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        assert mix.draw(rng) == twin.choices(MECHANISMS, weights=mix.weights())[0]
+        assert draw_count(rng) == twin.choices((1, 2, 3), weights=counts)[0]
+    for population, some in ((MECHANISMS, weights), ((1, 2, 3), weights[:3])):
+        if sum(some) > 0:
+            draw = fixed_choice(population, some)
+            assert draw(rng) == twin.choices(population, weights=some)[0]
+    assert rng.random() == twin.random()
+
+
+def test_fixed_choice_refuses_weights_random_choices_refuses():
+    for weights in ((0.0, 0.0), (1.0, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError):
+            random.Random(0).choices("ab", weights=weights)
+        with pytest.raises(ValueError):
+            fixed_choice("ab", weights)
+
+
 def attachment_graph() -> AttachmentGraph:
     """Nodes 1-6 attachable; newcomer 7 already linked to 2; 8 neighborless."""
     graph = AttachmentGraph()
@@ -592,6 +629,51 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(UnknownPresetError):
             preset("paper-1999")
+
+
+# Quotes, backslashes, control characters, non-ASCII and lone surrogates.
+trace_text = st.text(st.sampled_from('a"\\\n\x00\u00e9\u2603\ud800') | st.characters(),
+                     max_size=6)
+link_attempts = st.builds(
+    LinkAttempt,
+    mechanism=st.sampled_from(MECHANISMS) | trace_text,
+    target=st.none() | trace_text,
+    accepted=st.booleans(),
+)
+growth_events = st.builds(
+    GrowthEvent,
+    index=st.integers(0, 2**64),
+    address=trace_text,
+    self_loop=st.booleans(),
+    isolate=st.booleans(),
+    attempts=st.lists(link_attempts, max_size=4).map(tuple),
+    tags=st.lists(trace_text, max_size=3).map(tuple),
+)
+
+
+def event_dict(event: GrowthEvent) -> dict:
+    return {
+        "index": event.index,
+        "address": event.address,
+        "self_loop": event.self_loop,
+        "isolate": event.isolate,
+        "attempts": [
+            {"mechanism": a.mechanism, "target": a.target, "accepted": a.accepted}
+            for a in event.attempts
+        ],
+        "tags": list(event.tags),
+    }
+
+
+@given(event=growth_events)
+@example(event=GrowthEvent(1, "0:0000.0000.0001", True, True, (), ()))
+@example(event=GrowthEvent(2, "x", False, False,
+                           (LinkAttempt("triadic", None, False),), ('"q\\',)))
+@settings(max_examples=300, deadline=None)
+def test_trace_writer_matches_compact_json(event):
+    line = event.to_line()
+    assert line == compact_json(event_dict(event))
+    assert GrowthEvent.from_line(line) == event
 
 
 class TestGenerate:
