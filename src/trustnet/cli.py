@@ -10,16 +10,34 @@ input files.
 The default output directory is the current directory, overridable with the
 TRUSTNET_DATA_DIR environment variable.
 
-`simulate` and `serve-registry` import the simulator, registry and server in
-their bodies. Only `simulate` loads cryptography: the registry reads no more
-of a handshake frame than its overlay header and type byte. The work functions
-(`run_scenario`, `analyze_snapshot`, ...) stay module attributes that each
-subcommand looks up when it runs, so a caller can wrap or replace them.
+Each command imports the subsystems it runs, in its body, so a call pays for
+no other command's imports:
+
+    generate, sweep      growth (sweep also analytics and charts)
+    analyze              snapshot and analytics
+    report               charts
+    simulate             the simulator, and with it cryptography
+    serve-registry       the registry and server
+
+Only `simulate` loads cryptography: the registry reads no more of a handshake
+frame than its overlay header and type byte. The work functions
+`analyze_snapshot`, `consistency_audit`, `render_table`,
+`render_report_artifacts` and `run_scenario` stay module attributes that each
+command looks up when it runs, so a caller can wrap or replace them. Each is a
+thin loader that imports its module on first call and forwards to the
+function of that name there.
+
+`main` pauses the cyclic garbage collector for the call and restores its
+earlier state on return: a batch command's snapshot, trace and report data
+hold no reference cycles, so each collection would free nothing and cost
+tens of milliseconds. `serve-registry`, the one long-lived command, turns
+the collector back on before it serves.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -29,11 +47,7 @@ from pathlib import Path
 
 import click
 
-from . import growth
-from .analytics.report import analyze_snapshot, consistency_audit, render_table
-from .charts import load_metrics, render_report_artifacts, sweep_csv
 from .errors import ConfigInvalidError, TrustNetError
-from .snapshot import StatsSnapshot
 
 DATA_DIR_ENV = "TRUSTNET_DATA_DIR"
 
@@ -87,6 +101,7 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
         else RegistryService(base_node_id=base_node_id)
     )
     server = RegistryServer(registry=registry, host=host, port=int(port_text))
+    gc.enable()  # main() pauses it for batch commands; a daemon's cycles need collecting
     # A shell's `cmd &` starts the daemon with SIGINT ignored; restore the
     # handler that raises KeyboardInterrupt so SIGINT stops it either way.
     signal.signal(signal.SIGINT, signal.default_int_handler)
@@ -153,8 +168,9 @@ def simulate(config_path: str, seed: int, out_path: str, events_path: str) -> No
 
 
 @cli.command()
-@click.option("--preset", "preset_name", default=None,
-              help=f"Named preset ({', '.join(growth.preset_names())}).")
+# Spelled out, not read from growth.preset_names(), so that importing the CLI
+# does not import growth; a test checks that the list is complete.
+@click.option("--preset", "preset_name", default=None, help="Named preset (paper-2026).")
 @click.option("--config", "config_path", default=None, type=click.Path(),
               help="Growth configuration document (JSON).")
 @click.option("--seed", type=int, default=None, help="Override the config seed.")
@@ -166,6 +182,8 @@ def simulate(config_path: str, seed: int, out_path: str, events_path: str) -> No
               help="Also write the growth event trace.")
 def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
     """Generate one synthetic network snapshot."""
+    from . import growth
+
     if preset_name is None and config_path is None:
         raise click.UsageError("provide --preset or --config")
     if config_path is not None:
@@ -197,6 +215,30 @@ def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
 
 # --- analyze ---
 
+# Thin loaders. Each forwards to the analytics package's own binding, not to
+# analytics.report's, so a caller that wraps both names sees one call.
+
+
+def analyze_snapshot(snapshot, **options):
+    """analytics.analyze_snapshot, loaded on first use."""
+    from . import analytics
+
+    return analytics.analyze_snapshot(snapshot, **options)
+
+
+def consistency_audit(snapshot, report=None):
+    """analytics.consistency_audit, loaded on first use."""
+    from . import analytics
+
+    return analytics.consistency_audit(snapshot, report)
+
+
+def render_table(report):
+    """analytics.render_table, loaded on first use."""
+    from . import analytics
+
+    return analytics.render_table(report)
+
 
 @cli.command()
 @click.argument("snapshot_path", type=click.Path())
@@ -208,6 +250,8 @@ def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
               help="Also print structural audit findings.")
 def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
     """Compute the full metrics report for one snapshot."""
+    from .snapshot import StatsSnapshot
+
     resolved = {"snapshot": snapshot_path, "out": out_path, "k_min": k_min}
     _print_header("analyze", resolved)
     snapshot = StatsSnapshot.read(snapshot_path)
@@ -232,12 +276,21 @@ def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
 # --- report ---
 
 
+def render_report_artifacts(metrics, out_dir):
+    """charts.render_report_artifacts, loaded on first use."""
+    from . import charts
+
+    return charts.render_report_artifacts(metrics, out_dir)
+
+
 @cli.command()
 @click.argument("metrics_path", type=click.Path())
 @click.option("--charts", "charts_dir", default=None, type=click.Path(),
               help="Output directory for charts and histogram exports.")
 def report(metrics_path: str, charts_dir: str) -> None:
     """Render charts and histogram exports from a metrics document."""
+    from .charts import load_metrics
+
     out_dir = Path(charts_dir) if charts_dir else _data_dir() / "charts"
     resolved = {"metrics": metrics_path, "charts": str(out_dir)}
     _print_header("report", resolved)
@@ -264,22 +317,26 @@ SWEEP_COLUMNS = (
 
 
 def _parse_values(text: str) -> list[float]:
+    from .growth import parse_scalar
+
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise click.UsageError("range must be start:stop:step")
-        start, stop, step = (growth.parse_scalar("range bound", "float", p) for p in parts)
+        start, stop, step = (parse_scalar("range bound", "float", p) for p in parts)
         if not all(map(math.isfinite, (start, stop, step))):
             raise ConfigInvalidError(f"range bounds must be finite, got {text!r}")
         if step <= 0:
             raise click.UsageError("range step must be positive")
         count = int((stop - start) / step + 1e-9) + 1
         return [round(start + i * step, 10) for i in range(count)]
-    return [growth.parse_scalar("value", "float", p) for p in text.split(",") if p != ""]
+    return [parse_scalar("value", "float", p) for p in text.split(",") if p != ""]
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [growth.parse_scalar("seed", "int", p) for p in text.split(",") if p != ""]
+    from .growth import parse_scalar
+
+    return [parse_scalar("seed", "int", p) for p in text.split(",") if p != ""]
 
 
 @cli.command()
@@ -293,12 +350,19 @@ def _parse_seeds(text: str) -> list[int]:
               help="Results CSV path.")
 def sweep(parameter, values, preset_name, config_path, seeds, out_path):
     """Sweep one growth parameter; one CSV row per (value, seed)."""
+    from . import growth
+    from .charts import sweep_csv
+
     if config_path is not None:
         base = growth.GrowthConfig.read(config_path)
     else:
         base = growth.preset(preset_name)
     value_list = _parse_values(values)
+    if not value_list:
+        raise click.UsageError(f"VALUES {values!r} gives an empty value list")
     seed_list = _parse_seeds(seeds)
+    if not seed_list:
+        raise click.UsageError(f"--seeds {seeds!r} gives an empty seed list")
     out = Path(out_path) if out_path else _data_dir() / "sweep.csv"
     resolved = {
         "base_config": base.to_dict(),
@@ -332,7 +396,13 @@ def sweep(parameter, values, preset_name, config_path, seeds, out_path):
 
 
 def main(argv=None) -> int:
-    """Run the CLI, mapping exception classes onto the exit-code contract."""
+    """Run the CLI, mapping exception classes onto the exit-code contract.
+
+    The cyclic garbage collector is paused for the call (see the module
+    docstring) and left as it was found, however the call ends.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
@@ -345,6 +415,11 @@ def main(argv=None) -> int:
     except (TrustNetError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 if __name__ == "__main__":

@@ -40,7 +40,9 @@ from functools import cached_property
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, ClassVar, Iterable, Optional, Sequence, Union, get_type_hints
+from typing import (
+    Any, Callable, ClassVar, Iterable, NamedTuple, Optional, Sequence, Union, get_type_hints,
+)
 
 from .errors import (
     ConfigInvalidError,
@@ -458,8 +460,7 @@ def preset_names() -> tuple[str, ...]:
 # --- trace ---
 
 
-@dataclass(frozen=True)
-class LinkAttempt:
+class LinkAttempt(NamedTuple):
     """One stub: which mechanism fired, at whom, and whether it stuck."""
 
     mechanism: str
@@ -467,9 +468,12 @@ class LinkAttempt:
     accepted: bool
 
 
-@dataclass(frozen=True)
-class GrowthEvent:
-    """Everything that happened at one arrival."""
+class GrowthEvent(NamedTuple):
+    """Everything that happened at one arrival.
+
+    Trace rows are named tuples, not dataclasses: ``generate`` makes one per
+    arrival and one per stub, and a tuple is built in a single call.
+    """
 
     index: int
     address: str
@@ -483,10 +487,10 @@ class GrowthEvent:
         order, an attempt as mechanism, target, accepted), by template."""
         q = encode_basestring_ascii
         attempts = ",".join([
-            f'{{"mechanism":{q(a.mechanism)},'
-            f'"target":{"null" if a.target is None else q(a.target)},'
-            f'"accepted":{"true" if a.accepted else "false"}}}'
-            for a in self.attempts
+            f'{{"mechanism":{q(mechanism)},'
+            f'"target":{"null" if target is None else q(target)},'
+            f'"accepted":{"true" if accepted else "false"}}}'
+            for mechanism, target, accepted in self.attempts
         ])
         return (
             f'{{"index":{int.__repr__(self.index)},"address":{q(self.address)},'
@@ -545,23 +549,21 @@ class GrowthTrace:
         loops: set[str] = set()
         tags: dict[str, tuple[str, ...]] = {}
         sent_requests = 0
-        for event in self.events:
-            degree.setdefault(event.address, 0)
-            tags[event.address] = event.tags
-            if event.self_loop:
-                pair = (event.address, event.address)
-                edges.append(pair)
-                loops.add(event.address)
-            for attempt in event.attempts:
-                if attempt.target is None:
+        for _, address, self_loop, _, attempts, event_tags in self.events:
+            degree.setdefault(address, 0)
+            tags[address] = event_tags
+            if self_loop:
+                edges.append((address, address))
+                loops.add(address)
+            for _, target, accepted in attempts:
+                if target is None:
                     continue
                 sent_requests += 1
-                if not attempt.accepted:
+                if not accepted:
                     continue
-                pair = tuple(sorted((event.address, attempt.target)))
-                edges.append(pair)
-                degree[event.address] += 1
-                degree[attempt.target] += 1
+                edges.append((address, target) if address <= target else (target, address))
+                degree[address] += 1
+                degree[target] += 1
         n = len(self.events)
         requests = n * (1 + NOMINAL_HEARTBEATS_PER_AGENT) + sent_requests
         nodes = [
@@ -750,16 +752,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
                     graph.connect(node, target)
                 attempts.append(LinkAttempt(mechanism, texts[target], accepted))
         tags = tag_model.draw(rng)
-        events.append(
-            GrowthEvent(
-                index=node,
-                address=address,
-                self_loop=self_loop,
-                isolate=isolate,
-                attempts=tuple(attempts),
-                tags=tags,
-            )
-        )
+        events.append(GrowthEvent(node, address, self_loop, isolate, tuple(attempts), tags))
         if not isolate:
             graph.attachable.append(node)
             if use_sessions:

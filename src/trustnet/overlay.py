@@ -106,17 +106,15 @@ class VirtualAddress(_AddressFields):
         match = _ADDRESS_RE.match(text)
         if match is None:
             raise MalformedAddressError(f"unparseable address text: {text!r}")
-        prefix = int(match.group(1), 10)
-        network = int(match.group(2), 16)
-        if prefix != network:
+        prefix, network_hex, high, low = match.groups()
+        network = int(network_hex, 16)
+        if int(prefix, 10) != network:
             raise MalformedAddressError(
-                f"decimal prefix {prefix} disagrees with hex network group "
+                f"decimal prefix {int(prefix, 10)} disagrees with hex network group "
                 f"{network} in {text!r}"
             )
-        if prefix > 0xFFFF:
-            raise MalformedAddressError(f"network id {prefix} overflows 16 bits")
-        node = (int(match.group(3), 16) << 16) | int(match.group(4), 16)
-        return cls(network, node)
+        # Four hex digits a group bound both ids, so __new__'s range checks are skipped.
+        return tuple.__new__(cls, (network, int(high + low, 16)))
 
     def to_bytes(self) -> bytes:
         """Serialize to the 6-byte big-endian wire form."""

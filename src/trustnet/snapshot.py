@@ -24,12 +24,13 @@ snapshot writes the unchanged rows without rendering them again.
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
 address text maps to its node's index, and each distinct text is parsed once,
-by VirtualAddress.from_text. from_dict builds the table while it validates
-and keeps it; the first use of the graph links the trust edges, by then
-without the parsed document in memory. A snapshot built in code builds the
-table on first use too, with the reader's checks and messages. The graph is
-kept, so a snapshot's nodes and trust_edges must not change once it has been
-analysed.
+by VirtualAddress.from_text; a canonical text is not formatted again. from_dict
+builds the table while it validates, looks each edge end up in it once, and
+keeps the table with the vertex ids of the edge ends; the first use of the
+graph links those ids, by then without the parsed document in memory. A
+snapshot built in code builds the table on first use too, with the reader's
+checks and messages. The graph is kept, so a snapshot's nodes and trust_edges
+must not change once it has been analysed.
 """
 
 from __future__ import annotations
@@ -130,7 +131,13 @@ class TrustGraph:
             read_string(text, f"nodes[{i}].address")
         vid = self.index.get(text)
         address = VirtualAddress.from_text(text) if vid is None else self.addresses[vid]
-        canonical = address.to_text()
+        # A parsed text is canonical unless it has a lowercase hex digit or a
+        # leading zero in its decimal prefix; only then is it formatted again.
+        canonical = (
+            text
+            if text.upper() == text and (text[0] != "0" or text[1] == ":")
+            else address.to_text()
+        )
         if canonical in self.index:
             raise SchemaViolationError(f"duplicate node address {canonical}")
         # Canonical first: a dict keeps the first of two equal keys, so the
@@ -141,11 +148,6 @@ class TrustGraph:
 
     def edge(self, a: Any, b: Any, i: int) -> tuple[int, int]:
         """Vertex ids of trust_edges[i]; both ends are parsed before either is looked up."""
-        if isinstance(a, str) and isinstance(b, str):  # a list is not hashable
-            try:
-                return self.index[a], self.index[b]
-            except KeyError:
-                pass
         ends = self._find(a, i, "a"), self._find(b, i, "b")
         for end in ends:
             if isinstance(end, str):
@@ -237,17 +239,19 @@ class StatsSnapshot:
     @cached_property
     def graph(self) -> TrustGraph:
         """The trust graph of the module docstring, built on first use and kept."""
-        graph = vars(self).pop("_vertices", None)  # the table from_dict left
-        if graph is None:
-            graph = TrustGraph()
+        table = vars(self).pop("_table", None)  # what from_dict left
+        if table is None:
+            graph, ends = TrustGraph(), []
             for i, node in enumerate(self.nodes):
                 graph.add_node(node.address, i)
             for i, (a, b) in enumerate(self.trust_edges):
-                graph.edge(a, b, i)  # checks both ends and indexes their texts
-        index = graph.index
+                ends += graph.edge(a, b, i)  # checks both ends and indexes their texts
+        else:
+            graph, ends = table
         graph.adjacency = [set() for _ in graph.addresses]
-        for a, b in self.trust_edges:
-            graph.link(index[a], index[b])
+        link, pairs = graph.link, iter(ends)
+        for i, j in zip(pairs, pairs):
+            link(i, j)
         return graph
 
     def write(self, path: Union[str, Path]) -> None:
@@ -306,12 +310,21 @@ class StatsSnapshot:
                 read_count(trust_links, f"nodes[{i}].trust_links")
             nodes.append(NodeView(canonical, tuple(tags), online, trust_links))
 
-        edges = []
+        # Each end is one lookup in the table's index; anything else (a text
+        # in another form, an unknown address, a missing field or a non-string)
+        # takes TrustGraph.edge, which raises the reader's error for it.
+        # ends holds the vertex ids a0, b0, a1, b1, ... for the first graph.
+        index, texts = table.index, [node.address for node in nodes]
+        edges, ends = [], []
         for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
-            if "a" not in raw or "b" not in raw:
-                raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-            a, b = table.edge(raw["a"], raw["b"], i)
-            edges.append((nodes[a].address, nodes[b].address))
+            try:
+                a, b = index[raw["a"]], index[raw["b"]]
+            except (KeyError, TypeError):  # TypeError: an unhashable end
+                if "a" not in raw or "b" not in raw:
+                    raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
+                a, b = table.edge(raw["a"], raw["b"], i)
+            edges.append((texts[a], texts[b]))
+            ends += (a, b)
 
         snapshot = cls(
             generated_at=generated_at,
@@ -322,7 +335,7 @@ class StatsSnapshot:
             summary_trust_links=summary,
             requests_per_agent=requests_per_agent,
         )
-        snapshot._vertices = table  # linked by the first snapshot.graph, once doc is freed
+        snapshot._table = table, ends  # linked by the first snapshot.graph, once doc is freed
         return snapshot
 
     @classmethod

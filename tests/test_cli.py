@@ -1,5 +1,6 @@
 """CLI: pipeline wiring, reproducibility headers, exit-code contract."""
 
+import gc
 import importlib.util
 import json
 import os
@@ -12,8 +13,10 @@ import pytest
 
 import trustnet.analytics.report
 import trustnet.cli
+import trustnet.growth
 from trustnet.analytics.report import analyze_snapshot
 from trustnet.cli import main
+from trustnet.growth import preset_names
 from trustnet.registry import RegistryService
 from trustnet.snapshot import StatsSnapshot
 
@@ -50,6 +53,14 @@ def scenario_doc() -> dict:
 class TestGenerate:
     def test_requires_preset_or_config(self):
         assert main(["generate"]) == 1
+
+    def test_help_lists_every_preset(self, capsys):
+        """The --preset help is spelled out in the CLI, which does not import growth."""
+        assert main(["generate", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert preset_names()
+        for name in preset_names():
+            assert name in help_text
 
     def test_reruns_are_byte_identical(self, tmp_path, snapshot_path):
         again = tmp_path / "again.json"
@@ -294,6 +305,58 @@ class TestReplaceableEntryPoints:
             assert name in vars(cls), f"{module}.{owner}.{name}"
 
 
+class TestCollector:
+    """main() pauses the cyclic collector for a batch command and restores it."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        """Start each case with the collector on, then off; restore it after."""
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            (["generate", "--preset", "paper-2026", "--set", "n=40", "--out", "{tmp}/s.json"], 0),
+            (["generate", "--preset", "paper-2026", "--set", "n=x"], 2),
+            (["generate"], 1),
+            (["analyze", "{tmp}/empty.json"], 2),
+        ],
+        ids=["success", "bad-override", "usage", "schema"],
+    )
+    def test_main_restores_the_collector_state(
+        self, tmp_path, monkeypatch, collecting, args, code
+    ):
+        during = []
+        generate = trustnet.growth.generate
+
+        def recorded(config):
+            during.append(gc.isenabled())
+            return generate(config)
+
+        monkeypatch.setattr(trustnet.growth, "generate", recorded)
+        (tmp_path / "empty.json").write_text("{}")  # a snapshot without its fields
+        assert main([arg.format(tmp=tmp_path) for arg in args]) == code
+        assert gc.isenabled() is collecting
+        assert during == ([False] if code == 0 else [])
+
+    def test_serve_registry_serves_with_the_collector_on(self, monkeypatch, collecting):
+        from trustnet.server import RegistryServer
+
+        during = []
+
+        def start(server):
+            during.append(gc.isenabled())
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(RegistryServer, "start", start)
+        assert main(["serve-registry", "--bind", "127.0.0.1:0"]) == 1
+        assert during == [True]
+        assert gc.isenabled() is collecting
+
+
 class TestAnalyzeAndReport:
     def test_analyze_renders_summary_rows(self, snapshot_path, capsys):
         assert main(["analyze", str(snapshot_path)]) == 0
@@ -376,11 +439,6 @@ class TestSweep:
         loops_on = [int(r[4]) for r in rows if r[0] == "1.0"]
         assert all(v == 0 for v in loops_off)
         assert all(v == 40 for v in loops_on)
-        # an empty value list still writes the header line
-        empty = tmp_path / "empty.csv"
-        code = main(["sweep", "mix.triadic", ",", "--out", str(empty)])
-        assert code == 0
-        assert empty.read_text() == lines[0] + "\n"
         assert lines[0] == (
             "value,seed,node_count,edges_nonself,self_loops,"
             "mean_degree_nonself,giant_fraction,avg_clustering,gamma"
@@ -452,6 +510,21 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert main([*args, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["n", "700:600:10"], "empty value list"),
+            (["n", ","], "empty value list"),
+            (["n", "626", "--seeds", ","], "empty seed list"),
+        ],
+        ids=["descending-range", "empty-values", "empty-seeds"],
+    )
+    def test_empty_sweep_list_is_usage_error(self, tmp_path, capsys, args, named):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *args, "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_event_log_is_input_error(self, tmp_path, capsys):

@@ -3,7 +3,9 @@
 Every case runs in a fresh interpreter, because the test process itself has
 long since imported cryptography. numpy and scipy stay watched: no command
 may load them. Only `simulate` loads cryptography; the registry daemon relays
-handshake frames without loading it or the channel.
+handshake frames without loading it or the channel. `import trustnet.cli`
+loads none of growth, analytics and charts, and each pipeline command loads
+only its own one of them.
 """
 
 import json
@@ -16,7 +18,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy", "numpy", "cryptography")
-WATCHED = HEAVY + ("trustnet.sim", "trustnet.server", "trustnet.registry", "trustnet.channel")
+PIPELINE = ("trustnet.growth", "trustnet.analytics", "trustnet.charts")
+WATCHED = HEAVY + PIPELINE + (
+    "trustnet.sim", "trustnet.server", "trustnet.registry", "trustnet.channel"
+)
 
 PUBLIC_NAMES = [
     "AgentIdentity", "Beacon", "BehaviorPolicy", "Distribution", "GrowthConfig",
@@ -92,7 +97,7 @@ def test_importing_the_cli_loads_no_subsystem_it_may_not_run(tmp_path):
 
 
 def test_importing_growth_loads_no_cryptography(tmp_path):
-    assert run_fresh("import trustnet.growth", tmp_path)["loaded"] == []
+    assert run_fresh("import trustnet.growth", tmp_path)["loaded"] == ["trustnet.growth"]
 
 
 @pytest.mark.parametrize(
@@ -100,6 +105,19 @@ def test_importing_growth_loads_no_cryptography(tmp_path):
 )
 def test_command_loads_no_heavy_dependency(loaded, command):
     assert not set(loaded[command]) & set(HEAVY)
+
+
+@pytest.mark.parametrize(
+    "command, runs",
+    [
+        ("generate", "trustnet.growth"),
+        ("analyze", "trustnet.analytics"),
+        ("analyze-audit", "trustnet.analytics"),
+        ("report", "trustnet.charts"),
+    ],
+)
+def test_pipeline_command_loads_only_its_subsystem(loaded, command, runs):
+    assert [m for m in loaded[command] if m in PIPELINE] == [runs]
 
 
 # Two agents with opaque keys register, then pass a REQUEST/ACCEPT/CONFIRM

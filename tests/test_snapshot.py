@@ -242,6 +242,25 @@ class TestAddressCanonicaliser:
         loaded = StatsSnapshot.from_dict(doc)
         assert loaded.trust_edges == [("0:0000.0000.00AB", "0:0000.0000.0001")]
 
+    @given(
+        address=st.builds(VirtualAddress, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF_FFFF)),
+        zeros=st.integers(0, 2),
+        lower=st.booleans(),
+    )
+    @example(address=VirtualAddress(0, 0xAB), zeros=1, lower=False)
+    def test_reader_stores_the_canonical_text(self, address, zeros, lower):
+        """Lowercase hex and a zero-padded decimal prefix both read as to_text()."""
+        canonical = address.to_text()
+        prefix, _, groups = canonical.partition(":")
+        text = "0" * zeros + prefix + ":" + (groups.lower() if lower else groups)
+        doc = sample_snapshot().to_dict()
+        doc["nodes"] = [{"address": text, "tags": [], "online": True, "trust_links": 2}]
+        doc["trust_edges"] = [{"a": text, "b": text}]
+        loaded = StatsSnapshot.from_dict(doc)
+        assert loaded.nodes[0].address == canonical
+        assert loaded.trust_edges == [(canonical, canonical)]
+        assert loaded.graph.self_loop_ids == {0}
+
     def test_malformed_b_is_found_before_dangling_a(self):
         doc = sample_snapshot().to_dict()
         doc["trust_edges"].append({"a": "0:0000.0000.00FF", "b": "0:00.00"})
