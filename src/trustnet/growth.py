@@ -400,6 +400,9 @@ class GrowthConfig(ConfigDocument):
             raise ConfigInvalidError("stub_mean must be at least 1")
         if self.window < 1:
             raise ConfigInvalidError("window must be at least 1")
+        # random.Random seeds by absolute value, so -5 would grow seed 5's network.
+        if not 0 <= self.seed < 2**64:
+            raise ConfigInvalidError("seed must fit in 64 bits")
         if self.session_mean < 0:
             raise ConfigInvalidError("session_mean may not be negative")
         if not 0.0 <= self.connector_fraction <= 1.0:

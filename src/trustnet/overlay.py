@@ -7,7 +7,10 @@ location independent. The canonical text form is ``D:NNNN.HHHH.LLLL`` where
 node id. The decimal prefix and the first hex group must agree. A
 VirtualAddress is an immutable ``(network_id, node_id)`` tuple: it compares,
 orders and hashes as that tuple, and so equals a plain
-``(network_id, node_id)``.
+``(network_id, node_id)``. A PacketHeader is built the same way, as an
+immutable ``(src, dst, src_port, dst_port, flags)`` tuple. Both constructors
+check their ranges; the byte decoders build values without the checks, since
+their ``struct`` formats already bound every field.
 
 Datagrams carry a fixed 20-byte header followed by the payload:
 
@@ -28,7 +31,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -63,7 +65,6 @@ KEY_SIZE = 32
 # Each address is read and written as its two ints: network id, node id.
 _HEADER_STRUCT = struct.Struct("!2sBBHIHIHH")
 _ADDRESS_STRUCT = struct.Struct("!HI")
-_PORT_REGISTRY_BYTES = PORT_REGISTRY.to_bytes(2, "big")
 _ADDRESS_RE = re.compile(
     r"\A([0-9]+):([0-9A-Fa-f]{4})\.([0-9A-Fa-f]{4})\.([0-9A-Fa-f]{4})\Z"
 )
@@ -124,42 +125,40 @@ class VirtualAddress(_AddressFields):
     def from_bytes(cls, raw: bytes) -> "VirtualAddress":
         if len(raw) != 6:
             raise MalformedAddressError(f"address needs 6 bytes, got {len(raw)}")
-        network, node = _ADDRESS_STRUCT.unpack(raw)
-        return cls(network, node)
+        # The struct format bounds both ids, so __new__'s range checks are skipped.
+        return tuple.__new__(cls, _ADDRESS_STRUCT.unpack(raw))
 
     def __str__(self) -> str:
         return self.to_text()
 
 
-def _check_port(value: int, name: str) -> None:
-    if not 0 <= value <= 0xFFFF:
-        raise CodecError(f"{name} {value} outside 16-bit range")
-
-
-@dataclass
-class PacketHeader:
-    """Fixed-size datagram header: exactly the fields to_bytes writes."""
-
+class _HeaderFields(NamedTuple):
     src: VirtualAddress
     dst: VirtualAddress
     src_port: int
     dst_port: int
-    version: int = PROTOCOL_VERSION
     flags: int = 0
 
-    def __post_init__(self) -> None:
-        _check_port(self.src_port, "src_port")
-        _check_port(self.dst_port, "dst_port")
-        if not 0 <= self.version <= 0xFF:
-            raise CodecError(f"version {self.version} outside 8-bit range")
-        if not 0 <= self.flags <= 0xFF:
-            raise CodecError(f"flags {self.flags} outside 8-bit range")
+
+class PacketHeader(_HeaderFields):
+    """Fixed-size datagram header: the fields to_bytes writes after magic and version."""
+
+    __slots__ = ()
+
+    def __new__(cls, src, dst, src_port, dst_port, flags=0) -> "PacketHeader":
+        if not 0 <= src_port <= 0xFFFF:
+            raise CodecError(f"src_port {src_port} outside 16-bit range")
+        if not 0 <= dst_port <= 0xFFFF:
+            raise CodecError(f"dst_port {dst_port} outside 16-bit range")
+        if not 0 <= flags <= 0xFF:
+            raise CodecError(f"flags {flags} outside 8-bit range")
+        return tuple.__new__(cls, (src, dst, src_port, dst_port, flags))
 
     def to_bytes(self) -> bytes:
         """Serialize the constant 20-byte wire header."""
         return _HEADER_STRUCT.pack(
             MAGIC,
-            self.version,
+            PROTOCOL_VERSION,
             self.flags,
             *self.src,
             *self.dst,
@@ -203,29 +202,7 @@ def decode_packet(datagram: bytes) -> tuple[PacketHeader, bytes]:
         raise OversizePayloadError(
             f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD_SIZE}"
         )
-    header = PacketHeader(
-        src=VirtualAddress(src_net, src_node),
-        dst=VirtualAddress(dst_net, dst_node),
-        src_port=src_port,
-        dst_port=dst_port,
-        version=version,
-        flags=flags,
-    )
-    return header, payload
-
-
-def reply_prefix(src: VirtualAddress) -> bytes:
-    """Header bytes 0-9 of every control reply sent from src."""
-    return MAGIC + bytes([PROTOCOL_VERSION, 0]) + src.to_bytes()
-
-
-def reply_header(prefix: bytes, request: bytes) -> bytes:
-    """Header of the control reply to a decoded request datagram.
-
-    The reply goes from reply_prefix's address and port PORT_REGISTRY, with
-    no flags, back to the request's source address and port: the bytes of
-    PacketHeader(src, request src, PORT_REGISTRY, request src_port), copied
-    from the request instead of decoded and encoded again.
-    """
-    # A request's source address is header bytes 4-9, its source port 16-17.
-    return prefix + request[4:10] + _PORT_REGISTRY_BYTES + request[16:18]
+    # The struct format bounds every field, so no constructor re-checks a range.
+    src = tuple.__new__(VirtualAddress, (src_net, src_node))
+    dst = tuple.__new__(VirtualAddress, (dst_net, dst_node))
+    return tuple.__new__(PacketHeader, (src, dst, src_port, dst_port, flags)), payload

@@ -15,11 +15,10 @@ in RegistryServer.dropped; no datagram stops the UDP thread.
 Per datagram, the UDP thread decodes the header once, and learns the
 sender's endpoint when its source address is registered (a membership test,
 no exception for an unknown sender). A control reply is written by
-snapshot.compact_json, and its header is copied from the request by
-overlay.reply_header: the request's source address and port behind the
-registry's constant header prefix, with no address or header object built.
-A port-444 frame goes to RegistryService.relay_handshake, which decodes it
-again and returns the datagrams to forward.
+snapshot.compact_json and sent under a new PacketHeader, from the registry's
+address and port 1 back to the request's source address and port. A port-444
+frame goes to RegistryService.relay_handshake, which decodes it again and
+returns the datagrams to forward.
 
 The stats endpoint is a line-oriented TCP listener on the same port number:
 the request line names the path `/api/stats` and the response is the full
@@ -51,14 +50,11 @@ from .overlay import (
     VirtualAddress,
     decode_packet,
     encode_packet,
-    reply_header,
-    reply_prefix,
 )
 from .registry import OP_FIELDS, REGISTRY_ADDRESS, RegistryService
 from .snapshot import StatsSnapshot, compact_json, read_fields, read_json
 
 NULL_ADDRESS = VirtualAddress(0, 0)
-_REPLY_PREFIX = reply_prefix(REGISTRY_ADDRESS)
 STATS_PATH = "/api/stats"
 _RECV_SIZE = 65_535
 _POLL_INTERVAL = 0.2
@@ -161,7 +157,8 @@ class RegistryServer:
         if header.dst_port == PORT_REGISTRY:
             # _MESSAGE_LIMIT keeps every reply far below MAX_PAYLOAD_SIZE.
             reply = self._control_op(payload, peer)
-            self._udp.sendto(reply_header(_REPLY_PREFIX, data) + reply, peer)
+            to_sender = PacketHeader(REGISTRY_ADDRESS, header.src, PORT_REGISTRY, header.src_port)
+            self._udp.sendto(encode_packet(to_sender, reply), peer)
         elif header.dst_port == PORT_TRUST_HANDSHAKE:
             with self._lock:
                 deliveries = self.registry.relay_handshake(data)

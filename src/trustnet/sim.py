@@ -62,12 +62,11 @@ from .overlay import (
     decode_packet,
     encode_packet,
 )
-from .registry import RegistryService
+from .registry import HEARTBEAT_INTERVAL, RegistryService
 from .snapshot import StatsSnapshot, compact_json
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
-DEFAULT_HEARTBEAT_INTERVAL = 30.0
 PING_DELAY = 1.0
 
 DISTRIBUTION_KINDS = ("fixed", "uniform", "exponential")
@@ -250,7 +249,7 @@ class BehaviorPolicy(ConfigDocument):
         default_factory=lambda: Distribution.fixed(2.0)
     )
     untagged_probability: float = 0.42
-    heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL
+    heartbeat_interval: float = HEARTBEAT_INTERVAL
     window: int = 10
 
     def validate(self) -> None:

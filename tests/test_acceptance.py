@@ -296,14 +296,10 @@ def test_criterion_02_crypto_vectors_and_adversarial_rejection():
             elif kind == 1:  # deliver under a header the seal was not bound to
                 field = rng.choice(["src_port", "dst_port", "flags", "dst"])
                 if field == "dst":
-                    wrong = dataclasses.replace(
-                        header, dst=VirtualAddress(0, header.dst.node_id ^ 0x1F)
-                    )
+                    wrong = header._replace(dst=VirtualAddress(0, header.dst.node_id ^ 0x1F))
                 else:
                     mask = 1 + rng.randrange(0xFF)
-                    wrong = dataclasses.replace(
-                        header, **{field: getattr(header, field) ^ mask}
-                    )
+                    wrong = header._replace(**{field: getattr(header, field) ^ mask})
                 receiver.open(wrong, sealed)
             else:  # replay: second delivery of a once-accepted datagram
                 receiver.open(header, sealed)

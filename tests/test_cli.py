@@ -504,6 +504,7 @@ class TestExitCodes:
             ["sweep", "window", "abc", "--seeds", "0"],
             ["sweep", "window", "3", "--seeds", "x"],
             ["sweep", "window", "1:x:1", "--seeds", "0"],
+            ["generate", "--preset", "paper-2026", "--seed", "-5"],
         ],
     )
     def test_non_number_override_is_input_error(self, tmp_path, capsys, args):
@@ -526,6 +527,19 @@ class TestExitCodes:
         assert main(["sweep", *args, "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("base", ["0", "1"])
+    def test_base_node_id_below_two_is_usage_error(self, monkeypatch, capsys, base):
+        """Node 0 is every unregistered client's source, node 1 the registry's."""
+        from trustnet.server import RegistryServer
+
+        def start(server):
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(RegistryServer, "start", start)
+        args = ["serve-registry", "--bind", "127.0.0.1:0", "--base-node-id", base]
+        assert main(args) == 1
+        assert "--base-node-id" in capsys.readouterr().err
 
     def test_malformed_event_log_is_input_error(self, tmp_path, capsys):
         log_path = tmp_path / "events.jsonl"

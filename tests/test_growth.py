@@ -577,6 +577,8 @@ class TestGrowthConfig:
             {"stub_mean": float("nan")},
             {"session_mean": float("inf")},
             {"connector_stub_mean": 10**400},
+            {"seed": -1},
+            {"seed": 2**64},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

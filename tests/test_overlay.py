@@ -18,13 +18,11 @@ from trustnet.overlay import (
     HEADER_SIZE,
     MAGIC,
     MAX_PAYLOAD_SIZE,
-    PORT_REGISTRY,
+    PROTOCOL_VERSION,
     PacketHeader,
     VirtualAddress,
     decode_packet,
     encode_packet,
-    reply_header,
-    reply_prefix,
 )
 
 addresses = st.builds(
@@ -32,6 +30,9 @@ addresses = st.builds(
     network_id=st.integers(0, 0xFFFF),
     node_id=st.integers(0, 0xFFFF_FFFF),
 )
+
+# Byte spans, after magic and version, of flags, both addresses' ids and both ports.
+FIELD_SPANS = [(0, 1), (1, 3), (3, 7), (7, 9), (9, 13), (13, 15), (15, 17)]
 
 
 def make_header(**overrides) -> PacketHeader:
@@ -136,6 +137,16 @@ class TestAddressText:
         assert len(raw) == 6
         assert VirtualAddress.from_bytes(raw) == addr
 
+    @given(st.binary(min_size=6, max_size=6))
+    @settings(max_examples=300)
+    def test_decoded_address_is_a_valid_address(self, raw: bytes) -> None:
+        """from_bytes skips the constructor's checks: VirtualAddress(...)
+        accepts every address it builds."""
+        decoded = VirtualAddress.from_bytes(raw)
+        checked = VirtualAddress(int.from_bytes(raw[:2], "big"), int.from_bytes(raw[2:], "big"))
+        assert decoded == checked and type(decoded) is VirtualAddress
+        assert decoded.to_bytes() == raw
+
 
 class TestPacketCodec:
     def test_two_byte_payload_is_22_bytes(self) -> None:
@@ -195,6 +206,30 @@ class TestPacketCodec:
         with pytest.raises(CodecError):
             make_header(dst_port=-1)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("src_port", 70_000, "src_port 70000 outside 16-bit range"),
+            ("dst_port", -1, "dst_port -1 outside 16-bit range"),
+            ("flags", 300, "flags 300 outside 8-bit range"),
+        ],
+    )
+    def test_range_messages(self, field: str, value: int, message: str) -> None:
+        with pytest.raises(CodecError) as caught:
+            make_header(**{field: value})
+        assert str(caught.value) == message
+
+    def test_header_is_an_immutable_tuple(self) -> None:
+        header = make_header(flags=7)
+        assert PacketHeader._fields == ("src", "dst", "src_port", "dst_port", "flags")
+        assert header == (VirtualAddress(0, 1), VirtualAddress(0, 2), 50_000, 443, 7)
+        assert make_header().flags == 0
+        assert hash(header) == hash(tuple(header))
+        with pytest.raises(AttributeError):
+            header.flags = 0
+        with pytest.raises(AttributeError):
+            header.version = 1
+
     @given(
         src=addresses,
         dst=addresses,
@@ -226,23 +261,25 @@ class TestPacketCodec:
         assert decoded == header
         assert decoded_payload == payload
 
-    @given(
-        src=addresses,
-        request=st.builds(
-            PacketHeader,
-            src=addresses,
-            dst=addresses,
-            src_port=st.integers(0, 65535),
-            dst_port=st.integers(0, 65535),
-            flags=st.integers(0, 255),
-        ),
-        payload=st.binary(max_size=64),
-    )
-    def test_reply_header_is_the_encoded_reply(
-        self, src: VirtualAddress, request: PacketHeader, payload: bytes
-    ) -> None:
-        reply = PacketHeader(
-            src=src, dst=request.src, src_port=PORT_REGISTRY, dst_port=request.src_port
+    @given(st.binary(min_size=17, max_size=17), st.binary(max_size=64))
+    @settings(max_examples=500)
+    def test_decoded_header_is_a_valid_header(self, fields: bytes, payload: bytes) -> None:
+        """decode_packet skips the constructors' checks: every header it builds
+        behind good magic and version is one PacketHeader(...) accepts."""
+        datagram = MAGIC + bytes([PROTOCOL_VERSION]) + fields + payload
+        ints = [int.from_bytes(fields[a:b], "big") for a, b in FIELD_SPANS]
+        flags, src_net, src_node, dst_net, dst_node, src_port, dst_port = ints
+        decoded, decoded_payload = decode_packet(datagram)
+        checked = PacketHeader(
+            VirtualAddress(src_net, src_node),
+            VirtualAddress(dst_net, dst_node),
+            src_port,
+            dst_port,
+            flags,
         )
-        datagram = encode_packet(request, payload)
-        assert reply_header(reply_prefix(src), datagram) == reply.to_bytes()
+        assert decoded == checked
+        assert [type(decoded), type(decoded.src), type(decoded.dst)] == [
+            PacketHeader, VirtualAddress, VirtualAddress
+        ]
+        assert decoded.to_bytes() == datagram[:HEADER_SIZE]
+        assert decoded_payload == payload
