@@ -9,8 +9,9 @@ VirtualAddress is an immutable ``(network_id, node_id)`` tuple: it compares,
 orders and hashes as that tuple, and so equals a plain
 ``(network_id, node_id)``. A PacketHeader is built the same way, as an
 immutable ``(src, dst, src_port, dst_port, flags)`` tuple. Both constructors
-check their ranges; the byte decoders build values without the checks, since
-their ``struct`` formats already bound every field.
+check their ranges, and so do ``_make`` and ``_replace``; the byte decoders
+build values without the checks, since their ``struct`` formats already bound
+every field.
 
 Datagrams carry a fixed 20-byte header followed by the payload:
 
@@ -70,6 +71,11 @@ _ADDRESS_RE = re.compile(
 )
 
 
+# namedtuple's _make, which _replace calls too, builds with tuple.__new__; the
+# two checked tuples below build through their own __new__ instead.
+_checked_make = classmethod(lambda cls, iterable: cls(*iterable))
+
+
 class _AddressFields(NamedTuple):
     network_id: int
     node_id: int
@@ -79,6 +85,7 @@ class VirtualAddress(_AddressFields):
     """Overlay endpoint identity: (network_id, node_id)."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, network_id: int, node_id: int) -> "VirtualAddress":
         if not 0 <= network_id <= 0xFFFF:
@@ -144,6 +151,7 @@ class PacketHeader(_HeaderFields):
     """Fixed-size datagram header: the fields to_bytes writes after magic and version."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, src, dst, src_port, dst_port, flags=0) -> "PacketHeader":
         if not 0 <= src_port <= 0xFFFF:

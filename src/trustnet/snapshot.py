@@ -15,9 +15,11 @@ the consistency audit reports it.
 StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
-Each node's entry is rendered by its row, NodeView.render, on the row's
-first write and kept on the row (NodeView.entry); to_json joins the entries.
-Rows are immutable, so snapshots share them: the registry replaces a row
+Rows are tuples: a NetworkView is (id, name) and a NodeView is (address,
+tags, online, trust_links). Each node's entry is rendered by its row,
+NodeView.render, on the row's first write and kept on the row
+(NodeView.entry); to_json joins the entries. Rows are immutable, so
+snapshots share them and the one cached entry: the registry replaces a row
 only when the node's online flag or trust_links changes, and each later
 snapshot writes the unchanged rows without rendering them again.
 
@@ -38,10 +40,10 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Union
+from typing import Any, Iterable, NamedTuple, Union
 
 from .errors import DanglingEdgeError, SchemaViolationError
 from .overlay import VirtualAddress
@@ -66,24 +68,23 @@ class _Entry:
         return entry
 
 
-@dataclass(frozen=True)
-class NodeView:
-    """Per-node snapshot row, immutable, so snapshots may share it."""
-
+class _RowFields(NamedTuple):
     address: str
     tags: tuple[str, ...] = ()
     online: bool = True
     trust_links: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "address": self.address,
-            "tags": list(self.tags),
-            "online": self.online,
-            "trust_links": self.trust_links,
-        }
+
+class NodeView(_RowFields):
+    """Per-node snapshot row, an immutable tuple, so snapshots may share it.
+
+    It has no __slots__: each row keeps a __dict__ for the entry _Entry caches.
+    """
 
     entry = _Entry()  # the row's entry in the nodes list of StatsSnapshot.to_json
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"NodeView is immutable: cannot set {name!r}")
 
     def render(self) -> str:
         """The row as json.dumps(indent=2) lays it out inside the nodes list."""
@@ -96,15 +97,11 @@ class NodeView:
         )
 
 
-@dataclass
-class NetworkView:
+class NetworkView(NamedTuple):
     """Per-network snapshot row."""
 
     id: int
     name: str
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "name": self.name}
 
 
 @dataclass
@@ -208,8 +205,8 @@ class StatsSnapshot:
             "generated_at": self.generated_at,
             "requests_served": self.requests_served,
             "requests_per_agent": self.requests_per_agent,
-            "networks": [net.to_dict() for net in self.networks],
-            "nodes": [node.to_dict() for node in self.nodes],
+            "networks": [net._asdict() for net in self.networks],
+            "nodes": [{**node._asdict(), "tags": list(node.tags)} for node in self.nodes],
             "trust_edges": [{"a": a, "b": b} for a, b in self.trust_edges],
             "summary_trust_links": self.summary_trust_links,
         }
@@ -265,38 +262,13 @@ class StatsSnapshot:
         MalformedAddressError on unparseable addresses, and
         DanglingEdgeError when edges reference unknown nodes.
         """
-        read_object(doc, "snapshot document")
-        for name in (
-            "generated_at",
-            "requests_served",
-            "networks",
-            "nodes",
-            "trust_edges",
-            "summary_trust_links",
-        ):
-            if name not in doc:
-                raise SchemaViolationError(f"missing required field {name!r}")
-        generated_at = read_number(doc["generated_at"], "generated_at")
-        requests_served = read_count(doc["requests_served"], "requests_served")
-        summary = read_count(doc["summary_trust_links"], "summary_trust_links")
-        requests_per_agent = read_number(
-            doc.get("requests_per_agent", 0.0), "requests_per_agent"
+        fields = read_fields(
+            read_object(doc, "snapshot document"), _FIELDS, {"requests_per_agent": 0.0}
         )
-
-        networks = []
-        for i, raw in enumerate(read_list_of(doc["networks"], "networks", dict)):
-            if "id" not in raw or "name" not in raw:
-                raise SchemaViolationError(f"networks[{i}] needs id and name")
-            networks.append(
-                NetworkView(
-                    read_count(raw["id"], f"networks[{i}].id"),
-                    read_string(raw["name"], f"networks[{i}].name"),
-                )
-            )
 
         table = TrustGraph()
         nodes = []
-        for i, raw in enumerate(read_list_of(doc["nodes"], "nodes", dict)):
+        for i, raw in enumerate(fields["nodes"]):
             for name in ("address", "tags", "online", "trust_links"):
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
@@ -316,7 +288,7 @@ class StatsSnapshot:
         # ends holds the vertex ids a0, b0, a1, b1, ... for the first graph.
         index, texts = table.index, [node.address for node in nodes]
         edges, ends = [], []
-        for i, raw in enumerate(read_list_of(doc["trust_edges"], "trust_edges", dict)):
+        for i, raw in enumerate(fields["trust_edges"]):
             try:
                 a, b = index[raw["a"]], index[raw["b"]]
             except (KeyError, TypeError):  # TypeError: an unhashable end
@@ -326,15 +298,7 @@ class StatsSnapshot:
             edges.append((texts[a], texts[b]))
             ends += (a, b)
 
-        snapshot = cls(
-            generated_at=generated_at,
-            requests_served=requests_served,
-            networks=networks,
-            nodes=nodes,
-            trust_edges=edges,
-            summary_trust_links=summary,
-            requests_per_agent=requests_per_agent,
-        )
+        snapshot = cls(**{**fields, "nodes": nodes, "trust_edges": edges})
         snapshot._table = table, ends  # linked by the first snapshot.graph, once doc is freed
         return snapshot
 
@@ -430,3 +394,24 @@ def read_list_of(value: Any, name: str, kind: type) -> Iterable:
                 f"{name} entries must be {kind.__name__}, got {type(item).__name__}"
             )
     return value
+
+
+def _read_networks(value: Any, name: str) -> list[NetworkView]:
+    readers = {"id": read_count, "name": read_string}
+    return [
+        NetworkView(**read_fields(raw, readers, {}, f"{name}[{i}]."))
+        for i, raw in enumerate(read_list_of(value, name, dict))
+    ]
+
+
+# The readers of a snapshot document's fields, in the order they are checked;
+# from_dict reads each entry of nodes and trust_edges itself.
+_FIELDS = {
+    "generated_at": read_number,
+    "requests_served": read_count,
+    "requests_per_agent": read_number,
+    "networks": _read_networks,
+    "nodes": partial(read_list_of, kind=dict),
+    "trust_edges": partial(read_list_of, kind=dict),
+    "summary_trust_links": read_count,
+}

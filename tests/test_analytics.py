@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import pytest
 
@@ -755,8 +755,8 @@ class TestReportAndAudit:
     def test_code_built_snapshot_is_checked_as_the_reader_checks(self):
         """What from_dict refuses, build_graph refuses with the same message."""
         duplicate = noncanonical_node_snapshot()  # nodes[9] is written in lower case
-        duplicate.nodes[11] = replace(
-            duplicate.nodes[11], address=duplicate.nodes[9].address.upper()
+        duplicate.nodes[11] = duplicate.nodes[11]._replace(
+            address=duplicate.nodes[9].address.upper()
         )
         cases = [
             (absent_endpoint_snapshot(), DanglingEdgeError,

@@ -114,6 +114,17 @@ class TestAddressText:
         with pytest.raises(AttributeError):
             a.port = 444
 
+    def test_replace_and_make_check_ranges(self) -> None:
+        addr = VirtualAddress(0, 1)
+        with pytest.raises(MalformedAddressError) as caught:
+            addr._replace(node_id=2**40)
+        assert str(caught.value) == "node_id 1099511627776 outside 32-bit range"
+        with pytest.raises(MalformedAddressError) as caught:
+            VirtualAddress._make((0x1_0000, 1))
+        assert str(caught.value) == "network_id 65536 outside 16-bit range"
+        assert addr._replace(node_id=7) == VirtualAddress(0, 7)
+        assert type(addr._replace(node_id=7)) is VirtualAddress
+
     @given(
         st.integers(max_value=-1) | st.integers(0, 0xFFFF) | st.integers(2**16),
         st.integers(max_value=-1) | st.integers(0, 2**32 - 1) | st.integers(2**32),
@@ -218,6 +229,24 @@ class TestPacketCodec:
         with pytest.raises(CodecError) as caught:
             make_header(**{field: value})
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("src_port", 70_000, "src_port 70000 outside 16-bit range"),
+            ("dst_port", -1, "dst_port -1 outside 16-bit range"),
+            ("flags", 300, "flags 300 outside 8-bit range"),
+        ],
+    )
+    def test_replace_and_make_check_ranges(self, field: str, value: int, message: str) -> None:
+        header = make_header()
+        values = {**header._asdict(), field: value}.values()
+        for build in (lambda: header._replace(**{field: value}), lambda: PacketHeader._make(values)):
+            with pytest.raises(CodecError) as caught:
+                build()
+            assert str(caught.value) == message
+        assert header._replace(flags=7) == make_header(flags=7)
+        assert type(header._replace(flags=7)) is PacketHeader
 
     def test_header_is_an_immutable_tuple(self) -> None:
         header = make_header(flags=7)

@@ -6,7 +6,6 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -911,6 +910,6 @@ class TestInvariants:
         a = registry.register(key(1))
         registry.record_trust(a, a)
         i = a.node_id - registry.base_node_id
-        registry._rows[i] = replace(registry._rows[i], trust_links=5)  # rows are immutable
+        registry._rows[i] = registry._rows[i]._replace(trust_links=5)  # rows are immutable
         findings = consistency_audit(registry.snapshot())
         assert [finding.check for finding in findings] == ["trust-links-identity"]

@@ -19,6 +19,7 @@ from trustnet.errors import (
     TrustNetError,
 )
 from trustnet.overlay import VirtualAddress
+from trustnet.registry import RegistryService
 from trustnet.snapshot import (
     NetworkView,
     NodeView,
@@ -186,6 +187,68 @@ class TestValidation:
         doc[field] = value
         with pytest.raises(SchemaViolationError, match=f"{field} must be a finite number"):
             StatsSnapshot.from_dict(doc)
+
+    @pytest.mark.parametrize("missing", ["id", "name"])
+    def test_network_missing_field_is_named(self, missing):
+        doc = sample_snapshot().to_dict()
+        del doc["networks"][0][missing]
+        with pytest.raises(SchemaViolationError) as caught:
+            StatsSnapshot.from_dict(doc)
+        assert str(caught.value) == f"missing required field 'networks[0].{missing}'"
+
+    def test_first_defect_in_reader_order_is_reported(self):
+        doc = sample_snapshot().to_dict()
+        doc["generated_at"] = "1234.5"
+        del doc["nodes"]
+        with pytest.raises(SchemaViolationError) as caught:
+            StatsSnapshot.from_dict(doc)
+        assert str(caught.value) == "generated_at must be a finite number, got str"
+
+
+class TestRows:
+    def test_row_is_an_immutable_tuple(self):
+        row = NodeView("0:0000.0000.0001", ("coding",), True, 3)
+        assert row == ("0:0000.0000.0001", ("coding",), True, 3)
+        assert NetworkView(0, "backbone") == (0, "backbone")
+        for name in ("address", "trust_links", "colour", "entry"):
+            with pytest.raises(AttributeError):
+                setattr(row, name, "x")
+        entry = row.entry  # kept on the row from here on
+        with pytest.raises(AttributeError):
+            row.entry = "x"
+        assert row.entry is entry and row.trust_links == 3 and not hasattr(row, "colour")
+
+    def test_snapshots_share_an_unchanged_row(self, monkeypatch):
+        rendered = []
+        render = NodeView.render
+
+        def counted(row):
+            rendered.append(row.address)
+            return render(row)
+
+        monkeypatch.setattr(NodeView, "render", counted)
+        registry = RegistryService(clock=lambda: 0.0)
+        a, b = registry.register(bytes([1]) * 32), registry.register(bytes([2]) * 32)
+        first = registry.snapshot()
+        first.to_json()
+        registry.record_trust(a, a)
+        second = registry.snapshot()
+        assert second.to_json() == reference_snapshot_json(second)
+        assert second.nodes[1] is first.nodes[1]
+        assert second.nodes[0] is not first.nodes[0]
+        assert rendered == [a.to_text(), b.to_text(), a.to_text()]
+
+    def test_reference_writer_lists_tags(self):
+        snap = sample_snapshot()
+        doc = snap.to_dict()
+        assert doc["networks"] == [{"id": 0, "name": "backbone"}]
+        assert doc["nodes"][2] == {
+            "address": "0:0000.0000.0003",
+            "tags": ["writing", "recipes"],
+            "online": False,
+            "trust_links": 2,
+        }
+        assert StatsSnapshot.from_dict(doc).nodes == snap.nodes
 
 
 class TestAddressCanonicaliser:
