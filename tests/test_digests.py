@@ -187,6 +187,10 @@ INT_DIGESTS = {
 # the registry workload below.
 REGISTRY_SNAPSHOT_DIGEST = "ec1f8f455ffe489ce117e3bc3345f3be558d67a9d4001cfd1072f657035507e3"
 
+# The registry's --log file for the same workload: every register, heartbeat
+# and trust line the service appends.
+REGISTRY_EVENT_LOG_DIGEST = "0c8417d9a7b239b07da0441090feddcaca62e425ff2aad7a85880ad560731383"
+
 # Tags with non-ASCII, quote, backslash and control characters, so the digest
 # covers the writer's string escapes.
 REGISTRY_TAGS = ("coding", "café", 'say "hi"', "back\\slash", "tab\tstop", "日本", "x")
@@ -279,9 +283,11 @@ def test_int_valued_simulation_digests(tmp_path):
     assert simulate_digests(tmp_path, INT_SCENARIO) == INT_DIGESTS
 
 
-def test_registry_snapshot_digest():
+def registry_workload(event_log=None) -> RegistryService:
+    """The registry of the daemon digests: tagged registrations, a liveness
+    flip, relayed handshakes and one self-trust record."""
     now = [1000.0]
-    registry = RegistryService(clock=lambda: now[0])
+    registry = RegistryService(clock=lambda: now[0], event_log=event_log)
     rng = random.Random(12)
     addresses = [
         registry.register(
@@ -308,8 +314,20 @@ def test_registry_snapshot_digest():
             )
             registry.relay_handshake(encode_packet(header, payload))
     registry.record_trust(addresses[3], addresses[3])
-    body = registry.snapshot().to_json().encode("utf-8")
+    return registry
+
+
+def test_registry_snapshot_digest():
+    body = registry_workload().snapshot().to_json().encode("utf-8")
     assert hashlib.sha256(body).hexdigest() == REGISTRY_SNAPSHOT_DIGEST
+
+
+def test_registry_event_log_digest(tmp_path):
+    log = tmp_path / "registry.events.jsonl"
+    registry = registry_workload(event_log=log)
+    registry.snapshot()
+    registry.close()
+    assert sha256(log) == REGISTRY_EVENT_LOG_DIGEST
 
 
 # Every datagram RegistryServer._handle_datagram sends, with its destination
