@@ -103,15 +103,16 @@ def tag_stats(snapshot: StatsSnapshot) -> TagStats:
         cluster_sizes[name] = sum(
             1 for node in snapshot.nodes if member_set.intersection(node.tags)
         )
+    type_token_ratio, max_entropy_bits = tag_stats_from_counts(assignments, unique)
     return TagStats(
         agents_with_tags=agents_with_tags,
         assignments_total=assignments,
         unique_tags=unique,
         mean_tags_per_agent=assignments / node_count if node_count else 0.0,
         max_tags_per_agent=max_tags,
-        type_token_ratio=unique / assignments if assignments else 0.0,
+        type_token_ratio=type_token_ratio,
         shannon_entropy_bits=entropy_bits(list(counts.values())),
-        max_entropy_bits=math.log2(unique) if unique else 0.0,
+        max_entropy_bits=max_entropy_bits,
         singleton_tag_count=sum(1 for count in counts.values() if count == 1),
         top_k=tuple(ranked[:TOP_TAGS]),
         cluster_sizes=cluster_sizes,
@@ -121,11 +122,7 @@ def tag_stats(snapshot: StatsSnapshot) -> TagStats:
 def tag_stats_from_counts(
     assignments_total: int, unique_tags: int
 ) -> tuple[float, float]:
-    """(type_token_ratio, max_entropy_bits) from census totals alone.
-
-    No caller in the package: it stays because the paper-reference test
-    test_tag_census_ratios checks the abstract's census ratios through it.
-    """
+    """(type_token_ratio, max_entropy_bits) from census totals alone."""
     ttr = unique_tags / assignments_total if assignments_total else 0.0
     max_entropy = math.log2(unique_tags) if unique_tags else 0.0
     return ttr, max_entropy

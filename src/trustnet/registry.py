@@ -11,12 +11,12 @@ Liveness: a node is online while the last heartbeat is at most
 MISSED_HEARTBEATS * HEARTBEAT_INTERVAL seconds old.
 
 The node table is columnar: one list per field (public key, last heartbeat,
-snapshot row), indexed by node_id - base_node_id, so an address is its own
-index. Each row is an immutable snapshot.NodeView that renders its JSON
-entry once. The registry replaces a row only when the node's trust_links
-changes or a snapshot finds its online flag flipped; snapshot() copies the
-row list, so unchanged rows are shared between snapshots and never rendered
-twice.
+snapshot row, rendered entry), indexed by node_id - base_node_id, so an
+address is its own index. A row's JSON entry is rendered when the row is set:
+at registration, on a trust_links change and on an online flip a snapshot
+finds. A trust edge's entry is rendered once, when it is stored, as edges are
+only appended. snapshot() copies both entry lists, so a read renders only the
+rows whose flag flipped (incremental view maintenance).
 
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
@@ -70,6 +70,7 @@ from .snapshot import (
     read_list_of,
     read_number,
     read_string,
+    render_edge,
 )
 
 HEARTBEAT_INTERVAL = 30.0
@@ -179,10 +180,12 @@ class RegistryService:
         self._keys: list[bytes] = []
         self._heartbeats: list[float] = []
         self._rows: list[NodeView] = []
+        self._entries: list[str] = []  # each row's NodeView.render text
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
         # ordered set of index pairs, each mapped to its two address texts
         self._edges: dict[tuple[int, int], tuple[str, str]] = {}
+        self._edge_entries: list[str] = []  # render_edge text of each edge, in order
         self._summary_trust_links = 0
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
@@ -295,6 +298,7 @@ class RegistryService:
         self._keys.append(public_key)
         self._heartbeats.append(at_time)
         self._rows.append(NodeView(text, normalized, True, 0))
+        self._entries.append(self._rows[-1].render())
         self._by_key[public_key] = address
         if host is not None:
             self._hostnames[host] = address
@@ -358,11 +362,17 @@ class RegistryService:
         if pair in self._edges:
             return False
         self._edges[pair] = texts
-        # each end gains a link; a self-loop's one node is both ends
-        for i in pair:
-            row = rows[i]
-            rows[i] = NodeView(row.address, row.tags, row.online, row.trust_links + 1)
+        self._edge_entries.append(render_edge(*texts))
+        # each end gains a link; a self-loop's one node gains both, rendered once
+        for i in dict.fromkeys(pair):
+            address, tags, online, links = rows[i]
+            self._set_row(i, NodeView(address, tags, online, links + pair.count(i)))
         return True
+
+    def _set_row(self, i: int, row: NodeView) -> None:
+        """Replace node i's row and its rendered entry."""
+        self._rows[i] = row
+        self._entries[i] = row.render()
 
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
@@ -377,18 +387,17 @@ class RegistryService:
         """Consistent full view; the call itself counts as a request."""
         self.requests_served += 1
         now = self._clock()
-        # Only a row whose online flag flipped is replaced. The table is in
-        # allocation order, which is address order, and the rows are
-        # immutable, so the snapshot shares no mutable state with the
-        # registry and may be serialised after the lock is released.
-        rows = self._rows
-        for i, (last, row) in enumerate(zip(self._heartbeats, rows)):
+        # Only a row whose online flag flipped is replaced and rendered. The
+        # table is in allocation order, which is address order. The snapshot
+        # gets copies of the lists, whose items are immutable, so it may be
+        # serialised after the lock is released.
+        for i, (last, row) in enumerate(zip(self._heartbeats, self._rows)):
             if (now - last <= OFFLINE_AFTER) is not row.online:
-                rows[i] = NodeView(row.address, row.tags, not row.online, row.trust_links)
-        nodes = rows.copy()
+                self._set_row(i, NodeView(row.address, row.tags, not row.online, row.trust_links))
+        nodes = self._rows.copy()
         edges = list(self._edges.values())
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
-        return StatsSnapshot(
+        snapshot = StatsSnapshot(
             generated_at=now,
             requests_served=self.requests_served,
             networks=[NetworkView(NETWORK_ID, NETWORK_NAME)],
@@ -397,6 +406,8 @@ class RegistryService:
             summary_trust_links=self._summary_trust_links,
             requests_per_agent=per_agent,
         )
+        snapshot.entries = self._entries.copy(), self._edge_entries.copy()
+        return snapshot
 
     # --- handshake relay ---
 

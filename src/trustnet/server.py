@@ -28,9 +28,9 @@ them, and never decoded.
 All registry mutations funnel through one lock, preserving the serialized
 single-writer contract while the UDP and TCP threads run concurrently. The
 stats thread holds the lock only for RegistryService.snapshot(), which
-formats no JSON: it replaces the rows whose online flag flipped and copies
-the row and edge lists. After the release, StatsSnapshot.to_json joins each
-row's kept entry, so a read renders only the rows changed since the last.
+renders only the rows whose online flag flipped and copies the registry's
+kept row and edge entries. After the release, StatsSnapshot.to_json joins
+those entries, so no edge and no unchanged row is rendered again.
 """
 
 from __future__ import annotations

@@ -15,13 +15,11 @@ the consistency audit reports it.
 StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
-Rows are tuples: a NetworkView is (id, name) and a NodeView is (address,
-tags, online, trust_links). Each node's entry is rendered by its row,
-NodeView.render, on the row's first write and kept on the row
-(NodeView.entry); to_json joins the entries. Rows are immutable, so
-snapshots share them and the one cached entry: the registry replaces a row
-only when the node's online flag or trust_links changes, and each later
-snapshot writes the unchanged rows without rendering them again.
+Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
+(address, tags, online, trust_links). to_json renders each node's entry with
+NodeView.render and each edge's with render_edge, unless the snapshot carries
+them already rendered (StatsSnapshot.entries): the registry keeps the entries
+of its rows and edges and hands a copy of them to each snapshot it builds.
 
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
@@ -43,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Union
+from typing import Any, Iterable, NamedTuple, Optional, Union
 
 from .errors import DanglingEdgeError, SchemaViolationError
 from .overlay import VirtualAddress
@@ -53,38 +51,13 @@ from .overlay import VirtualAddress
 _FIELD = ",\n      "
 
 
-class _Entry:
-    """NodeView.entry: rendered by NodeView.render on first read, then kept.
+class NodeView(NamedTuple):
+    """Per-node snapshot row, an immutable tuple, so snapshots may share it."""
 
-    The text goes into the row's __dict__, where later reads find it first.
-    functools.cached_property does the same, but up to Python 3.11 it takes a
-    lock on every first read, which doubled the cost of a first write.
-    """
-
-    def __get__(self, row: Any, owner: Any = None) -> Any:
-        if row is None:
-            return self
-        entry = row.__dict__["entry"] = row.render()
-        return entry
-
-
-class _RowFields(NamedTuple):
     address: str
     tags: tuple[str, ...] = ()
     online: bool = True
     trust_links: int = 0
-
-
-class NodeView(_RowFields):
-    """Per-node snapshot row, an immutable tuple, so snapshots may share it.
-
-    It has no __slots__: each row keeps a __dict__ for the entry _Entry caches.
-    """
-
-    entry = _Entry()  # the row's entry in the nodes list of StatsSnapshot.to_json
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"NodeView is immutable: cannot set {name!r}")
 
     def render(self) -> str:
         """The row as json.dumps(indent=2) lays it out inside the nodes list."""
@@ -95,6 +68,12 @@ class NodeView(_RowFields):
             f'"online": {"true" if self.online else "false"}{field}'
             f'"trust_links": {int.__repr__(self.trust_links)}\n    }}'
         )
+
+
+def render_edge(a: str, b: str) -> str:
+    """The edge {a, b} as json.dumps(indent=2) lays it out inside the trust_edges list."""
+    q = encode_basestring_ascii
+    return f'{{\n      "a": {q(a)}{_FIELD}"b": {q(b)}\n    }}'
 
 
 class NetworkView(NamedTuple):
@@ -199,6 +178,10 @@ class StatsSnapshot:
     trust_edges: list[tuple[str, str]]
     summary_trust_links: int
     requests_per_agent: float = 0.0
+    # The node and edge entries to_json joins, when the snapshot's builder kept them.
+    entries: Optional[tuple[list[str], list[str]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_dict(self) -> dict:
         return {
@@ -221,8 +204,11 @@ class StatsSnapshot:
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
             for net in self.networks
         ]
-        nodes = [node.entry for node in self.nodes]
-        edges = [f'{{\n      "a": {q(a)}{_FIELD}"b": {q(b)}\n    }}' for a, b in self.trust_edges]
+        if self.entries is None:
+            nodes = [node.render() for node in self.nodes]
+            edges = [render_edge(a, b) for a, b in self.trust_edges]
+        else:
+            nodes, edges = self.entries
         return (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'

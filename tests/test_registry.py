@@ -1,5 +1,6 @@
 """Registry service: allocation, trust conventions, liveness, relay, log."""
 
+import dataclasses
 import json
 import random
 import sys
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trustnet.registry
+import trustnet.snapshot
 from trustnet.analytics.report import consistency_audit
 from trustnet.channel import (
     AcceptAllPolicy,
@@ -45,7 +48,7 @@ from trustnet.registry import (
     RegistryService,
     normalize_tags,
 )
-from trustnet.snapshot import NodeView
+from trustnet.snapshot import NodeView, render_edge
 
 
 class ManualClock:
@@ -389,6 +392,65 @@ class TestSnapshotRows:
         assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
         assert rendered == [addresses[2].to_text()]
         assert [node.online for node in snap.nodes] == [n == 2 for n in range(6)]
+
+    def test_kept_entries_match_the_render_path(self):
+        """At every read, the registry's kept entries write the bytes that the
+        snapshot's rows and edges render, through liveness flips both ways."""
+        registry, clock = make_registry()
+        rng = random.Random(31)
+        tags = ("coding", "café", 'say "hi"', "back\\slash", "tab\tstop", "日本", "x")
+        addresses, previous, flips = [], {}, set()
+        for _ in range(300):
+            step = rng.random()
+            if step < 0.25 or len(addresses) < 2:
+                addresses.append(
+                    registry.register(rng.randbytes(32), tags=rng.sample(tags, rng.randint(0, 3)))
+                )
+            elif step < 0.35:
+                clock.advance(rng.choice([1.0, OFFLINE_AFTER + 1.0]))
+            elif step < 0.6:
+                registry.heartbeat(rng.choice(addresses))
+            elif step < 0.9:
+                a, b = rng.sample(addresses, 2)
+                for src, dst, frame_type in (
+                    (a, b, FRAME_REQUEST),
+                    (b, a, FRAME_ACCEPT),
+                    (a, b, FRAME_CONFIRM),
+                ):
+                    registry.relay_handshake(frame(src, dst, frame_type))
+            else:
+                a = rng.choice(addresses)
+                registry.record_trust(a, a)
+            snap = registry.snapshot()
+            body = snap.to_json()
+            assert body == json.dumps(snap.to_dict(), indent=2) + "\n"
+            assert body == dataclasses.replace(snap).to_json()
+            for node in snap.nodes:
+                if previous.get(node.address, node.online) is not node.online:
+                    flips.add(node.online)
+                previous[node.address] = node.online
+        assert flips == {True, False}
+        assert snap.summary_trust_links > len(snap.trust_edges) > 50
+
+    def test_each_edge_renders_once(self, monkeypatch):
+        """N stored edges over K reads cost N edge renders, not N per read."""
+        rendered = []
+
+        def counted(a, b):
+            rendered.append((a, b))
+            return render_edge(a, b)
+
+        for module in (trustnet.registry, trustnet.snapshot):
+            monkeypatch.setattr(module, "render_edge", counted)
+        registry, _ = make_registry()
+        addresses = [registry.register(key(n)) for n in range(30)]
+        rng = random.Random(5)
+        for _ in range(8):
+            for _ in range(20):
+                registry.record_trust(rng.choice(addresses), rng.choice(addresses))
+            snap = registry.snapshot()
+            assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert rendered == snap.trust_edges and len(rendered) > 100
 
     def test_rows_stay_consistent_under_threads(self):
         """Writers and readers share rows the way the server's two threads do."""

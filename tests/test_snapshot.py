@@ -210,13 +210,12 @@ class TestRows:
         row = NodeView("0:0000.0000.0001", ("coding",), True, 3)
         assert row == ("0:0000.0000.0001", ("coding",), True, 3)
         assert NetworkView(0, "backbone") == (0, "backbone")
-        for name in ("address", "trust_links", "colour", "entry"):
+        for name in ("address", "trust_links", "colour"):
             with pytest.raises(AttributeError):
                 setattr(row, name, "x")
-        entry = row.entry  # kept on the row from here on
-        with pytest.raises(AttributeError):
-            row.entry = "x"
-        assert row.entry is entry and row.trust_links == 3 and not hasattr(row, "colour")
+        assert row.trust_links == 3 and not hasattr(row, "colour")
+        assert NodeView.__mro__ == (NodeView, tuple, object)
+        assert not hasattr(row, "__dict__")
 
     def test_snapshots_share_an_unchanged_row(self, monkeypatch):
         rendered = []
