@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional
 
 from ..errors import InsufficientTailError
@@ -79,19 +79,28 @@ class MetricsReport:
     hub_table: HubTable
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["degree_histogram_api"] = {
-            str(k): v for k, v in sorted(self.degree_histogram_api.items())
-        }
-        doc["degree_histogram_nonself"] = {
-            str(k): v for k, v in sorted(self.degree_histogram_nonself.items())
-        }
-        delta = doc["address_delta_histogram"]
-        delta["histogram"] = {
-            str(k): v
-            for k, v in sorted(self.address_delta_histogram.histogram.items())
-        }
+        """The metrics document: each dataclass in the report becomes a dict of
+        its fields, and every other value is shared with the report, not copied."""
+        doc = _fields_of(self)
+        doc["degree_histogram_api"] = _text_keys(self.degree_histogram_api)
+        doc["degree_histogram_nonself"] = _text_keys(self.degree_histogram_nonself)
+        doc["address_delta_histogram"]["histogram"] = _text_keys(
+            self.address_delta_histogram.histogram
+        )
         return doc
+
+
+def _fields_of(value):
+    """value with each dataclass in it, a tuple's items included, as a dict of its fields."""
+    if is_dataclass(value):
+        return {f.name: _fields_of(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple) and value and is_dataclass(value[0]):
+        return [_fields_of(item) for item in value]
+    return value
+
+
+def _text_keys(histogram: dict[int, int]) -> dict[str, int]:
+    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 def analyze_snapshot(snapshot: StatsSnapshot, *, k_min: int = 10) -> MetricsReport:

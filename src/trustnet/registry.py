@@ -14,9 +14,13 @@ The node table is columnar: one list per field (public key, last heartbeat,
 snapshot row, rendered entry), indexed by node_id - base_node_id, so an
 address is its own index. A row's JSON entry is rendered when the row is set:
 at registration, on a trust_links change and on an online flip a snapshot
-finds. A trust edge's entry is rendered once, when it is stored, as edges are
-only appended. snapshot() copies both entry lists, so a read renders only the
-rows whose flag flipped (incremental view maintenance).
+finds. snapshot() keeps each document section as bytes and hands them, with
+its row and edge lists, to every snapshot it builds (incremental view
+maintenance): the node section is joined again only after a row changed, and
+the edge section, as edges are only appended, is extended by the entries of
+the edges stored since the last read, each rendered once. Two heartbeat
+bounds tell whether any row's online flag can flip; only then does snapshot()
+scan the rows. So a read of an unchanged registry does no per-row work.
 
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
@@ -32,6 +36,7 @@ fields of each control op, for the server and the event log alike.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from pathlib import Path
@@ -185,7 +190,17 @@ class RegistryService:
         self._hostnames: dict[str, VirtualAddress] = {}
         # ordered set of index pairs, each mapped to its two address texts
         self._edges: dict[tuple[int, int], tuple[str, str]] = {}
-        self._edge_entries: list[str] = []  # render_edge text of each edge, in order
+        # What the last snapshot() handed out: the rows and the node section,
+        # _entries joined and encoded (None once a row changed), and the
+        # edges and the edge section, their render_edge texts joined.
+        self._nodes_view: list[NodeView] = []
+        self._nodes_text: Optional[bytes] = b""
+        self._edges_view: list[tuple[str, str]] = []
+        self._edges_text = b""
+        # _online_min <= the last heartbeat of every online row and
+        # _offline_max >= that of every offline row (online as of the last scan).
+        self._online_min = math.inf
+        self._offline_max = -math.inf
         self._summary_trust_links = 0
         self.requests_served = 0
         self._relay_phase: dict[tuple[VirtualAddress, VirtualAddress], int] = {}
@@ -299,6 +314,8 @@ class RegistryService:
         self._heartbeats.append(at_time)
         self._rows.append(NodeView(text, normalized, True, 0))
         self._entries.append(self._rows[-1].render())
+        self._nodes_text = None
+        self._online_min = min(self._online_min, at_time)
         self._by_key[public_key] = address
         if host is not None:
             self._hostnames[host] = address
@@ -362,7 +379,6 @@ class RegistryService:
         if pair in self._edges:
             return False
         self._edges[pair] = texts
-        self._edge_entries.append(render_edge(*texts))
         # each end gains a link; a self-loop's one node gains both, rendered once
         for i in dict.fromkeys(pair):
             address, tags, online, links = rows[i]
@@ -373,6 +389,7 @@ class RegistryService:
         """Replace node i's row and its rendered entry."""
         self._rows[i] = row
         self._entries[i] = row.render()
+        self._nodes_text = None
 
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
@@ -381,33 +398,66 @@ class RegistryService:
     def _heartbeat(self, address: VirtualAddress, now: float) -> None:
         i = self._index(address)
         self._heartbeats[i] = now
+        if self._rows[i].online:
+            self._online_min = min(self._online_min, now)
+        else:
+            self._offline_max = max(self._offline_max, now)
         self._log_event({"event": "heartbeat", "address": self._rows[i].address, "t": now})
 
     def snapshot(self) -> StatsSnapshot:
-        """Consistent full view; the call itself counts as a request."""
+        """Consistent full view; the call itself counts as a request.
+
+        Snapshots read while no row changed and no edge was stored share
+        their nodes and trust_edges lists, so a caller must not change them.
+        """
         self.requests_served += 1
         now = self._clock()
-        # Only a row whose online flag flipped is replaced and rendered. The
-        # table is in allocation order, which is address order. The snapshot
-        # gets copies of the lists, whose items are immutable, so it may be
-        # serialised after the lock is released.
-        for i, (last, row) in enumerate(zip(self._heartbeats, self._rows)):
-            if (now - last <= OFFLINE_AFTER) is not row.online:
-                self._set_row(i, NodeView(row.address, row.tags, not row.online, row.trust_links))
-        nodes = self._rows.copy()
-        edges = list(self._edges.values())
+        # The bounds tell whether a flag can flip. IEEE subtraction is
+        # monotone in the subtrahend, so the test is exact for any clock,
+        # one that runs backwards included.
+        if now - self._online_min > OFFLINE_AFTER or now - self._offline_max <= OFFLINE_AFTER:
+            self._scan_online(now)
+        # A change makes a new list and a new text, and never alters one a
+        # snapshot holds, so the snapshot may be serialised after the lock
+        # is released.
+        if self._nodes_text is None:
+            self._nodes_view = self._rows.copy()
+            self._nodes_text = ",\n    ".join(self._entries).encode("ascii")
+        joined = len(self._edges_view)
+        if joined < len(self._edges):
+            self._edges_view = list(self._edges.values())
+            new = ",\n    ".join([render_edge(a, b) for a, b in self._edges_view[joined:]])
+            self._edges_text += (b",\n    " if joined else b"") + new.encode("ascii")
+        nodes = self._nodes_view
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         snapshot = StatsSnapshot(
             generated_at=now,
             requests_served=self.requests_served,
             networks=[NetworkView(NETWORK_ID, NETWORK_NAME)],
             nodes=nodes,
-            trust_edges=edges,
+            trust_edges=self._edges_view,
             summary_trust_links=self._summary_trust_links,
             requests_per_agent=per_agent,
         )
-        snapshot.entries = self._entries.copy(), self._edge_entries.copy()
+        snapshot.entries = self._nodes_text, self._edges_text
         return snapshot
+
+    def _scan_online(self, now: float) -> None:
+        """Flip each row whose online flag changed and set both bounds exactly.
+
+        The table is in allocation order, which is address order.
+        """
+        online_min, offline_max = math.inf, -math.inf
+        for i, (last, row) in enumerate(zip(self._heartbeats, self._rows)):
+            online = now - last <= OFFLINE_AFTER
+            if online is not row.online:
+                self._set_row(i, NodeView(row.address, row.tags, online, row.trust_links))
+            if online:
+                if last < online_min:
+                    online_min = last
+            elif last > offline_max:
+                offline_max = last
+        self._online_min, self._offline_max = online_min, offline_max
 
     # --- handshake relay ---
 

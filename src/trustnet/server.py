@@ -27,10 +27,13 @@ them, and never decoded.
 
 All registry mutations funnel through one lock, preserving the serialized
 single-writer contract while the UDP and TCP threads run concurrently. The
-stats thread holds the lock only for RegistryService.snapshot(), which
-renders only the rows whose online flag flipped and copies the registry's
-kept row and edge entries. After the release, StatsSnapshot.to_json joins
-those entries, so no edge and no unchanged row is rendered again.
+stats thread holds the lock only for RegistryService.snapshot(), which hands
+out the registry's kept node and edge sections as bytes: it scans the rows
+only when a heartbeat bound says an online flag may flip, joins the node
+section again only after a row changed, and renders only the edges stored
+since the last read. After the release, StatsSnapshot.json_parts wraps those
+sections in a few small parts and _send_parts writes the parts to the
+socket as they are, so an unchanged read copies none of the document.
 """
 
 from __future__ import annotations
@@ -234,13 +237,28 @@ class RegistryServer:
                 if STATS_PATH.encode() in line.split():
                     with self._lock:
                         snapshot = self.registry.snapshot()
-                    body = snapshot.to_json()
+                    parts = snapshot.json_parts()
                 else:
-                    body = json.dumps({"ok": False, "error": "unknown-path"})
+                    parts = [json.dumps({"ok": False, "error": "unknown-path"}).encode()]
                 try:
-                    conn.sendall(body.encode("utf-8") + b"\n")
+                    _send_parts(conn, parts + [b"\n"])
                 except OSError:
                     continue
+
+
+def _send_parts(conn: socket.socket, parts: list[bytes]) -> None:
+    """Send the concatenation of parts without joining them.
+
+    A socket with a timeout may take part of a write, so each sendmsg resumes
+    where the last one stopped.
+    """
+    views = [memoryview(part) for part in parts if part]
+    while views:
+        sent = conn.sendmsg(views)
+        while views and sent >= len(views[0]):
+            sent -= len(views.pop(0))
+        if sent:
+            views[0] = views[0][sent:]
 
 
 # --- client helpers ---

@@ -362,6 +362,7 @@ class _SimAgent:
         self.index = index
         self.rng = _split_rng(scenario.config.seed, f"agent-{index}")
         self.identity: Optional[AgentIdentity] = None
+        self.text = ""  # address.to_text(), formatted once, at arrival
         self.nat = "cone"
         self.responder: Optional[HandshakeResponder] = None
         self.attempts: dict[VirtualAddress, _Attempt] = {}
@@ -388,13 +389,12 @@ class _SimAgent:
         self.identity.address = sc.registry.register(
             self.identity.public_key, tags=tags
         )
+        self.text = self.address.to_text()
         self.responder = HandshakeResponder(
             self.identity, AcceptAllPolicy(), sc.registry.public_key_of, self.rng
         )
-        sc.log(
-            "arrival", index=self.index, address=self.address.to_text(), nat=self.nat
-        )
-        sc.log("register", address=self.address.to_text(), tags=list(tags))
+        sc.log("arrival", index=self.index, address=self.text, nat=self.nat)
+        sc.log("register", address=self.text, tags=list(tags))
         sc.graph.add_node(self.address)
         sc.by_address[self.address] = self
         sc.loop.schedule(behavior.heartbeat_interval, self.heartbeat)
@@ -408,7 +408,7 @@ class _SimAgent:
     def heartbeat(self) -> None:
         sc = self.scenario
         sc.registry.heartbeat(self.address)
-        sc.log("heartbeat", address=self.address.to_text())
+        sc.log("heartbeat", address=self.text)
         sc.loop.schedule(sc.config.behavior.heartbeat_interval, self.heartbeat)
 
     # -- handshake initiator role --
@@ -425,11 +425,7 @@ class _SimAgent:
             request_datagram=_handshake_datagram(self.address, target, payload),
         )
         self.attempts[target] = attempt
-        sc.log(
-            "handshake-start",
-            initiator=self.address.to_text(),
-            responder=target.to_text(),
-        )
+        sc.log("handshake-start", initiator=self.text, responder=sc.by_address[target].text)
         self._send_request(attempt)
 
     def _send_request(self, attempt: _Attempt) -> None:
@@ -479,9 +475,7 @@ class _SimAgent:
         sc = self.scenario
         sc.send_via_relay(_handshake_datagram(self.address, responder, confirm))
         sc.log(
-            "handshake-complete",
-            initiator=self.address.to_text(),
-            responder=responder.to_text(),
+            "handshake-complete", initiator=self.text, responder=sc.by_address[responder].text
         )
         sc.note_edge(self.address, responder)
         # Delay the first sealed message so the CONFIRM (two relay legs)
@@ -512,9 +506,8 @@ class _SimAgent:
         if session is None or not payload or payload[0] != FRAME_DATA:
             return
         plaintext = session.open(header, payload[1:])
-        self.scenario.pings.append(
-            (header.src.to_text(), self.address.to_text(), plaintext)
-        )
+        sc = self.scenario
+        sc.pings.append((sc.by_address[header.src].text, self.text, plaintext))
 
 
 def _handshake_datagram(

@@ -16,10 +16,13 @@ StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": key
 the order above, two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
-(address, tags, online, trust_links). to_json renders each node's entry with
+(address, tags, online, trust_links). StatsSnapshot.json_parts returns the
+document as a list of ASCII byte strings, which write() and the stats server
+pass on without joining them. It renders each node's entry with
 NodeView.render and each edge's with render_edge, unless the snapshot carries
-them already rendered (StatsSnapshot.entries): the registry keeps the entries
-of its rows and edges and hands a copy of them to each snapshot it builds.
+both sections already joined (StatsSnapshot.entries): the registry keeps them
+as bytes and hands the same objects to every snapshot until a row changes or
+an edge is stored.
 
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
@@ -47,8 +50,15 @@ from .errors import DanglingEdgeError, SchemaViolationError
 from .overlay import VirtualAddress
 
 
-# Between the fields of a list entry in StatsSnapshot.to_json.
+# Between the fields of a list entry, and between the entries of a top-level
+# list, in StatsSnapshot.json_parts.
 _FIELD = ",\n      "
+_SEPARATOR = ",\n    "
+
+
+def _listed(entries: bytes) -> tuple[bytes, ...]:
+    """A top-level list, as indent=2 lays it out around its joined entries."""
+    return (b"[\n    ", entries, b"\n  ]") if entries else (b"[]",)
 
 
 class NodeView(NamedTuple):
@@ -178,8 +188,9 @@ class StatsSnapshot:
     trust_edges: list[tuple[str, str]]
     summary_trust_links: int
     requests_per_agent: float = 0.0
-    # The node and edge entries to_json joins, when the snapshot's builder kept them.
-    entries: Optional[tuple[list[str], list[str]]] = field(
+    # The node and the edge entries, each joined by ",\n    " and encoded, when
+    # the snapshot's builder kept them; json_parts renders them otherwise.
+    entries: Optional[tuple[bytes, bytes]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -195,29 +206,38 @@ class StatsSnapshot:
         }
 
     def to_json(self) -> str:
-        """The document's bytes, by the contract in the module docstring."""
-        def listed(items: list[str]) -> str:  # a top-level list, as indent=2 lays it out
-            return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+        """The document's text, by the contract in the module docstring."""
+        return b"".join(self.json_parts()).decode("ascii")
 
+    def json_parts(self) -> list[bytes]:
+        """The document's bytes in parts; the entry sections are not copied."""
         q = encode_basestring_ascii
-        networks = [
+        networks = _SEPARATOR.join(
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
             for net in self.networks
-        ]
+        ).encode("ascii")
         if self.entries is None:
-            nodes = [node.render() for node in self.nodes]
-            edges = [render_edge(a, b) for a, b in self.trust_edges]
+            nodes = _SEPARATOR.join([node.render() for node in self.nodes])
+            edges = _SEPARATOR.join([render_edge(a, b) for a, b in self.trust_edges])
+            nodes, edges = nodes.encode("ascii"), edges.encode("ascii")
         else:
             nodes, edges = self.entries
-        return (
+        head = (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'
             f'  "requests_per_agent": {json.dumps(self.requests_per_agent)},\n'
-            f'  "networks": {listed(networks)},\n'
-            f'  "nodes": {listed(nodes)},\n'
-            f'  "trust_edges": {listed(edges)},\n'
-            f'  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
+            f'  "networks": '
         )
+        tail = f',\n  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
+        return [
+            head.encode("ascii"),
+            *_listed(networks),
+            b',\n  "nodes": ',
+            *_listed(nodes),
+            b',\n  "trust_edges": ',
+            *_listed(edges),
+            tail.encode("ascii"),
+        ]
 
     @cached_property
     def graph(self) -> TrustGraph:
@@ -238,7 +258,8 @@ class StatsSnapshot:
         return graph
 
     def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        with Path(path).open("wb") as handle:
+            handle.writelines(self.json_parts())
 
     @classmethod
     def from_dict(cls, doc: Any) -> "StatsSnapshot":

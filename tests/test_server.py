@@ -367,10 +367,10 @@ class TestStatsEndpoint:
             RegistryService, "snapshot", recording("snapshot", RegistryService.snapshot)
         )
         monkeypatch.setattr(
-            StatsSnapshot, "to_json", recording("to_json", StatsSnapshot.to_json)
+            StatsSnapshot, "json_parts", recording("json_parts", StatsSnapshot.json_parts)
         )
         fetch_stats(server.endpoint)
-        assert held_during == [("snapshot", True), ("to_json", False)]
+        assert held_during == [("snapshot", True), ("json_parts", False)]
 
     def test_fresh_registry_serves_empty_snapshot(self, server):
         snapshot = fetch_stats(server.endpoint)
