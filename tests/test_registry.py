@@ -432,6 +432,45 @@ class TestSnapshotRows:
         assert flips == {True, False}
         assert snap.summary_trust_links > len(snap.trust_edges) > 50
 
+    def test_kept_sections_and_skipped_scans_match_brute_force(self, monkeypatch):
+        """At every read, the kept node and edge sections write the bytes of
+        json.dumps, and each row's flag is what a full scan would set, while
+        the clock jumps both ways; most reads skip the scan."""
+        scans = []
+        scan = RegistryService._scan_online
+        monkeypatch.setattr(
+            RegistryService, "_scan_online", lambda self, now: scans.append(now) or scan(self, now)
+        )
+        registry, clock = make_registry()
+        rng = random.Random(47)
+        tags = ("coding", "café", 'say "hi"', "back\\slash", "tab\tstop", "日本", "x")
+        addresses, snap = [], registry.snapshot()
+        for _ in range(400):
+            step = rng.random()
+            if step < 0.2 or len(addresses) < 2:
+                addresses.append(
+                    registry.register(rng.randbytes(32), tags=rng.sample(tags, rng.randint(0, 3)))
+                )
+            elif step < 0.3:
+                clock.advance(rng.choice([-OFFLINE_AFTER - 1.0, -1.0, 1.0, OFFLINE_AFTER + 1.0]))
+            elif step < 0.55:  # mostly a row the last read found offline
+                offline = [a for a, node in zip(addresses, snap.nodes) if not node.online]
+                registry.heartbeat(rng.choice(offline or addresses))
+            elif step < 0.85:
+                registry.record_trust(*rng.sample(addresses, 2))
+            else:
+                a = rng.choice(addresses)
+                registry.record_trust(a, a)
+            snap = registry.snapshot()
+            body = (json.dumps(snap.to_dict(), indent=2) + "\n").encode()
+            assert b"".join(snap.json_parts()) == body
+            for address, node in zip(addresses, snap.nodes):
+                last = registry.node(address).last_heartbeat
+                assert node.online is (clock.now - last <= OFFLINE_AFTER)
+        assert {node.online for node in snap.nodes} == {True, False}
+        assert 0 < len(scans) < 400 / 2
+        assert len(snap.trust_edges) > 50 and any(a == b for a, b in snap.trust_edges)
+
     def test_each_edge_renders_once(self, monkeypatch):
         """N stored edges over K reads cost N edge renders, not N per read."""
         rendered = []

@@ -38,6 +38,7 @@ from trustnet.server import (
     NULL_ADDRESS,
     RegistryClient,
     RegistryServer,
+    _send_parts,
     fetch_stats,
 )
 from trustnet.snapshot import StatsSnapshot
@@ -371,6 +372,36 @@ class TestStatsEndpoint:
         )
         fetch_stats(server.endpoint)
         assert held_during == [("snapshot", True), ("json_parts", False)]
+
+    def test_send_parts_resumes_partial_writes(self):
+        """A socket that takes at most 7 bytes a call still gets every byte, in order."""
+
+        class TrickleSocket:
+            def __init__(self):
+                self.received = bytearray()
+
+            def sendmsg(self, buffers):
+                taken = b"".join(bytes(buffer) for buffer in buffers)[:7]
+                self.received += taken
+                return len(taken)
+
+        registry = RegistryService(clock=lambda: 0.0)
+        a, b = (registry.register(bytes([n]) * 32, tags=("x",)) for n in (1, 2))
+        registry.record_trust(a, b)
+        parts = registry.snapshot().json_parts() + [b"", b"\n"]
+        conn = TrickleSocket()
+        _send_parts(conn, parts)
+        assert bytes(conn.received) == b"".join(parts)
+
+    def test_unchanged_reads_share_the_node_section(self, server):
+        """Two reads with no write between them hand out the same node text."""
+        rng = random.Random(3)
+        with RegistryClient(server.endpoint) as client:
+            client.register(AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key)
+        with server._lock:
+            first, second = server.registry.snapshot(), server.registry.snapshot()
+        assert first.entries[0] is second.entries[0] and first.entries[0]
+        assert fetch_stats(server.endpoint).nodes == first.nodes
 
     def test_fresh_registry_serves_empty_snapshot(self, server):
         snapshot = fetch_stats(server.endpoint)
