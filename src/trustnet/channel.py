@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric import ed25519, x25519
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
@@ -65,9 +65,6 @@ _SIG_REQUEST = b"trustnet-hs-req"
 _SIG_ACCEPT = b"trustnet-hs-acc"
 _SIG_CONFIRM = b"trustnet-hs-cfm"
 
-_RAW = serialization.Encoding.Raw
-_RAW_PUB = serialization.PublicFormat.Raw
-
 KeyLookup = Callable[[VirtualAddress], bytes]
 
 
@@ -92,7 +89,7 @@ class AgentIdentity:
 
     @property
     def public_key(self) -> bytes:
-        return self.signing_key.public_key().public_bytes(_RAW, _RAW_PUB)
+        return self.signing_key.public_key().public_bytes_raw()
 
     def sign(self, message: bytes) -> bytes:
         return self.signing_key.sign(message)
@@ -115,7 +112,7 @@ def generate_exchange_key(
 
 
 def exchange_public_bytes(key: x25519.X25519PrivateKey) -> bytes:
-    return key.public_key().public_bytes(_RAW, _RAW_PUB)
+    return key.public_key().public_bytes_raw()
 
 
 def exchange(local_secret: x25519.X25519PrivateKey, remote_public: bytes) -> bytes:
@@ -322,7 +319,7 @@ class HandshakeInitiator:
         self.responder = responder
         self._key_lookup = key_lookup
         self._rng = rng
-        self._eph = generate_exchange_key(rng)
+        self._eph: Optional[x25519.X25519PrivateKey] = generate_exchange_key(rng)
         self._eph_pub = exchange_public_bytes(self._eph)
         self.session: Optional[SecureSession] = None
 
@@ -334,7 +331,13 @@ class HandshakeInitiator:
         return bytes([FRAME_REQUEST]) + body
 
     def on_accept(self, body: bytes) -> bytes:
-        """Verify the ACCEPT frame, derive the session, return CONFIRM payload."""
+        """Verify the ACCEPT frame, derive the session, return CONFIRM payload.
+
+        The ephemeral secret is dropped once the session exists (forward
+        secrecy), so a second ACCEPT raises HandshakeError.
+        """
+        if self._eph is None:
+            raise HandshakeError(f"handshake with {self.responder} already complete")
         claimed_key, responder_eph, signature = _split_keyed_frame(body)
         registered = self._key_lookup(self.responder)
         if claimed_key != registered:
@@ -354,6 +357,7 @@ class HandshakeInitiator:
         self.session = derive_session(
             self._eph, responder_eph, transcript=transcript, rng=self._rng
         )
+        self._eph = None
         confirm_sig = self.identity.sign(_SIG_CONFIRM + transcript)
         return bytes([FRAME_CONFIRM]) + confirm_sig
 
@@ -386,17 +390,20 @@ class HandshakeResponder:
             raise SignatureInvalidError(
                 "initiator key does not match the registered identity"
             )
-        verify_signature(
-            registered,
-            signature,
-            _request_message(initiator, self.identity.address, initiator_eph),
-        )
+        # A retransmitted REQUEST repeats a body already verified against the
+        # key just checked, so its signature is not verified again.
+        pending = self._pending.get(initiator)
+        repeated = pending is not None and pending["request"] == body
+        if not repeated:
+            verify_signature(
+                registered,
+                signature,
+                _request_message(initiator, self.identity.address, initiator_eph),
+            )
         if not self.policy.accepts(initiator):
             return bytes([FRAME_DECLINE])
-        pending = self._pending.get(initiator)
-        if pending is not None and pending["initiator_eph"] == initiator_eph:
-            # retransmitted REQUEST: repeat the previous ACCEPT verbatim
-            return pending["accept_payload"]
+        if repeated:
+            return pending["accept_payload"]  # the previous ACCEPT, verbatim
         eph = generate_exchange_key(self._rng)
         eph_pub = exchange_public_bytes(eph)
         signature = self.identity.sign(
@@ -412,7 +419,7 @@ class HandshakeResponder:
             eph, initiator_eph, transcript=transcript, rng=self._rng
         )
         self._pending[initiator] = {
-            "initiator_eph": initiator_eph,
+            "request": body,
             "accept_payload": payload,
             "transcript": transcript,
             "session": session,

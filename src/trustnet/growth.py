@@ -16,7 +16,8 @@ organically grown capability market.
 
 Fixed-weight draws (a stub's mechanism, a tag count) bisect cumulative sums
 cached per frozen mix or tag model, each node's address text is formatted
-once, and the trace is written by template (``GrowthEvent.to_line``).
+once, and the trace is written by template (``GrowthEvent.to_line``), in
+chunks of lines (``snapshot.write_lines``).
 
 Three deliberate structural choices keep fragmentation possible (without them
 every non-isolate attaches to one giant cluster and small detached
@@ -56,6 +57,7 @@ from .snapshot import (
     StatsSnapshot,
     is_number,
     read_json,
+    write_lines,
 )
 
 MECHANISMS = ("propinquity", "preferential", "triadic", "uniform")
@@ -528,9 +530,9 @@ class GrowthTrace:
         return [event.to_line() for event in self.events]
 
     def write(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            "\n".join(self.to_lines()) + "\n", encoding="utf-8"
-        )
+        """Write the lines of to_lines, each ended by a newline, in chunks:
+        no string holds the whole trace."""
+        write_lines(path, map(GrowthEvent.to_line, self.events))
 
     @classmethod
     def from_lines(cls, lines: Iterable[str]) -> "GrowthTrace":
@@ -762,6 +764,7 @@ def generate(config: GrowthConfig) -> tuple[StatsSnapshot, GrowthTrace]:
                 session_pool.append(node)
 
     trace = GrowthTrace(events)
+    del graph, texts  # freed before replay builds the snapshot, to lower the peak
     return trace.replay(), trace
 
 

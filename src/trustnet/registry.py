@@ -244,18 +244,22 @@ class RegistryService:
         path = Path(event_log)
         service = cls(event_log=None, **kwargs)
         if path.exists():
-            data = path.read_bytes()
-            *lines, tail = data.split(b"\n")
-            for number, line in enumerate(lines, 1):
-                if line.strip():
-                    where = f"{path} line {number}"
-                    service._apply_event(read_json(line, where), where)
+            size, tail = 0, b""  # size: the bytes of the lines ended by a newline
+            with path.open("rb") as handle:
+                for number, line in enumerate(handle, 1):
+                    if not line.endswith(b"\n"):
+                        tail = line
+                        break
+                    size += len(line)
+                    if line.strip():
+                        where = f"{path} line {number}"
+                        service._apply_event(read_json(line[:-1], where), where)
             if tail.strip():
-                where = f"{path} line {len(lines) + 1}"
+                where = f"{path} line {number}"
                 try:
                     event = read_json(tail, where)
                 except SchemaViolationError:
-                    os.truncate(path, len(data) - len(tail))
+                    os.truncate(path, size)
                 else:
                     service._apply_event(event, where)
                     with path.open("ab") as handle:

@@ -63,7 +63,7 @@ from .overlay import (
     encode_packet,
 )
 from .registry import HEARTBEAT_INTERVAL, RegistryService
-from .snapshot import StatsSnapshot, compact_json
+from .snapshot import StatsSnapshot, compact_json, write_lines
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
@@ -337,9 +337,9 @@ class ScenarioResult:
         return [compact_json(event) for event in self.events]
 
     def write_events(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(
-            "\n".join(self.event_lines()) + "\n", encoding="utf-8"
-        )
+        """Write the lines of event_lines, each ended by a newline, in chunks:
+        no string holds the whole log."""
+        write_lines(path, map(compact_json, self.events))
 
 
 # --- agents ---
@@ -470,7 +470,8 @@ class _SimAgent:
         if attempt is None or attempt.done:
             return
         confirm = attempt.initiator.on_accept(body)
-        attempt.done = True
+        attempt.done = True  # for its pending timeout; a late ACCEPT finds no attempt
+        del self.attempts[responder]
         self.sessions[responder] = attempt.initiator.session
         sc = self.scenario
         sc.send_via_relay(_handshake_datagram(self.address, responder, confirm))

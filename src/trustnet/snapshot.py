@@ -19,10 +19,20 @@ Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
 (address, tags, online, trust_links). StatsSnapshot.json_parts returns the
 document as a list of ASCII byte strings, which write() and the stats server
 pass on without joining them. It renders each node's entry with
-NodeView.render and each edge's with render_edge, unless the snapshot carries
-both sections already joined (StatsSnapshot.entries): the registry keeps them
-as bytes and hands the same objects to every snapshot until a row changes or
-an edge is stored.
+NodeView.render and each edge's with render_edge, one part per 1,024 entries
+(_CHUNK), so no one string or bytes object holds a whole section. A snapshot
+may carry both sections already joined instead (StatsSnapshot.entries): the
+registry keeps them as bytes and hands the same objects to every snapshot
+until a row changes or an edge is stored. write_lines writes the growth trace
+and the simulator's event log the same way, _CHUNK lines per write.
+
+StatsSnapshot.read hands the file's bytes to read_json, and the parsed
+document to from_dict, as temporaries that it keeps no name for. read_json
+rebinds its argument to the decoded text, so the bytes are freed before the
+parse; from_dict drops the document once it has read the vertex ids of the
+edge ends, and only then builds the edge tuples. From Python 3.11 a called
+Python function owns such a temporary argument, so the document is freed
+there; on 3.10 the caller's stack keeps it until from_dict returns.
 
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
@@ -42,9 +52,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import islice, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, NamedTuple, Optional, Union
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DanglingEdgeError, SchemaViolationError
 from .overlay import VirtualAddress
@@ -54,11 +65,32 @@ from .overlay import VirtualAddress
 # list, in StatsSnapshot.json_parts.
 _FIELD = ",\n      "
 _SEPARATOR = ",\n    "
+_SEPARATOR_BYTES = _SEPARATOR.encode("ascii")
+# Entries per part of a rendered section, and lines per write of write_lines.
+_CHUNK = 1024
 
 
-def _listed(entries: bytes) -> tuple[bytes, ...]:
-    """A top-level list, as indent=2 lays it out around its joined entries."""
-    return (b"[\n    ", entries, b"\n  ]") if entries else (b"[]",)
+def _batches(items: Iterable[str]) -> Iterator[list[str]]:
+    """items in lists of _CHUNK, the last one shorter."""
+    items = iter(items)
+    while batch := list(islice(items, _CHUNK)):
+        yield batch
+
+
+def _rendered(entries: Iterable[str]) -> list[bytes]:
+    """The entries joined by _SEPARATOR and encoded, one part per _CHUNK entries."""
+    return [_SEPARATOR.join(batch).encode("ascii") for batch in _batches(entries)]
+
+
+def _listed(chunks: list[bytes]) -> list[bytes]:
+    """A top-level list, as indent=2 lays it out around its chunks of joined entries."""
+    if not chunks:
+        return [b"[]"]
+    parts = [b"[\n    "]
+    for chunk in chunks:
+        parts += (chunk, _SEPARATOR_BYTES)
+    parts[-1] = b"\n  ]"
+    return parts
 
 
 class NodeView(NamedTuple):
@@ -210,18 +242,18 @@ class StatsSnapshot:
         return b"".join(self.json_parts()).decode("ascii")
 
     def json_parts(self) -> list[bytes]:
-        """The document's bytes in parts; the entry sections are not copied."""
+        """The document's bytes in parts: a rendered section is one part per
+        _CHUNK entries, and a kept section is passed on without a copy."""
         q = encode_basestring_ascii
-        networks = _SEPARATOR.join(
+        networks = _rendered(
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
             for net in self.networks
-        ).encode("ascii")
+        )
         if self.entries is None:
-            nodes = _SEPARATOR.join([node.render() for node in self.nodes])
-            edges = _SEPARATOR.join([render_edge(a, b) for a, b in self.trust_edges])
-            nodes, edges = nodes.encode("ascii"), edges.encode("ascii")
+            nodes = _rendered(map(NodeView.render, self.nodes))
+            edges = _rendered(starmap(render_edge, self.trust_edges))
         else:
-            nodes, edges = self.entries
+            nodes, edges = ([text] if text else [] for text in self.entries)
         head = (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'
@@ -293,18 +325,19 @@ class StatsSnapshot:
         # in another form, an unknown address, a missing field or a non-string)
         # takes TrustGraph.edge, which raises the reader's error for it.
         # ends holds the vertex ids a0, b0, a1, b1, ... for the first graph.
-        index, texts = table.index, [node.address for node in nodes]
-        edges, ends = [], []
+        index, ends = table.index, []
         for i, raw in enumerate(fields["trust_edges"]):
             try:
-                a, b = index[raw["a"]], index[raw["b"]]
+                ends += (index[raw["a"]], index[raw["b"]])
             except (KeyError, TypeError):  # TypeError: an unhashable end
                 if "a" not in raw or "b" not in raw:
                     raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-                a, b = table.edge(raw["a"], raw["b"], i)
-            edges.append((texts[a], texts[b]))
-            ends += (a, b)
+                ends += table.edge(raw["a"], raw["b"], i)
 
+        # The edge tuples are built once the parsed document can be freed.
+        doc = raw = fields["nodes"] = fields["trust_edges"] = None
+        texts, pairs = [node.address for node in nodes], iter(ends)
+        edges = [(texts[a], texts[b]) for a, b in zip(pairs, pairs)]
         snapshot = cls(**{**fields, "nodes": nodes, "trust_edges": edges})
         snapshot._table = table, ends  # linked by the first snapshot.graph, once doc is freed
         return snapshot
@@ -315,12 +348,23 @@ class StatsSnapshot:
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "StatsSnapshot":
-        return cls.from_json(Path(path).read_bytes())
+        # The bytes and the parsed document are temporaries, so each is freed
+        # as soon as read_json and from_dict are done with it.
+        return cls.from_dict(read_json(Path(path).read_bytes(), "snapshot"))
 
 
 # The writer of every compact JSON line and body: the bytes of
 # json.dumps(doc, separators=(",", ":")), with the encoder built once.
 compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def write_lines(path: Union[str, Path], lines: Iterable[str]) -> None:
+    """Write "\n".join(lines) + "\n" as UTF-8 text, _CHUNK lines per write."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for batch in _batches(lines):
+            handle.write("\n".join(batch) + "\n")
+        if not handle.tell():
+            handle.write("\n")  # no lines: the join is empty, the newline stays
 
 
 # Readers for input documents. read_json parses every one (config, scenario,
@@ -335,7 +379,9 @@ def read_json(text: Union[str, bytes], what: str) -> Any:
     raise SchemaViolationError.
     """
     try:
-        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")  # frees bytes no caller holds before the parse
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError covers both decode errors
         raise SchemaViolationError(f"{what} is not valid JSON: {exc}") from exc
 

@@ -15,6 +15,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+import trustnet.channel
 from trustnet.channel import (
     SEAL_OVERHEAD,
     AcceptAllPolicy,
@@ -34,12 +35,13 @@ from trustnet.channel import (
 from trustnet.errors import (
     AuthFailureError,
     CounterExhaustedError,
+    HandshakeError,
     LowOrderPointError,
     ReplayDetectedError,
     ResponderDeclinedError,
     SignatureInvalidError,
 )
-from trustnet.overlay import PacketHeader, VirtualAddress
+from trustnet.overlay import FRAME_ACCEPT, FRAME_DECLINE, PacketHeader, VirtualAddress
 
 # --- frozen vectors (RFC 7748 sections 5.2 and 6.1) ---
 
@@ -452,6 +454,66 @@ class TestHandshake:
         first = responder.on_request(alice.address, request[1:])
         second = responder.on_request(alice.address, request[1:])
         assert first == second
+
+    def test_retransmitted_request_is_verified_once(self, monkeypatch) -> None:
+        calls, verify = [], trustnet.channel.verify_signature
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(trustnet.channel, "verify_signature", counted)
+        alice, bob, directory = make_identities()
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        responder = HandshakeResponder(
+            bob, AcceptAllPolicy(), directory.__getitem__, random.Random(3)
+        )
+        body = initiator.request_payload()[1:]
+        first = responder.on_request(alice.address, body)
+        assert responder.on_request(alice.address, body) == first
+        assert len(calls) == 1
+        # The same ephemeral key under a bad signature is verified, and refused.
+        forged = body[:-1] + bytes([body[-1] ^ 0x01])
+        with pytest.raises(SignatureInvalidError):
+            responder.on_request(alice.address, forged)
+        assert len(calls) == 2
+
+    def test_retransmitted_request_still_asks_the_policy(self) -> None:
+        class AcceptOnce:
+            def __init__(self) -> None:
+                self.asked = 0
+
+            def accepts(self, initiator: VirtualAddress) -> bool:
+                self.asked += 1
+                return self.asked == 1
+
+        alice, bob, directory = make_identities()
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        policy = AcceptOnce()
+        responder = HandshakeResponder(bob, policy, directory.__getitem__, random.Random(3))
+        body = initiator.request_payload()[1:]
+        assert responder.on_request(alice.address, body)[0] == FRAME_ACCEPT
+        assert responder.on_request(alice.address, body) == bytes([FRAME_DECLINE])
+        assert policy.asked == 2
+
+    def test_initiator_drops_its_ephemeral_secret(self) -> None:
+        alice, bob, directory = make_identities()
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        responder = HandshakeResponder(
+            bob, AcceptAllPolicy(), directory.__getitem__, random.Random(3)
+        )
+        accept = responder.on_request(alice.address, initiator.request_payload()[1:])
+        initiator.on_accept(accept[1:])
+        assert initiator.session is not None
+        assert not any(isinstance(value, X25519PrivateKey) for value in vars(initiator).values())
+        with pytest.raises(HandshakeError):
+            initiator.on_accept(accept[1:])
 
     def test_confirm_against_wrong_transcript_fails(self) -> None:
         alice, bob, directory = make_identities()
