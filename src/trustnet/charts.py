@@ -58,13 +58,19 @@ def _svg_open(title: str) -> list[str]:
     ]
 
 
+def _line(kind: str, x1: float, y1: float, x2: float, y2: float) -> str:
+    return f'<line class="{kind}" x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}"/>'
+
+
+def _tick(x: float, y: float, anchor: str, label: int) -> str:
+    return f'<text x="{_f(x)}" y="{_f(y)}" text-anchor="{anchor}">{label}</text>'
+
+
 def _axes(x_label: str, y_label: str) -> list[str]:
     x0, y0 = MARGIN_LEFT, MARGIN_TOP + PLOT_H
     return [
-        f'<line class="axis" x1="{_f(x0)}" y1="{_f(y0)}" '
-        f'x2="{_f(x0 + PLOT_W)}" y2="{_f(y0)}"/>',
-        f'<line class="axis" x1="{_f(x0)}" y1="{_f(MARGIN_TOP)}" '
-        f'x2="{_f(x0)}" y2="{_f(y0)}"/>',
+        _line("axis", x0, y0, x0 + PLOT_W, y0),
+        _line("axis", x0, MARGIN_TOP, x0, y0),
         f'<text x="{_f(x0 + PLOT_W / 2 - 30)}" y="{_f(HEIGHT - 12)}">{x_label}</text>',
         f'<text x="14" y="{_f(MARGIN_TOP + PLOT_H / 2)}" '
         f'transform="rotate(-90 14 {_f(MARGIN_TOP + PLOT_H / 2)})">{y_label}</text>',
@@ -85,14 +91,8 @@ def degree_histogram_svg(hist: dict[int, int]) -> str:
     level = tick_step
     while level <= c_top:
         y = y_base - PLOT_H * level / c_top
-        parts.append(
-            f'<line class="grid" x1="{_f(MARGIN_LEFT)}" y1="{_f(y)}" '
-            f'x2="{_f(MARGIN_LEFT + PLOT_W)}" y2="{_f(y)}"/>'
-        )
-        parts.append(
-            f'<text x="{_f(MARGIN_LEFT - 8)}" y="{_f(y + 4)}" '
-            f'text-anchor="end">{level}</text>'
-        )
+        parts.append(_line("grid", MARGIN_LEFT, y, MARGIN_LEFT + PLOT_W, y))
+        parts.append(_tick(MARGIN_LEFT - 8, y + 4, "end", level))
         level += tick_step
     label_every = max(1, k_max // 12)
     for degree in sorted(hist.keys() | range(0, k_max + 1, label_every)):
@@ -105,10 +105,7 @@ def degree_histogram_svg(hist: dict[int, int]) -> str:
                 f'width="{_f(bar_w)}" height="{_f(h)}"/>'
             )
         if degree % label_every == 0:
-            parts.append(
-                f'<text x="{_f(x + bar_w / 2)}" y="{_f(y_base + 16)}" '
-                f'text-anchor="middle">{degree}</text>'
-            )
+            parts.append(_tick(x + bar_w / 2, y_base + 16, "middle", degree))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -142,21 +139,12 @@ def degree_loglog_svg(
 
         decade = 1
         while decade <= points[-1][0]:
-            parts.append(
-                f'<line class="grid" x1="{_f(px(decade))}" y1="{_f(MARGIN_TOP)}" '
-                f'x2="{_f(px(decade))}" y2="{_f(y_base)}"/>'
-            )
-            parts.append(
-                f'<text x="{_f(px(decade))}" y="{_f(y_base + 16)}" '
-                f'text-anchor="middle">{decade}</text>'
-            )
+            parts.append(_line("grid", px(decade), MARGIN_TOP, px(decade), y_base))
+            parts.append(_tick(px(decade), y_base + 16, "middle", decade))
             decade *= 10
         decade = 1
         while decade <= max(c for _, c in points):
-            parts.append(
-                f'<text x="{_f(x0 - 8)}" y="{_f(py(decade) + 4)}" '
-                f'text-anchor="end">{decade}</text>'
-            )
+            parts.append(_tick(x0 - 8, py(decade) + 4, "end", decade))
             decade *= 10
         for k, c in points:
             parts.append(

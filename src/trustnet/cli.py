@@ -23,9 +23,9 @@ Only `simulate` loads cryptography: the registry reads no more of a handshake
 frame than its overlay header and type byte. The work functions
 `analyze_snapshot`, `consistency_audit`, `render_table`,
 `render_report_artifacts` and `run_scenario` stay module attributes that each
-command looks up when it runs, so a caller can wrap or replace them. Each is a
-thin loader that imports its module on first call and forwards to the
-function of that name there.
+command looks up when it runs, so a caller can wrap or replace them. One
+factory, _loader, makes each of them: on every call it imports the module
+that defines the function and forwards to that module's binding of the name.
 
 `main` pauses the cyclic garbage collector for the call and restores its
 earlier state on return: a batch command's snapshot, trace and report data
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import importlib
 import json
 import math
 import os
@@ -59,6 +60,18 @@ def _data_dir() -> Path:
 def _print_header(subcommand: str, resolved: dict) -> None:
     click.echo(f"[trustnet {subcommand}] resolved configuration:")
     click.echo(json.dumps(resolved, indent=2, sort_keys=True))
+
+
+def _loader(module: str, name: str):
+    """A function that imports trustnet.<module> when called and forwards to its
+    binding of name. The analytics package's own binding is not
+    analytics.report's, so a caller that wraps both names sees one call."""
+
+    def load(*args, **kwargs):
+        return getattr(importlib.import_module(f"trustnet.{module}"), name)(*args, **kwargs)
+
+    load.__name__ = load.__qualname__ = name
+    return load
 
 
 @click.group()
@@ -121,11 +134,7 @@ def serve_registry(bind: str, base_node_id: int, log_path: str) -> None:
 # --- simulate ---
 
 
-def run_scenario(config):
-    """The simulator's run_scenario, loaded on first use (it needs cryptography)."""
-    from . import sim
-
-    return sim.run_scenario(config)
+run_scenario = _loader("sim", "run_scenario")
 
 
 @cli.command()
@@ -216,29 +225,9 @@ def generate(preset_name, config_path, seed, overrides, out_path, trace_path):
 
 # --- analyze ---
 
-# Thin loaders. Each forwards to the analytics package's own binding, not to
-# analytics.report's, so a caller that wraps both names sees one call.
-
-
-def analyze_snapshot(snapshot, **options):
-    """analytics.analyze_snapshot, loaded on first use."""
-    from . import analytics
-
-    return analytics.analyze_snapshot(snapshot, **options)
-
-
-def consistency_audit(snapshot, report=None):
-    """analytics.consistency_audit, loaded on first use."""
-    from . import analytics
-
-    return analytics.consistency_audit(snapshot, report)
-
-
-def render_table(report):
-    """analytics.render_table, loaded on first use."""
-    from . import analytics
-
-    return analytics.render_table(report)
+analyze_snapshot = _loader("analytics", "analyze_snapshot")
+consistency_audit = _loader("analytics", "consistency_audit")
+render_table = _loader("analytics", "render_table")
 
 
 @cli.command()
@@ -277,11 +266,7 @@ def analyze(snapshot_path: str, out_path: str, k_min: int, audit: bool) -> None:
 # --- report ---
 
 
-def render_report_artifacts(metrics, out_dir):
-    """charts.render_report_artifacts, loaded on first use."""
-    from . import charts
-
-    return charts.render_report_artifacts(metrics, out_dir)
+render_report_artifacts = _loader("charts", "render_report_artifacts")
 
 
 @cli.command()

@@ -56,7 +56,15 @@ from .snapshot import (
     NodeView,
     StatsSnapshot,
     is_number,
+    read_bool,
+    read_count,
+    read_fields,
     read_json,
+    read_list_of,
+    read_object,
+    read_optional_string,
+    read_string,
+    read_strings,
     write_lines,
 )
 
@@ -321,12 +329,9 @@ class MechanismMix(ConfigDocument):
         return (self.propinquity, self.preferential, self.triadic, self.uniform)
 
     @cached_property
-    def _draw(self) -> Callable[[random.Random], str]:
+    def draw(self) -> Callable[[random.Random], str]:
+        """draw(rng) picks one mechanism name with these weights (one rng call)."""
         return fixed_choice(MECHANISMS, self.weights())
-
-    def draw(self, rng: random.Random) -> str:
-        """Pick one mechanism name with these weights (one rng call)."""
-        return self._draw(rng)
 
     def validate(self) -> None:
         check_field_types(self)
@@ -505,19 +510,25 @@ class GrowthEvent(NamedTuple):
         )
 
     @classmethod
-    def from_line(cls, line: str) -> "GrowthEvent":
-        doc = read_json(line, "growth trace line")
-        return cls(
-            index=doc["index"],
-            address=doc["address"],
-            self_loop=doc["self_loop"],
-            isolate=doc["isolate"],
-            attempts=tuple(
-                LinkAttempt(a["mechanism"], a["target"], a["accepted"])
-                for a in doc["attempts"]
-            ),
-            tags=tuple(doc["tags"]),
-        )
+    def from_line(cls, line: Union[str, bytes], what: str = "growth trace line") -> "GrowthEvent":
+        """Read one line (bytes must be UTF-8); a bad one raises SchemaViolationError."""
+        doc = read_object(read_json(line, what), what)
+        return cls(**read_fields(doc, _EVENT, {}, f"{what}."))
+
+
+# The readers of a trace line's fields, and of an attempt's, in field order.
+_ATTEMPT = {"mechanism": read_string, "target": read_optional_string, "accepted": read_bool}
+_EVENT = {
+    "index": read_count,
+    "address": read_string,
+    "self_loop": read_bool,
+    "isolate": read_bool,
+    "attempts": lambda value, name: tuple(
+        LinkAttempt(**read_fields(raw, _ATTEMPT, {}, f"{name}[{i}]."))
+        for i, raw in enumerate(read_list_of(value, name, dict))
+    ),
+    "tags": read_strings,
+}
 
 
 @dataclass
@@ -526,23 +537,19 @@ class GrowthTrace:
 
     events: list[GrowthEvent]
 
-    def to_lines(self) -> list[str]:
-        return [event.to_line() for event in self.events]
-
     def write(self, path: Union[str, Path]) -> None:
-        """Write the lines of to_lines, each ended by a newline, in chunks:
-        no string holds the whole trace."""
+        """Write each event's to_line, ended by a newline, in chunks: no string
+        holds the whole trace."""
         write_lines(path, map(GrowthEvent.to_line, self.events))
 
     @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "GrowthTrace":
-        return cls(
-            [GrowthEvent.from_line(line) for line in lines if line.strip()]
-        )
-
-    @classmethod
     def read(cls, path: Union[str, Path]) -> "GrowthTrace":
-        return cls.from_lines(Path(path).read_text(encoding="utf-8").splitlines())
+        """Read the events of the file's non-blank lines; an error names its line."""
+        return cls([
+            GrowthEvent.from_line(line, f"growth trace line {number}")
+            for number, line in enumerate(Path(path).read_bytes().splitlines(), 1)
+            if line.strip()
+        ])
 
     def replay(self) -> StatsSnapshot:
         """Rebuild the output snapshot from nothing but the trace.

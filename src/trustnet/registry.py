@@ -72,9 +72,10 @@ from .snapshot import (
     compact_json,
     read_fields,
     read_json,
-    read_list_of,
     read_number,
+    read_optional_string,
     read_string,
+    read_strings,
     render_edge,
 )
 
@@ -141,17 +142,11 @@ def read_address(value: Any, name: str) -> VirtualAddress:
         raise SchemaViolationError(f"{name}: {exc}") from None
 
 
-def read_tags(value: Any, name: str) -> tuple[str, ...]:
-    return tuple(read_list_of(value, name, str))
-
-
-def read_hostname(value: Any, name: str) -> Optional[str]:
-    return None if value is None else read_string(value, name)
-
-
 # Control op -> reader per field of its body.
 OP_FIELDS = {
-    "register": {"public_key": read_public_key, "tags": read_tags, "hostname": read_hostname},
+    "register": {
+        "public_key": read_public_key, "tags": read_strings, "hostname": read_optional_string
+    },
     "resolve": {"hostname": read_string},
     "heartbeat": {"address": read_address},
 }
@@ -366,12 +361,8 @@ class RegistryService:
         self.requests_served += 1
         return self._keys[self._index(address)]
 
-    def record_trust(self, a: VirtualAddress, b: VirtualAddress) -> bool:
-        """Store an unordered trust pair; returns False when already present."""
-        self.requests_served += 1
-        return self._record_trust_pair(a, b)
-
     def _record_trust_pair(self, a: VirtualAddress, b: VirtualAddress) -> bool:
+        """Store an unordered trust pair; returns False when already present."""
         pair = tuple(sorted((self._index(a), self._index(b))))
         # The summary counter is monotonic over recording attempts, so it can
         # run ahead of the deduplicated edge list when the same pair is

@@ -333,12 +333,9 @@ class ScenarioResult:
                 edges.add((min(pair), max(pair)))
         return edges
 
-    def event_lines(self) -> list[str]:
-        return [compact_json(event) for event in self.events]
-
     def write_events(self, path: Union[str, Path]) -> None:
-        """Write the lines of event_lines, each ended by a newline, in chunks:
-        no string holds the whole log."""
+        """Write each event as one compact_json line, ended by a newline, in
+        chunks: no string holds the whole log."""
         write_lines(path, map(compact_json, self.events))
 
 

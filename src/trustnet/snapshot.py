@@ -12,15 +12,17 @@ maintained independently of the edge list, so externally produced documents
 may legitimately disagree with len(trust_edges); the loader accepts that and
 the consistency audit reports it.
 
-StatsSnapshot.to_json writes exactly json.dumps(to_dict(), indent=2) + "\n": keys in
-the order above, two-space indent, strings ASCII-escaped. The oracle test
+The writer gives exactly json.dumps(snapshot_document(s), indent=2) + "\n",
+with the document form of tests/_oracles.py: keys in the order above,
+two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
-(address, tags, online, trust_links). StatsSnapshot.json_parts returns the
-document as a list of ASCII byte strings, which write() and the stats server
-pass on without joining them. It renders each node's entry with
-NodeView.render and each edge's with render_edge, one part per 1,024 entries
-(_CHUNK), so no one string or bytes object holds a whole section. A snapshot
+(address, tags, online, trust_links). The document is a run of ASCII byte
+parts: each node's entry is rendered by NodeView.render and each edge's by
+render_edge, one part per 1,024 entries (_CHUNK), so no one string or bytes
+object holds a whole section. StatsSnapshot.json_parts returns the parts as
+a list, which the stats server sends unjoined; write() writes each part as
+it is rendered, so it holds one chunk, not the document. A snapshot
 may carry both sections already joined instead (StatsSnapshot.entries): the
 registry keeps them as bytes and hands the same objects to every snapshot
 until a row changes or an edge is stored. write_lines writes the growth trace
@@ -77,20 +79,19 @@ def _batches(items: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def _rendered(entries: Iterable[str]) -> list[bytes]:
+def _rendered(entries: Iterable[str]) -> Iterator[bytes]:
     """The entries joined by _SEPARATOR and encoded, one part per _CHUNK entries."""
-    return [_SEPARATOR.join(batch).encode("ascii") for batch in _batches(entries)]
+    return (_SEPARATOR.join(batch).encode("ascii") for batch in _batches(entries))
 
 
-def _listed(chunks: list[bytes]) -> list[bytes]:
+def _listed(chunks: Iterable[bytes]) -> Iterator[bytes]:
     """A top-level list, as indent=2 lays it out around its chunks of joined entries."""
-    if not chunks:
-        return [b"[]"]
-    parts = [b"[\n    "]
+    before = b"[\n    "
     for chunk in chunks:
-        parts += (chunk, _SEPARATOR_BYTES)
-    parts[-1] = b"\n  ]"
-    return parts
+        yield before
+        yield chunk
+        before = _SEPARATOR_BYTES
+    yield b"\n  ]" if before is _SEPARATOR_BYTES else b"[]"
 
 
 class NodeView(NamedTuple):
@@ -226,24 +227,17 @@ class StatsSnapshot:
         default=None, init=False, repr=False, compare=False
     )
 
-    def to_dict(self) -> dict:
-        return {
-            "generated_at": self.generated_at,
-            "requests_served": self.requests_served,
-            "requests_per_agent": self.requests_per_agent,
-            "networks": [net._asdict() for net in self.networks],
-            "nodes": [{**node._asdict(), "tags": list(node.tags)} for node in self.nodes],
-            "trust_edges": [{"a": a, "b": b} for a, b in self.trust_edges],
-            "summary_trust_links": self.summary_trust_links,
-        }
-
     def to_json(self) -> str:
         """The document's text, by the contract in the module docstring."""
-        return b"".join(self.json_parts()).decode("ascii")
+        return b"".join(self._parts()).decode("ascii")
 
     def json_parts(self) -> list[bytes]:
         """The document's bytes in parts: a rendered section is one part per
         _CHUNK entries, and a kept section is passed on without a copy."""
+        return list(self._parts())
+
+    def _parts(self) -> Iterator[bytes]:
+        """The parts of json_parts, each rendered when it is asked for."""
         q = encode_basestring_ascii
         networks = _rendered(
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
@@ -261,15 +255,13 @@ class StatsSnapshot:
             f'  "networks": '
         )
         tail = f',\n  "summary_trust_links": {int.__repr__(self.summary_trust_links)}\n}}\n'
-        return [
-            head.encode("ascii"),
-            *_listed(networks),
-            b',\n  "nodes": ',
-            *_listed(nodes),
-            b',\n  "trust_edges": ',
-            *_listed(edges),
-            tail.encode("ascii"),
-        ]
+        yield head.encode("ascii")
+        yield from _listed(networks)
+        yield b',\n  "nodes": '
+        yield from _listed(nodes)
+        yield b',\n  "trust_edges": '
+        yield from _listed(edges)
+        yield tail.encode("ascii")
 
     @cached_property
     def graph(self) -> TrustGraph:
@@ -290,8 +282,9 @@ class StatsSnapshot:
         return graph
 
     def write(self, path: Union[str, Path]) -> None:
+        """Write the document, each part as it is rendered."""
         with Path(path).open("wb") as handle:
-            handle.writelines(self.json_parts())
+            handle.writelines(self._parts())
 
     @classmethod
     def from_dict(cls, doc: Any) -> "StatsSnapshot":
@@ -316,7 +309,7 @@ class StatsSnapshot:
             if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
                 read_list_of(tags, f"nodes[{i}].tags", str)
             if not isinstance(online, bool):
-                raise SchemaViolationError(f"nodes[{i}].online must be a boolean")
+                read_bool(online, f"nodes[{i}].online")
             if type(trust_links) is not int or trust_links < 0:
                 read_count(trust_links, f"nodes[{i}].trust_links")
             nodes.append(NodeView(canonical, tuple(tags), online, trust_links))
@@ -438,6 +431,16 @@ def read_string(value: Any, name: str) -> str:
     return value
 
 
+def read_optional_string(value: Any, name: str) -> Optional[str]:
+    return None if value is None else read_string(value, name)
+
+
+def read_bool(value: Any, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaViolationError(f"{name} must be a boolean, got {type(value).__name__}")
+    return value
+
+
 def read_list_of(value: Any, name: str, kind: type) -> Iterable:
     if not isinstance(value, list):
         raise SchemaViolationError(f"{name} must be a list")
@@ -447,6 +450,10 @@ def read_list_of(value: Any, name: str, kind: type) -> Iterable:
                 f"{name} entries must be {kind.__name__}, got {type(item).__name__}"
             )
     return value
+
+
+def read_strings(value: Any, name: str) -> tuple[str, ...]:
+    return tuple(read_list_of(value, name, str))
 
 
 def _read_networks(value: Any, name: str) -> list[NetworkView]:

@@ -3,9 +3,13 @@
 The graph oracles work on a dense adjacency matrix with exhaustive
 enumeration — deliberately naive, sharing no code with the package under
 test. The snapshot oracle is the general-purpose JSON encoder that the
-snapshot writer must match byte for byte. The tail-fit oracle is a table of
-scipy fits recorded before the fit was ported to pure math. The tag-draw
-oracle rebuilds the list of entries left before every pick.
+snapshot writer must match byte for byte, over the document form built here.
+The trace and event-log oracles are whole lists of lines, against which the
+chunked line writers are checked. The tail-fit oracle is a table of scipy
+fits recorded before the fit was ported to pure math. The tag-draw oracle
+rebuilds the list of entries left before every pick. record_trust stores a
+trust pair directly, as the relay does on a CONFIRM, for tests that build a
+registry's edges without handshakes.
 """
 
 from __future__ import annotations
@@ -15,9 +19,38 @@ import math
 import random
 
 
+def snapshot_document(snapshot) -> dict:
+    """The snapshot as a JSON document, fields in the order of the contract."""
+    return {
+        "generated_at": snapshot.generated_at,
+        "requests_served": snapshot.requests_served,
+        "requests_per_agent": snapshot.requests_per_agent,
+        "networks": [net._asdict() for net in snapshot.networks],
+        "nodes": [{**node._asdict(), "tags": list(node.tags)} for node in snapshot.nodes],
+        "trust_edges": [{"a": a, "b": b} for a, b in snapshot.trust_edges],
+        "summary_trust_links": snapshot.summary_trust_links,
+    }
+
+
 def reference_snapshot_json(snapshot) -> str:
     """The snapshot document as json.dumps lays out any indent-2 document."""
-    return json.dumps(snapshot.to_dict(), indent=2, separators=(",", ": ")) + "\n"
+    return json.dumps(snapshot_document(snapshot), indent=2, separators=(",", ": ")) + "\n"
+
+
+def trace_lines(trace) -> list[str]:
+    """Every line of a growth trace, in one list."""
+    return [event.to_line() for event in trace.events]
+
+
+def event_lines(result) -> list[str]:
+    """Every line of a scenario's event log, in one list, by json.dumps."""
+    return [json.dumps(event, separators=(",", ":")) for event in result.events]
+
+
+def record_trust(registry, a, b) -> bool:
+    """Store the trust pair {a, b} as one request; False when already present."""
+    registry.requests_served += 1
+    return registry._record_trust_pair(a, b)
 
 
 class BruteGraph:

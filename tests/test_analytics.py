@@ -10,6 +10,7 @@ from _oracles import (
     BruteGraph,
     assert_matches_scipy_fit,
     random_edge_list,
+    snapshot_document,
     tail_sampler_exponential,
     tail_sampler_lognormal,
     tail_sampler_power_law,
@@ -765,7 +766,7 @@ class TestReportAndAudit:
         ]
         for snap, error, message in cases:
             calls = [
-                (StatsSnapshot.from_dict, snap.to_dict()),
+                (StatsSnapshot.from_dict, snapshot_document(snap)),
                 (build_graph, snap),
                 (analyze_snapshot, snap),
             ]

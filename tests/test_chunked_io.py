@@ -15,6 +15,7 @@ from dataclasses import replace
 
 import pytest
 
+from _oracles import event_lines, snapshot_document, trace_lines
 from trustnet.growth import GrowthTrace, generate, preset
 from trustnet.overlay import VirtualAddress
 from trustnet.sim import ScenarioResult
@@ -48,7 +49,7 @@ def traced_peak(call, *args):
 @pytest.mark.parametrize("n", SIZES)
 def test_snapshot_chunk_boundaries(n, tmp_path):
     snapshot = synthetic_snapshot(n, n)
-    expected = json.dumps(snapshot.to_dict(), indent=2) + "\n"
+    expected = json.dumps(snapshot_document(snapshot), indent=2) + "\n"
     assert snapshot.to_json() == expected
     snapshot.write(tmp_path / "snapshot.json")
     assert (tmp_path / "snapshot.json").read_bytes() == expected.encode("ascii")
@@ -63,12 +64,12 @@ def events():
 def test_line_writer_chunk_boundaries(n, events, tmp_path):
     trace = GrowthTrace(events[:n])
     trace.write(tmp_path / "trace.jsonl")
-    expected = "\n".join(trace.to_lines()) + "\n"
+    expected = "\n".join(trace_lines(trace)) + "\n"
     assert (tmp_path / "trace.jsonl").read_bytes() == expected.encode("ascii")
     log = [{"t": i / 4, "event": "heartbeat", "address": f"0:{i}"} for i in range(n)]
     result = ScenarioResult(None, None, log, None, None, [])
     result.write_events(tmp_path / "events.jsonl")
-    expected = "\n".join(result.event_lines()) + "\n"
+    expected = "\n".join(event_lines(result)) + "\n"
     assert (tmp_path / "events.jsonl").read_bytes() == expected.encode("ascii")
 
 
@@ -77,6 +78,14 @@ def test_snapshot_write_holds_little_more_than_its_parts(tmp_path):
     path = tmp_path / "snapshot.json"
     peak, _ = traced_peak(synthetic_snapshot(5000, 10000).write, path)
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_snapshot_write_streams_its_parts(tmp_path):
+    """Holding the list json_parts returns puts the peak at 1.12 times the
+    file; writing each part as it is rendered holds one chunk, near 0.44."""
+    path = tmp_path / "snapshot.json"
+    peak, _ = traced_peak(synthetic_snapshot(5000, 10000).write, path)
+    assert peak < 0.6 * path.stat().st_size
 
 
 def test_trace_write_holds_no_whole_trace(tmp_path):

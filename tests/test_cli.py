@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import snapshot_document
 import trustnet.analytics.report
 import trustnet.cli
 import trustnet.growth
@@ -305,6 +306,29 @@ class TestReplaceableEntryPoints:
             assert name in vars(cls), f"{module}.{owner}.{name}"
 
 
+@pytest.mark.parametrize(
+    "module, name, args, kwargs",
+    [
+        ("sim", "run_scenario", ("config",), {}),
+        ("analytics", "analyze_snapshot", ("snapshot",), {"k_min": 3}),
+        ("analytics", "consistency_audit", ("snapshot", "report"), {}),
+        ("analytics", "render_table", ("report",), {}),
+        ("charts", "render_report_artifacts", ("metrics", "out"), {}),
+    ],
+)
+def test_cli_loader_forwards_one_call(monkeypatch, module, name, args, kwargs):
+    """Each loader calls its module's binding of the name once, at call time."""
+    calls, result = [], object()
+
+    def target(*args, **kwargs):
+        calls.append((args, kwargs))
+        return result
+
+    monkeypatch.setattr(importlib.import_module(f"trustnet.{module}"), name, target)
+    assert getattr(trustnet.cli, name)(*args, **kwargs) is result
+    assert calls == [(args, kwargs)]
+
+
 class TestCollector:
     """main() pauses the cyclic collector for a batch command and restores it."""
 
@@ -567,7 +591,7 @@ class TestExitCodes:
 
 
 def _huge_number_snapshot() -> bytes:
-    doc = StatsSnapshot(0.0, 0, [], [], [], 0).to_dict()
+    doc = snapshot_document(StatsSnapshot(0.0, 0, [], [], [], 0))
     doc["generated_at"] = 10**400
     return json.dumps(doc).encode("utf-8")
 

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from _oracles import assert_matches_scipy_fit
+from _oracles import assert_matches_scipy_fit, record_trust
 from trustnet.channel import FRAME_ACCEPT, FRAME_CONFIRM, FRAME_REQUEST
 from trustnet.cli import main
 from trustnet.overlay import (
@@ -313,7 +313,7 @@ def registry_workload(event_log=None) -> RegistryService:
                 dst_port=PORT_TRUST_HANDSHAKE,
             )
             registry.relay_handshake(encode_packet(header, payload))
-    registry.record_trust(addresses[3], addresses[3])
+    record_trust(registry, addresses[3], addresses[3])
     return registry
 
 

@@ -1,5 +1,7 @@
 """Tests for the generative growth model."""
 
+import copy
+import json
 import math
 import random
 import threading
@@ -11,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_tag_draw
+from _oracles import reference_tag_draw, snapshot_document, trace_lines
 from trustnet.errors import (
     ConfigInvalidError,
+    SchemaViolationError,
+    TrustNetError,
     UnknownParameterError,
     UnknownPresetError,
 )
@@ -678,13 +682,78 @@ def test_trace_writer_matches_compact_json(event):
     assert GrowthEvent.from_line(line) == event
 
 
+TRACE_DOC = event_dict(GrowthEvent(
+    3, "0:0000.0000.0004", True, False,
+    (LinkAttempt("triadic", "0:0000.0000.0001", True), LinkAttempt("uniform", None, False)),
+    ("coding", "writing"),
+))
+trace_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+
+
+def trace_key_paths(doc, prefix=()) -> list[tuple]:
+    """Every object key of a trace line's document, through the attempts list too."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    paths = []
+    for key, value in items:
+        if isinstance(doc, dict):
+            paths.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            paths.extend(trace_key_paths(value, prefix + (key,)))
+    return paths
+
+
+@given(data=st.data())
+@settings(max_examples=500)
+def test_trace_reader_raises_only_trustnet_errors(data):
+    """One key, at any depth, replaced by any JSON value: an event that
+    round-trips through to_line, or a TrustNetError, never another exception."""
+    path = data.draw(st.sampled_from(trace_key_paths(TRACE_DOC)))
+    doc = copy.deepcopy(TRACE_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(trace_values)
+    try:
+        event = GrowthEvent.from_line(json.dumps(doc))
+    except TrustNetError:
+        return
+    assert GrowthEvent.from_line(event.to_line()) == event
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["{}", "[]", "7", json.dumps(dict(TRACE_DOC, attempts=[1])),
+     json.dumps(dict(TRACE_DOC, tags="coding")), json.dumps(dict(TRACE_DOC, isolate=0))],
+)
+def test_bad_trace_line_is_a_schema_violation(line):
+    with pytest.raises(SchemaViolationError, match="growth trace line"):
+        GrowthEvent.from_line(line)
+
+
+def test_trace_read_names_the_bad_line(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    good = json.dumps(TRACE_DOC).encode()
+    path.write_bytes(good + b"\n\n" + good[:-1] + b', "index": -1}\n')
+    with pytest.raises(SchemaViolationError, match="growth trace line 3.index may not be"):
+        GrowthTrace.read(path)
+    path.write_bytes(good + b"\n" + b'{"address": "\xff"}\n')
+    with pytest.raises(SchemaViolationError, match="growth trace line 2 is not valid JSON"):
+        GrowthTrace.read(path)
+    path.write_bytes(good + b"\n\n")
+    assert GrowthTrace.read(path).events == [GrowthEvent.from_line(good)]
+
+
 class TestGenerate:
     def test_deterministic_for_fixed_seed(self):
         config = small_config()
         first_snapshot, first_trace = generate(config)
         second_snapshot, second_trace = generate(config)
         assert first_snapshot.to_json() == second_snapshot.to_json()
-        assert first_trace.to_lines() == second_trace.to_lines()
+        assert trace_lines(first_trace) == trace_lines(second_trace)
 
     def test_different_seeds_differ(self):
         a, _ = generate(small_config(seed=1))
@@ -716,7 +785,7 @@ class TestGenerate:
         path = tmp_path / "growth.jsonl"
         trace.write(path)
         reread = GrowthTrace.read(path)
-        assert reread.to_lines() == trace.to_lines()
+        assert trace_lines(reread) == trace_lines(trace)
         assert reread.replay().to_json() == snapshot.to_json()
 
     def test_two_nodes_forced_edge(self):
@@ -769,7 +838,7 @@ class TestGenerate:
         from trustnet.analytics import consistency_audit
 
         snapshot, _ = generate(small_config(n=120, stub_mean=2.5))
-        reloaded = StatsSnapshot.from_dict(snapshot.to_dict())
+        reloaded = StatsSnapshot.from_dict(snapshot_document(snapshot))
         assert consistency_audit(reloaded) == []
 
     def test_mechanism_attribution_respects_zero_weight(self):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import record_trust, snapshot_document
 import trustnet.registry
 import trustnet.snapshot
 from trustnet.analytics.report import consistency_audit
@@ -165,22 +166,22 @@ class TestTrustRecords:
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
-        assert registry.record_trust(a, b) is True
+        assert record_trust(registry, a, b) is True
         assert registry.node(a).trust_links == 1
         assert registry.node(b).trust_links == 1
 
     def test_self_loop_adds_two(self):
         registry, _ = make_registry()
         a = registry.register(key(1))
-        registry.record_trust(a, a)
+        record_trust(registry, a, a)
         assert registry.node(a).trust_links == 2
 
     def test_repeated_record_keeps_edge_list_deduplicated(self):
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        assert registry.record_trust(b, a) is False
+        record_trust(registry, a, b)
+        assert record_trust(registry, b, a) is False
         snap = registry.snapshot()
         assert snap.trust_edges == [(a.to_text(), b.to_text())]
         assert registry.node(a).trust_links == 1
@@ -189,9 +190,9 @@ class TestTrustRecords:
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        registry.record_trust(a, b)
-        registry.record_trust(b, a)
+        record_trust(registry, a, b)
+        record_trust(registry, a, b)
+        record_trust(registry, b, a)
         snap = registry.snapshot()
         assert len(snap.trust_edges) == 1
         assert snap.summary_trust_links == 3
@@ -200,14 +201,14 @@ class TestTrustRecords:
         registry, _ = make_registry()
         a = registry.register(key(1))
         with pytest.raises(UnknownNodeError):
-            registry.record_trust(a, VirtualAddress(0, 99))
+            record_trust(registry, a, VirtualAddress(0, 99))
 
     def test_degree_identity_over_random_workload(self):
         registry, _ = make_registry()
         rng = random.Random(7)
         addresses = [registry.register(key(n)) for n in range(30)]
         for _ in range(200):
-            registry.record_trust(rng.choice(addresses), rng.choice(addresses))
+            record_trust(registry, rng.choice(addresses), rng.choice(addresses))
         snap = registry.snapshot()
         nonself = sum(1 for a, b in snap.trust_edges if a != b)
         loops = len(snap.trust_edges) - nonself
@@ -274,13 +275,13 @@ class TestSnapshot:
         registry, _ = make_registry()
         a = registry.register(key(1), tags=("coding",), hostname="alice")
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        registry.record_trust(b, b)
+        record_trust(registry, a, b)
+        record_trust(registry, b, b)
         snap = registry.snapshot()
         from trustnet.snapshot import StatsSnapshot
 
         again = StatsSnapshot.from_json(snap.to_json())
-        assert again.to_dict() == snap.to_dict()
+        assert snapshot_document(again) == snapshot_document(snap)
 
     def test_network_listing(self):
         registry, _ = make_registry()
@@ -292,7 +293,7 @@ class TestSnapshot:
         registry, _ = make_registry()
         addresses = [registry.register(key(n)) for n in range(200)]
         for i in range(150):
-            registry.record_trust(addresses[i], addresses[i // 2])
+            record_trust(registry, addresses[i], addresses[i // 2])
         rendered = []
         to_text = VirtualAddress.to_text
 
@@ -311,7 +312,7 @@ class TestSnapshot:
         log_path = tmp_path / "events.jsonl"
         registry, _ = make_registry(base_node_id=0xFFFE, event_log=log_path)
         addresses = [registry.register(key(n)) for n in range(4)]
-        registry.record_trust(addresses[3], addresses[0])
+        record_trust(registry, addresses[3], addresses[0])
         registry.close()
         restored = RegistryService.restore(
             log_path, base_node_id=0xFFFE, clock=ManualClock()
@@ -326,7 +327,7 @@ class TestSnapshot:
         registry, clock = make_registry()
         a = registry.register(key(1), tags=("coding",), hostname="alice")
         b = registry.register(key(2))
-        registry.record_trust(a, b)
+        record_trust(registry, a, b)
         snap = registry.snapshot()
         body = snap.to_json()
         c = registry.register(key(3), tags=("web",))
@@ -338,8 +339,8 @@ class TestSnapshot:
             (FRAME_CONFIRM, b, c),
         ):
             registry.relay_handshake(frame(src, dst, frame_type))
-        registry.record_trust(a, a)
-        registry.record_trust(a, b)
+        record_trust(registry, a, a)
+        record_trust(registry, a, b)
         assert registry.snapshot().to_json() != body
         assert snap.to_json() == body
 
@@ -368,7 +369,7 @@ class TestSnapshotRows:
         assert len(rendered) == 6
         rendered.clear()
         snap = registry.snapshot()
-        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert snap.to_json() == json.dumps(snapshot_document(snap), indent=2) + "\n"
         assert rendered == []
 
     def test_trust_pair_renders_its_two_rows(self, rendered):
@@ -376,9 +377,9 @@ class TestSnapshotRows:
         addresses = [registry.register(key(n)) for n in range(6)]
         registry.snapshot().to_json()
         rendered.clear()
-        registry.record_trust(addresses[4], addresses[1])
+        record_trust(registry, addresses[4], addresses[1])
         snap = registry.snapshot()
-        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert snap.to_json() == json.dumps(snapshot_document(snap), indent=2) + "\n"
         assert rendered == [addresses[1].to_text(), addresses[4].to_text()]
 
     def test_heartbeat_back_online_renders_one_row(self, rendered):
@@ -389,7 +390,7 @@ class TestSnapshotRows:
         rendered.clear()
         registry.heartbeat(addresses[2])
         snap = registry.snapshot()
-        assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+        assert snap.to_json() == json.dumps(snapshot_document(snap), indent=2) + "\n"
         assert rendered == [addresses[2].to_text()]
         assert [node.online for node in snap.nodes] == [n == 2 for n in range(6)]
 
@@ -420,10 +421,10 @@ class TestSnapshotRows:
                     registry.relay_handshake(frame(src, dst, frame_type))
             else:
                 a = rng.choice(addresses)
-                registry.record_trust(a, a)
+                record_trust(registry, a, a)
             snap = registry.snapshot()
             body = snap.to_json()
-            assert body == json.dumps(snap.to_dict(), indent=2) + "\n"
+            assert body == json.dumps(snapshot_document(snap), indent=2) + "\n"
             assert body == dataclasses.replace(snap).to_json()
             for node in snap.nodes:
                 if previous.get(node.address, node.online) is not node.online:
@@ -457,12 +458,12 @@ class TestSnapshotRows:
                 offline = [a for a, node in zip(addresses, snap.nodes) if not node.online]
                 registry.heartbeat(rng.choice(offline or addresses))
             elif step < 0.85:
-                registry.record_trust(*rng.sample(addresses, 2))
+                record_trust(registry, *rng.sample(addresses, 2))
             else:
                 a = rng.choice(addresses)
-                registry.record_trust(a, a)
+                record_trust(registry, a, a)
             snap = registry.snapshot()
-            body = (json.dumps(snap.to_dict(), indent=2) + "\n").encode()
+            body = (json.dumps(snapshot_document(snap), indent=2) + "\n").encode()
             assert b"".join(snap.json_parts()) == body
             for address, node in zip(addresses, snap.nodes):
                 last = registry.node(address).last_heartbeat
@@ -486,9 +487,9 @@ class TestSnapshotRows:
         rng = random.Random(5)
         for _ in range(8):
             for _ in range(20):
-                registry.record_trust(rng.choice(addresses), rng.choice(addresses))
+                record_trust(registry, rng.choice(addresses), rng.choice(addresses))
             snap = registry.snapshot()
-            assert snap.to_json() == json.dumps(snap.to_dict(), indent=2) + "\n"
+            assert snap.to_json() == json.dumps(snapshot_document(snap), indent=2) + "\n"
         assert rendered == snap.trust_edges and len(rendered) > 100
 
     def test_rows_stay_consistent_under_threads(self):
@@ -503,7 +504,7 @@ class TestSnapshotRows:
                 with lock:
                     clock.advance(rng.choice([1.0, OFFLINE_AFTER]))
                     registry.heartbeat(rng.choice(addresses))
-                    registry.record_trust(rng.choice(addresses), rng.choice(addresses))
+                    record_trust(registry, rng.choice(addresses), rng.choice(addresses))
 
         def read():
             while not stop.is_set():
@@ -513,7 +514,7 @@ class TestSnapshotRows:
                 links = sum(node.trust_links for node in snap.nodes)
                 if links != 2 * len(snap.trust_edges):
                     failures.append(f"{links} links for {len(snap.trust_edges)} edges")
-                if body != json.dumps(snap.to_dict(), indent=2) + "\n":
+                if body != json.dumps(snapshot_document(snap), indent=2) + "\n":
                     failures.append("a body disagrees with its rows")
                 kept.append((snap, body))
 
@@ -695,9 +696,9 @@ class TestEventLog:
         registry, clock = make_registry(event_log=log_path)
         a = registry.register(key(1), tags=("coding",), hostname="alice")
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        registry.record_trust(b, b)
-        registry.record_trust(a, b)  # duplicate bumps only the summary
+        record_trust(registry, a, b)
+        record_trust(registry, b, b)
+        record_trust(registry, a, b)  # duplicate bumps only the summary
         clock.advance(10.0)
         registry.heartbeat(a)
         registry.close()
@@ -738,8 +739,8 @@ class TestEventLog:
         registry, clock = make_registry(event_log=log_path)
         a = registry.register(key(1), tags=("coding",), hostname="alice")
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        registry.record_trust(a, b)
+        record_trust(registry, a, b)
+        record_trust(registry, a, b)
         clock.advance(10.0)
         registry.heartbeat(a)
         registry.close()
@@ -846,7 +847,7 @@ class TestEventLog:
         log_path = tmp_path / "events.jsonl"
         registry, _ = make_registry(event_log=log_path)
         a = registry.register(key(1))
-        registry.record_trust(a, a)
+        record_trust(registry, a, a)
         registry.heartbeat(a)
         registry.close()
         lines = log_path.read_text().splitlines()
@@ -972,8 +973,8 @@ class TestRowsNeverGoStale:
                 trust(call[1], call[2])
             elif call[0] == "trust":
                 try:
-                    registry.record_trust(
-                        VirtualAddress(0, 1 + call[1]), VirtualAddress(0, 1 + call[2])
+                    record_trust(
+                        registry, VirtualAddress(0, 1 + call[1]), VirtualAddress(0, 1 + call[2])
                     )
                 except UnknownNodeError:
                     assert not (known(call[1]) and known(call[2]))
@@ -989,7 +990,7 @@ class TestRowsNeverGoStale:
                 for n in range(len(last))
             ]
             body = snap.to_json()
-            assert body == json.dumps(snap.to_dict(), indent=2) + "\n"
+            assert body == json.dumps(snapshot_document(snap), indent=2) + "\n"
             kept.append((snap, body))
         for snap, body in kept:
             assert snap.to_json() == body
@@ -1002,14 +1003,14 @@ class TestInvariants:
         registry, _ = make_registry()
         a = registry.register(key(1))
         b = registry.register(key(2))
-        registry.record_trust(a, b)
-        registry.record_trust(a, a)
+        record_trust(registry, a, b)
+        record_trust(registry, a, a)
         assert consistency_audit(registry.snapshot()) == []
 
     def test_check_invariants_detects_corruption(self):
         registry, _ = make_registry()
         a = registry.register(key(1))
-        registry.record_trust(a, a)
+        record_trust(registry, a, a)
         i = a.node_id - registry.base_node_id
         registry._rows[i] = registry._rows[i]._replace(trust_links=5)  # rows are immutable
         findings = consistency_audit(registry.snapshot())

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import record_trust
 from trustnet.channel import (
     AcceptAllPolicy,
     AgentIdentity,
@@ -387,7 +388,7 @@ class TestStatsEndpoint:
 
         registry = RegistryService(clock=lambda: 0.0)
         a, b = (registry.register(bytes([n]) * 32, tags=("x",)) for n in (1, 2))
-        registry.record_trust(a, b)
+        record_trust(registry, a, b)
         parts = registry.snapshot().json_parts() + [b"", b"\n"]
         conn = TrickleSocket()
         _send_parts(conn, parts)
@@ -479,8 +480,10 @@ class TestEventLogHandle:
                     # flushed: every event is in the file while the handle is open
                     assert log_path.read_text().count("\n") == events
             a, b = server.registry.snapshot().nodes[0:2]
-            server.registry.record_trust(
-                VirtualAddress.from_text(a.address), VirtualAddress.from_text(b.address)
+            record_trust(
+                server.registry,
+                VirtualAddress.from_text(a.address),
+                VirtualAddress.from_text(b.address),
             )
             server.stop()
             before = server.registry.snapshot()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import event_lines
 from trustnet.analytics.report import consistency_audit
 from trustnet.errors import BeaconUnavailableError, ConfigInvalidError
 from trustnet.growth import GrowthConfig, MechanismMix
@@ -397,7 +398,7 @@ class TestScenarioExamples:
         first = run_scenario(config)
         second = run_scenario(config)
         assert first.snapshot.to_json() == second.snapshot.to_json()
-        assert first.event_lines() == second.event_lines()
+        assert event_lines(first) == event_lines(second)
 
     def test_different_seeds_differ(self):
         first = run_scenario(scenario(seed=1))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_snapshot_json
+from _oracles import record_trust, reference_snapshot_json, snapshot_document
 
 from trustnet.analytics.graph import TrustGraph, build_graph
 from trustnet.analytics.report import analyze_snapshot, consistency_audit
@@ -51,7 +51,7 @@ class TestSerialization:
     def test_round_trip_preserves_everything(self):
         snap = sample_snapshot()
         again = StatsSnapshot.from_json(snap.to_json())
-        assert again.to_dict() == snap.to_dict()
+        assert snapshot_document(again) == snapshot_document(snap)
 
     def test_json_is_deterministic(self):
         assert sample_snapshot().to_json() == sample_snapshot().to_json()
@@ -77,16 +77,18 @@ class TestSerialization:
         snap = sample_snapshot()
         target = tmp_path / "snapshot.json"
         snap.write(target)
-        assert StatsSnapshot.read(target).to_dict() == snap.to_dict()
-        assert StatsSnapshot.read(str(target)).to_dict() == snap.to_dict()
+        assert snapshot_document(StatsSnapshot.read(target)) == snapshot_document(snap)
+        assert snapshot_document(StatsSnapshot.read(str(target))) == snapshot_document(snap)
 
     def test_load_from_dict_and_string(self):
         snap = sample_snapshot()
-        assert StatsSnapshot.from_dict(snap.to_dict()).to_dict() == snap.to_dict()
-        assert StatsSnapshot.from_json(snap.to_json()).to_dict() == snap.to_dict()
+        assert snapshot_document(
+            StatsSnapshot.from_dict(snapshot_document(snap))
+        ) == snapshot_document(snap)
+        assert snapshot_document(StatsSnapshot.from_json(snap.to_json())) == snapshot_document(snap)
 
     def test_summary_may_exceed_edge_list(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["summary_trust_links"] = len(doc["trust_edges"]) + 3
         loaded = StatsSnapshot.from_dict(doc)
         assert loaded.summary_trust_links == len(loaded.trust_edges) + 3
@@ -109,61 +111,61 @@ class TestValidation:
         ],
     )
     def test_missing_required_field(self, missing):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         del doc[missing]
         with pytest.raises(SchemaViolationError, match=missing):
             StatsSnapshot.from_dict(doc)
 
     def test_requests_per_agent_is_optional(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         del doc["requests_per_agent"]
         assert StatsSnapshot.from_dict(doc).requests_per_agent == 0.0
 
     def test_bool_is_not_an_integer(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["requests_served"] = True
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
 
     def test_negative_counter_rejected(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["summary_trust_links"] = -1
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
 
     def test_online_must_be_boolean(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["online"] = 1
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
 
     def test_duplicate_node_address_rejected(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"].append(dict(doc["nodes"][0]))
         with pytest.raises(SchemaViolationError, match="duplicate"):
             StatsSnapshot.from_dict(doc)
 
     def test_lowercase_address_is_canonicalized(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["address"] = "0:0000.0000.000a"
         doc["trust_edges"] = []
         loaded = StatsSnapshot.from_dict(doc)
         assert loaded.nodes[0].address == "0:0000.0000.000A"
 
     def test_malformed_address_raises(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["address"] = "0:00.00"
         with pytest.raises(MalformedAddressError):
             StatsSnapshot.from_dict(doc)
 
     def test_dangling_edge_rejected(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["trust_edges"].append({"a": "0:0000.0000.0001", "b": "0:0000.0000.00FF"})
         with pytest.raises(DanglingEdgeError, match="00FF"):
             StatsSnapshot.from_dict(doc)
 
     def test_edge_missing_endpoint_field(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["trust_edges"][0] = {"a": "0:0000.0000.0001"}
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
@@ -173,7 +175,7 @@ class TestValidation:
             StatsSnapshot.from_json("{not json")
 
     def test_tags_must_be_strings(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["tags"] = [7]
         with pytest.raises(SchemaViolationError):
             StatsSnapshot.from_dict(doc)
@@ -183,21 +185,21 @@ class TestValidation:
     )
     @pytest.mark.parametrize("field", ["generated_at", "requests_per_agent"])
     def test_number_must_be_finite(self, field, value):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc[field] = value
         with pytest.raises(SchemaViolationError, match=f"{field} must be a finite number"):
             StatsSnapshot.from_dict(doc)
 
     @pytest.mark.parametrize("missing", ["id", "name"])
     def test_network_missing_field_is_named(self, missing):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         del doc["networks"][0][missing]
         with pytest.raises(SchemaViolationError) as caught:
             StatsSnapshot.from_dict(doc)
         assert str(caught.value) == f"missing required field 'networks[0].{missing}'"
 
     def test_first_defect_in_reader_order_is_reported(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["generated_at"] = "1234.5"
         del doc["nodes"]
         with pytest.raises(SchemaViolationError) as caught:
@@ -230,7 +232,7 @@ class TestRows:
         a, b = registry.register(bytes([1]) * 32), registry.register(bytes([2]) * 32)
         first = registry.snapshot()
         first.to_json()
-        registry.record_trust(a, a)
+        record_trust(registry, a, a)
         second = registry.snapshot()
         assert second.to_json() == reference_snapshot_json(second)
         assert second.nodes[1] is first.nodes[1]
@@ -239,7 +241,7 @@ class TestRows:
 
     def test_reference_writer_lists_tags(self):
         snap = sample_snapshot()
-        doc = snap.to_dict()
+        doc = snapshot_document(snap)
         assert doc["networks"] == [{"id": 0, "name": "backbone"}]
         assert doc["nodes"][2] == {
             "address": "0:0000.0000.0003",
@@ -285,7 +287,7 @@ class TestAddressCanonicaliser:
         assert build_graph(snapshot) is build_graph(snapshot)
 
     def test_each_distinct_text_is_parsed_once(self, parsed, linked):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["trust_edges"].append({"a": "0:0000.0000.0002", "b": "0:0000.0000.0003"})
         snapshot = StatsSnapshot.from_dict(doc)
         self.assert_one_graph(snapshot, linked)
@@ -298,7 +300,7 @@ class TestAddressCanonicaliser:
         assert parsed == [node.address for node in snapshot.nodes]
 
     def test_edge_in_other_case_is_canonicalized(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"][1]["address"] = "0:0000.0000.00AB"
         doc["trust_edges"] = [{"a": "0:0000.0000.00ab", "b": "0:0000.0000.0001"}]
         loaded = StatsSnapshot.from_dict(doc)
@@ -315,7 +317,7 @@ class TestAddressCanonicaliser:
         canonical = address.to_text()
         prefix, _, groups = canonical.partition(":")
         text = "0" * zeros + prefix + ":" + (groups.lower() if lower else groups)
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["nodes"] = [{"address": text, "tags": [], "online": True, "trust_links": 2}]
         doc["trust_edges"] = [{"a": text, "b": text}]
         loaded = StatsSnapshot.from_dict(doc)
@@ -324,7 +326,7 @@ class TestAddressCanonicaliser:
         assert loaded.graph.self_loop_ids == {0}
 
     def test_malformed_b_is_found_before_dangling_a(self):
-        doc = sample_snapshot().to_dict()
+        doc = snapshot_document(sample_snapshot())
         doc["trust_edges"].append({"a": "0:0000.0000.00FF", "b": "0:00.00"})
         with pytest.raises(MalformedAddressError):
             StatsSnapshot.from_dict(doc)
@@ -342,7 +344,7 @@ def key_paths(doc, prefix=()) -> list[tuple]:
     return paths
 
 
-SNAPSHOT_DOC = sample_snapshot().to_dict()
+SNAPSHOT_DOC = snapshot_document(sample_snapshot())
 numbers = (
     st.integers()
     | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
@@ -360,7 +362,7 @@ json_values = st.recursive(
 @settings(max_examples=500)
 def test_snapshot_reader_raises_only_trustnet_errors(data):
     """One key, at any depth, replaced by any JSON value: a snapshot that
-    round-trips through to_dict, or a TrustNetError, never another exception."""
+    round-trips through snapshot_document, or a TrustNetError, never another exception."""
     path = data.draw(st.sampled_from(key_paths(SNAPSHOT_DOC)))
     doc = copy.deepcopy(SNAPSHOT_DOC)
     parent = doc
@@ -372,7 +374,8 @@ def test_snapshot_reader_raises_only_trustnet_errors(data):
         snapshot = StatsSnapshot.from_dict(doc)
     except TrustNetError:
         return
-    assert StatsSnapshot.from_json(snapshot.to_json()).to_dict() == snapshot.to_dict()
+    again = StatsSnapshot.from_json(snapshot.to_json())
+    assert snapshot_document(again) == snapshot_document(snapshot)
 
 
 # Strings with the characters json escapes (quote, backslash, controls),
