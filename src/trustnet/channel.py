@@ -361,9 +361,6 @@ class HandshakeInitiator:
         confirm_sig = self.identity.sign(_SIG_CONFIRM + transcript)
         return bytes([FRAME_CONFIRM]) + confirm_sig
 
-    def on_decline(self) -> None:
-        raise ResponderDeclinedError(f"{self.responder} declined the handshake")
-
 
 class HandshakeResponder:
     """Responder-side state machine handling REQUEST and CONFIRM frames."""
@@ -464,7 +461,7 @@ def run_handshake(
     request = initiator.request_payload()
     reply = responder.on_request(initiator_identity.address, request[1:])
     if reply[0] == FRAME_DECLINE:
-        initiator.on_decline()
+        raise ResponderDeclinedError(f"{responder_identity.address} declined the handshake")
     confirm = initiator.on_accept(reply[1:])
     record, responder_session = responder.on_confirm(
         initiator_identity.address, confirm[1:]

@@ -86,7 +86,8 @@ def cli() -> None:
 @cli.command("serve-registry")
 @click.option("--bind", default="127.0.0.1:4444", show_default=True,
               help="host:port for the packet service and stats endpoint.")
-@click.option("--base-node-id", default=2, show_default=True, type=click.IntRange(min=2),
+@click.option("--base-node-id", default=2, show_default=True,
+              type=click.IntRange(min=2, max=0xFFFFFFFF),
               help="First node id to allocate; node 0 is the source address of "
                    "unregistered clients and node 1 the registry's.")
 @click.option("--log", "log_path", default=None, type=click.Path(),

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .overlay import VirtualAddress
 from .snapshot import (
-    NetworkView,
+    BACKBONE,
     NodeView,
     StatsSnapshot,
     is_number,
@@ -254,15 +254,6 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(config) -> None:
-    """Reject an int, float or str field holding a value _FIELD_TYPES refuses."""
-    for f in fields(config):
-        if f.type in _FIELD_TYPES:
-            accepts, noun = _FIELD_TYPES[f.type]
-            if not accepts(getattr(config, f.name)):
-                raise ConfigInvalidError(f"{f.name} must be {noun}")
-
-
 class ConfigDocument:
     """Base of the config dataclasses: each read from and written to JSON.
 
@@ -272,9 +263,22 @@ class ConfigDocument:
     with a ConfigDocument class is read by that class's ``from_dict``; a
     JSON int for a float field is stored as a float, so ``2`` and ``2.0``
     give the same config. Errors name the document by the class's ``what``.
+    ``validate`` checks, in this order, each field's type by ``_FIELD_TYPES``,
+    each nested document by its ``validate``, then the class's ``check()``.
     """
 
     what: ClassVar[str]
+
+    def validate(self) -> None:
+        for f in fields(self):
+            if f.type in _FIELD_TYPES:
+                accepts, noun = _FIELD_TYPES[f.type]
+                if not accepts(getattr(self, f.name)):
+                    raise ConfigInvalidError(f"{f.name} must be {noun}")
+        for f in fields(self):
+            if f.type not in _FIELD_TYPES:  # every other field is a nested document
+                getattr(self, f.name).validate()
+        self.check()
 
     def to_dict(self) -> dict:
         doc = {}
@@ -333,8 +337,7 @@ class MechanismMix(ConfigDocument):
         """draw(rng) picks one mechanism name with these weights (one rng call)."""
         return fixed_choice(MECHANISMS, self.weights())
 
-    def validate(self) -> None:
-        check_field_types(self)
+    def check(self) -> None:
         for name, value in zip(MECHANISMS, self.weights()):
             if value < 0:
                 raise ConfigInvalidError(f"mix.{name} may not be negative")
@@ -391,14 +394,14 @@ class GrowthConfig(ConfigDocument):
     connector_fraction: float = 0.0
     connector_stub_mean: float = 0.0
 
-    def validate(self) -> None:
-        check_field_types(self)
+    def check(self) -> None:
         if self.n < 2:
             raise ConfigInvalidError("n must be at least 2")
         for name in (
             "self_loop_probability",
             "isolate_probability",
             "untagged_probability",
+            "connector_fraction",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -412,15 +415,12 @@ class GrowthConfig(ConfigDocument):
             raise ConfigInvalidError("seed must fit in 64 bits")
         if self.session_mean < 0:
             raise ConfigInvalidError("session_mean may not be negative")
-        if not 0.0 <= self.connector_fraction <= 1.0:
-            raise ConfigInvalidError("connector_fraction must lie in [0, 1]")
         if self.connector_stub_mean < 0:
             raise ConfigInvalidError("connector_stub_mean may not be negative")
         if self.connector_fraction > 0 and self.connector_stub_mean < 1:
             raise ConfigInvalidError(
                 "connector_stub_mean must be at least 1 when connectors are enabled"
             )
-        self.mix.validate()
 
 
 # Shipped calibration targeting the observed 626-agent topology. Structural
@@ -590,7 +590,7 @@ class GrowthTrace:
         return StatsSnapshot(
             generated_at=0.0,
             requests_served=requests,
-            networks=[NetworkView(0, "backbone")],
+            networks=[BACKBONE],
             nodes=nodes,
             trust_edges=edges,
             summary_trust_links=len(edges),

@@ -31,7 +31,8 @@ An optional append-only JSON-lines event log restores state after a restart.
 Each mutation has one method that checks, stores and logs it (_register,
 _heartbeat, _record_trust_pair); restore() replays every line through it, so
 a line the live call would refuse stops the replay. OP_FIELDS reads the
-fields of each control op, for the server and the event log alike.
+fields of each control op, for the server and the event log alike, and a
+line is written from _EVENT_FIELDS, the table that reads it back.
 """
 
 from __future__ import annotations
@@ -66,10 +67,11 @@ from .overlay import (
     encode_packet,
 )
 from .snapshot import (
-    NetworkView,
+    BACKBONE,
     NodeView,
     StatsSnapshot,
     compact_json,
+    join_entries,
     read_fields,
     read_json,
     read_number,
@@ -84,8 +86,7 @@ MISSED_HEARTBEATS = 3
 OFFLINE_AFTER = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
 # The registry's one network and its own well-known address on it.
-NETWORK_ID = 0
-NETWORK_NAME = "backbone"
+NETWORK_ID = BACKBONE.id
 REGISTRY_ADDRESS = VirtualAddress(NETWORK_ID, 1)
 # Most capability tags one agent may register.
 TAG_LIMIT = 3
@@ -151,9 +152,9 @@ OP_FIELDS = {
     "heartbeat": {"address": read_address},
 }
 
-# Event kind -> reader per field; the fields are exactly those the matching
-# _log_event call writes: an op's fields plus the address and time the
-# registry chose.
+# Event kind -> reader per field: an op's fields plus the address and time
+# the registry chose. _log_event writes them in this order, and replay passes
+# them in it to the apply method, after a register event's address.
 _EVENT_FIELDS = {
     "register": {"address": read_address, **OP_FIELDS["register"], "t": read_number},
     "trust": {"a": read_address, "b": read_address},
@@ -173,6 +174,8 @@ class RegistryService:
     ) -> None:
         if base_node_id < 0:
             raise ConfigInvalidError("base_node_id may not be negative")
+        if base_node_id > 0xFFFF_FFFF:
+            raise ConfigInvalidError("base_node_id must fit the 32-bit node id range")
         self.base_node_id = base_node_id
         self._clock = clock if clock is not None else time.time
         # The node table of the module docstring: entry i is node
@@ -204,14 +207,16 @@ class RegistryService:
 
     # --- event log ---
 
-    def _log_event(self, event: dict) -> None:
+    def _log_event(self, kind: str, *values) -> None:
         """Append one line to the event log, flushed but not fsynced.
 
-        Each mutation reaches the OS before its call returns. The first event
-        opens the handle and close() closes it.
+        The line names values by the fields of _EVENT_FIELDS[kind]; a miscount
+        raises. Each mutation reaches the OS before its call returns. The
+        first event opens the handle and close() closes it.
         """
         if self._event_log_path is None:
             return
+        event = {"event": kind, **dict(zip(_EVENT_FIELDS[kind], values, strict=True))}
         if self._event_log is None:
             self._event_log = self._event_log_path.open("a", encoding="utf-8")
         self._event_log.write(compact_json(event) + "\n")
@@ -270,19 +275,18 @@ class RegistryService:
             kind = read_string(event.get("event"), "event")
             if kind not in _EVENT_FIELDS:
                 raise SchemaViolationError(f"unknown event kind {kind!r}")
-            fields = read_fields(event, _EVENT_FIELDS[kind], {})
+            values = read_fields(event, _EVENT_FIELDS[kind], {}).values()
             if kind == "register":
-                address = self._register(
-                    fields["public_key"], fields["tags"], fields["hostname"], fields["t"]
-                )
-                if address != fields["address"]:
+                logged, *values = values
+                address = self._register(*values)
+                if address != logged:
                     raise SchemaViolationError(
-                        f"replay allocated {address} but the log says {fields['address']}"
+                        f"replay allocated {address} but the log says {logged}"
                     )
             elif kind == "trust":
-                self._record_trust_pair(fields["a"], fields["b"])
+                self._record_trust_pair(*values)
             else:
-                self._heartbeat(fields["address"], fields["t"])
+                self._heartbeat(*values)
         except TrustNetError as exc:
             raise SchemaViolationError(f"{where}: {exc}") from exc
 
@@ -318,16 +322,7 @@ class RegistryService:
         self._by_key[public_key] = address
         if host is not None:
             self._hostnames[host] = address
-        self._log_event(
-            {
-                "event": "register",
-                "address": text,
-                "public_key": public_key.hex(),
-                "tags": list(normalized),
-                "hostname": host,
-                "t": at_time,
-            }
-        )
+        self._log_event("register", text, public_key.hex(), normalized, host, at_time)
         return address
 
     def resolve(self, hostname: str) -> VirtualAddress:
@@ -370,7 +365,7 @@ class RegistryService:
         self._summary_trust_links += 1
         rows = self._rows
         texts = (rows[pair[0]].address, rows[pair[1]].address)
-        self._log_event({"event": "trust", "a": texts[0], "b": texts[1]})
+        self._log_event("trust", *texts)
         if pair in self._edges:
             return False
         self._edges[pair] = texts
@@ -397,7 +392,7 @@ class RegistryService:
             self._online_min = min(self._online_min, now)
         else:
             self._offline_max = max(self._offline_max, now)
-        self._log_event({"event": "heartbeat", "address": self._rows[i].address, "t": now})
+        self._log_event("heartbeat", self._rows[i].address, now)
 
     def snapshot(self) -> StatsSnapshot:
         """Consistent full view; the call itself counts as a request.
@@ -417,18 +412,18 @@ class RegistryService:
         # is released.
         if self._nodes_text is None:
             self._nodes_view = self._rows.copy()
-            self._nodes_text = ",\n    ".join(self._entries).encode("ascii")
+            self._nodes_text = join_entries(self._entries)
         joined = len(self._edges_view)
         if joined < len(self._edges):
             self._edges_view = list(self._edges.values())
-            new = ",\n    ".join([render_edge(a, b) for a, b in self._edges_view[joined:]])
-            self._edges_text += (b",\n    " if joined else b"") + new.encode("ascii")
+            new = [render_edge(a, b) for a, b in self._edges_view[joined:]]
+            self._edges_text = join_entries(new, self._edges_text)
         nodes = self._nodes_view
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         snapshot = StatsSnapshot(
             generated_at=now,
             requests_served=self.requests_served,
-            networks=[NetworkView(NETWORK_ID, NETWORK_NAME)],
+            networks=[BACKBONE],
             nodes=nodes,
             trust_edges=self._edges_view,
             summary_trust_links=self._summary_trust_links,

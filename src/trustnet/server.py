@@ -46,7 +46,6 @@ from typing import Optional
 
 from .errors import SchemaViolationError, TrustNetError
 from .overlay import (
-    MAX_PAYLOAD_SIZE,
     PORT_REGISTRY,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
@@ -293,8 +292,6 @@ class RegistryClient:
 
     def _call(self, doc: dict) -> dict:
         body = compact_json(doc).encode("utf-8")
-        if len(body) > MAX_PAYLOAD_SIZE:
-            raise ValueError("control body exceeds one datagram")
         header = PacketHeader(
             src=self.address if self.address is not None else NULL_ADDRESS,
             dst=REGISTRY_ADDRESS,
@@ -317,7 +314,7 @@ class RegistryClient:
             doc["hostname"] = hostname
         reply = self._call(doc)
         if not reply.get("ok"):
-            raise RuntimeError(f"register failed: {reply}")
+            raise TrustNetError(f"register failed: {reply}")
         self.address = VirtualAddress.from_text(reply["address"])
         return self.address
 

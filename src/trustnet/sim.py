@@ -44,7 +44,6 @@ from .growth import (
     AttachmentGraph,
     ConfigDocument,
     MechanismMix,
-    check_field_types,
     default_tag_model,
     pick_target,
 )
@@ -69,7 +68,8 @@ HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
 PING_DELAY = 1.0
 
-DISTRIBUTION_KINDS = ("fixed", "uniform", "exponential")
+# Distribution kind -> the fields its JSON form names, in order after "kind".
+DISTRIBUTION_KEYS = {"fixed": ("value",), "uniform": ("low", "high"), "exponential": ("mean",)}
 NAT_KINDS = ("cone", "symmetric")
 
 
@@ -105,9 +105,8 @@ class Distribution(ConfigDocument):
     def exponential(cls, mean: float) -> "Distribution":
         return cls(kind="exponential", mean=float(mean))
 
-    def validate(self) -> None:
-        check_field_types(self)
-        if self.kind not in DISTRIBUTION_KINDS:
+    def check(self) -> None:
+        if self.kind not in DISTRIBUTION_KEYS:
             raise ConfigInvalidError(f"unknown distribution kind {self.kind!r}")
         if self.kind == "fixed" and self.value < 0:
             raise ConfigInvalidError("fixed value may not be negative")
@@ -130,11 +129,7 @@ class Distribution(ConfigDocument):
         return max(0, int(self.sample(rng) + 0.5))
 
     def to_dict(self) -> dict:
-        if self.kind == "fixed":
-            return {"kind": "fixed", "value": self.value}
-        if self.kind == "uniform":
-            return {"kind": "uniform", "low": self.low, "high": self.high}
-        return {"kind": "exponential", "mean": self.mean}
+        return {"kind": self.kind, **{k: getattr(self, k) for k in DISTRIBUTION_KEYS[self.kind]}}
 
     @classmethod
     def from_dict(cls, doc) -> "Distribution":
@@ -252,12 +247,9 @@ class BehaviorPolicy(ConfigDocument):
     heartbeat_interval: float = HEARTBEAT_INTERVAL
     window: int = 10
 
-    def validate(self) -> None:
-        check_field_types(self)
+    def check(self) -> None:
         if not 0 <= self.self_trust_probability <= 1:
             raise ConfigInvalidError("self_trust_probability must lie in [0, 1]")
-        self.peer_selection.validate()
-        self.target_links.validate()
         if self.heartbeat_interval <= 0:
             raise ConfigInvalidError("heartbeat_interval must be positive")
         if self.window < 1:
@@ -286,8 +278,7 @@ class SimConfig(ConfigDocument):
     symmetric_nat_fraction: float = 0.0
     ping_marker: str = ""
 
-    def validate(self) -> None:
-        check_field_types(self)
+    def check(self) -> None:
         if self.agent_count < 1:
             raise ConfigInvalidError("agent_count must be a positive integer")
         if not 0 <= self.loss_rate <= 1:
@@ -298,9 +289,6 @@ class SimConfig(ConfigDocument):
             raise ConfigInvalidError("duration must be positive")
         if not 0 <= self.symmetric_nat_fraction <= 1:
             raise ConfigInvalidError("symmetric_nat_fraction must lie in [0, 1]")
-        self.arrival_schedule.validate()
-        self.latency.validate()
-        self.behavior.validate()
 
 
 def _split_rng(seed: int, label: str) -> random.Random:

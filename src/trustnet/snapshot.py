@@ -17,12 +17,13 @@ with the document form of tests/_oracles.py: keys in the order above,
 two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
-(address, tags, online, trust_links). The document is a run of ASCII byte
-parts: each node's entry is rendered by NodeView.render and each edge's by
-render_edge, one part per 1,024 entries (_CHUNK), so no one string or bytes
-object holds a whole section. StatsSnapshot.json_parts returns the parts as
-a list, which the stats server sends unjoined; write() writes each part as
-it is rendered, so it holds one chunk, not the document. A snapshot
+(address, tags, online, trust_links); BACKBONE is the registry's one network.
+The document is a run of ASCII byte parts: each node's entry is rendered by
+NodeView.render and each edge's by render_edge, and join_entries joins them
+into sections, one part per 1,024 entries (_CHUNK), so no one string or
+bytes object holds a whole section. StatsSnapshot.json_parts returns the
+parts as a list, which the stats server sends unjoined; write() writes each
+part as it is rendered, so it holds one chunk, not the document. A snapshot
 may carry both sections already joined instead (StatsSnapshot.entries): the
 registry keeps them as bytes and hands the same objects to every snapshot
 until a row changes or an edge is stored. write_lines writes the growth trace
@@ -79,9 +80,15 @@ def _batches(items: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
+def join_entries(entries: Iterable[str], section: bytes = b"") -> bytes:
+    """The entries joined by _SEPARATOR and encoded; a non-empty section is extended."""
+    joined = _SEPARATOR.join(entries).encode("ascii")
+    return _SEPARATOR_BYTES.join((section, joined)) if section else joined
+
+
 def _rendered(entries: Iterable[str]) -> Iterator[bytes]:
-    """The entries joined by _SEPARATOR and encoded, one part per _CHUNK entries."""
-    return (_SEPARATOR.join(batch).encode("ascii") for batch in _batches(entries))
+    """The entries as join_entries sections, one part per _CHUNK entries."""
+    return map(join_entries, _batches(entries))
 
 
 def _listed(chunks: Iterable[bytes]) -> Iterator[bytes]:
@@ -124,6 +131,9 @@ class NetworkView(NamedTuple):
 
     id: int
     name: str
+
+
+BACKBONE = NetworkView(0, "backbone")
 
 
 @dataclass
@@ -221,8 +231,8 @@ class StatsSnapshot:
     trust_edges: list[tuple[str, str]]
     summary_trust_links: int
     requests_per_agent: float = 0.0
-    # The node and the edge entries, each joined by ",\n    " and encoded, when
-    # the snapshot's builder kept them; json_parts renders them otherwise.
+    # The node and the edge sections, as join_entries gives them, when the
+    # snapshot's builder kept them; json_parts renders them otherwise.
     entries: Optional[tuple[bytes, bytes]] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -301,7 +311,7 @@ class StatsSnapshot:
         table = TrustGraph()
         nodes = []
         for i, raw in enumerate(fields["nodes"]):
-            for name in ("address", "tags", "online", "trust_links"):
+            for name in NodeView._fields:
                 if name not in raw:
                     raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
             canonical = table.add_node(raw["address"], i)

@@ -565,6 +565,17 @@ class TestExitCodes:
         assert main(args) == 1
         assert "--base-node-id" in capsys.readouterr().err
 
+    def test_base_node_id_beyond_32_bits_is_usage_error(self, monkeypatch, capsys):
+        from trustnet.server import RegistryServer
+
+        def start(server):
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(RegistryServer, "start", start)
+        args = ["serve-registry", "--bind", "127.0.0.1:0", "--base-node-id", str(2**32)]
+        assert main(args) == 1
+        assert "--base-node-id" in capsys.readouterr().err
+
     def test_malformed_event_log_is_input_error(self, tmp_path, capsys):
         log_path = tmp_path / "events.jsonl"
         log_path.write_text('{"event":"heartbeat","address":5,"t":0}\n')

@@ -5,9 +5,11 @@ long since imported cryptography. numpy and scipy stay watched: no command
 may load them. Only `simulate` loads cryptography; the registry daemon relays
 handshake frames without loading it or the channel. `import trustnet.cli`
 loads none of growth, analytics and charts, and each pipeline command loads
-only its own one of them.
+only its own one of them. Every module but a package's re-exporting
+`__init__.py` uses each name it imports.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -173,3 +175,24 @@ def test_unknown_public_name_raises_attribute_error(tmp_path):
         tmp_path,
     )
     assert done["result"] == "module 'trustnet' has no attribute 'no_such_name'"
+
+
+def imported_names(tree: ast.Module):
+    """(line, name) of each name an import statement binds, __future__ aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.partition(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(str(p.relative_to(SRC)) for p in SRC.rglob("*.py") if p.name != "__init__.py"),
+)
+def test_module_uses_every_name_it_imports(module):
+    tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [(line, name) for line, name in imported_names(tree) if name not in used] == []

@@ -120,6 +120,12 @@ class TestAllocation:
         with pytest.raises(ConfigInvalidError):
             RegistryService(base_node_id=-1)
 
+    def test_base_beyond_the_node_id_range_rejected(self):
+        with pytest.raises(ConfigInvalidError):
+            RegistryService(base_node_id=2**32)
+        last = RegistryService(base_node_id=0xFFFF_FFFF).register(key(1))
+        assert last == VirtualAddress(0, 0xFFFF_FFFF)
+
 
 class TestHostnames:
     def test_resolve_round_trip(self):

@@ -20,13 +20,14 @@ from trustnet.channel import (
     HandshakeInitiator,
     HandshakeResponder,
 )
-from trustnet.errors import TrustNetError
+from trustnet.errors import OversizePayloadError, TrustNetError
 from trustnet.overlay import (
     ERROR_UNKNOWN_DESTINATION,
     FRAME_ACCEPT,
     FRAME_CONFIRM,
     FRAME_ERROR,
     FRAME_REQUEST,
+    MAX_PAYLOAD_SIZE,
     PORT_REGISTRY,
     PORT_TRUST_HANDSHAKE,
     PacketHeader,
@@ -110,6 +111,12 @@ class TestControlOps:
             reply = b._call({"op": "register", "public_key": key.hex(), "tags": []})
             assert reply["ok"] is False
             assert reply["error"] == "DuplicateKeyError"
+
+    def test_refused_register_raises_a_trustnet_error(self, server):
+        with RegistryClient(server.endpoint) as a, RegistryClient(server.endpoint) as b:
+            a.register(bytes(32))
+            with pytest.raises(TrustNetError, match="DuplicateKeyError"):
+                b.register(bytes(32))
 
     def test_resolve_is_case_insensitive(self, server):
         rng = random.Random(2)
@@ -211,6 +218,15 @@ class _RecordingSocket:
 
     def sendto(self, data: bytes, peer: tuple[str, int]) -> None:
         self.sent.append((data, peer))
+
+
+def test_oversize_control_body_raises_and_sends_nothing():
+    client = RegistryClient(("127.0.0.1", 9))
+    client._sock.close()
+    client._sock = _RecordingSocket()
+    with pytest.raises(OversizePayloadError):
+        client.resolve("h" * MAX_PAYLOAD_SIZE)
+    assert client._sock.sent == []
 
 
 json_values = st.recursive(

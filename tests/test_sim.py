@@ -267,6 +267,9 @@ class TestSimConfig:
             {"ping_marker": 42},
             {"loss_rate": "x"},
             {"duration": float("inf")},
+            {"behavior": BehaviorPolicy(window=0)},
+            {"latency": Distribution(kind="gaussian")},
+            {"arrival_schedule": Distribution.fixed(-1.0)},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
