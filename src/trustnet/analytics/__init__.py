@@ -11,8 +11,6 @@ from .graph import (
     clustering,
     components,
     degree_histogram,
-    degree_stats,
-    density,
     dunbar_bins,
     hub_table,
     random_clustering_baseline,
@@ -46,8 +44,6 @@ __all__ = [
     "components",
     "consistency_audit",
     "degree_histogram",
-    "degree_stats",
-    "density",
     "dunbar_bins",
     "fit_heavy_tail",
     "hub_table",

@@ -90,10 +90,6 @@ def summarize_histogram(histogram: dict[int, int]) -> DegreeSummary:
     )
 
 
-def degree_stats(graph: TrustGraph, mode: str = "nonself") -> DegreeSummary:
-    return summarize_histogram(degree_histogram(graph, mode))
-
-
 # --- components ---
 
 
@@ -225,12 +221,8 @@ def transitivity_from_counts(triangles: int, open_triples: int) -> float:
 # --- density and baselines ---
 
 
-def density(graph: TrustGraph) -> float:
-    """2E / (V (V-1)) over non-self edges."""
-    return density_from_counts(graph.node_count, graph.edge_count_nonself)
-
-
 def density_from_counts(node_count: int, edge_count_nonself: int) -> float:
+    """2E / (V (V-1)) over non-self edges."""
     if node_count < 2:
         raise DegenerateGraphError(
             f"density needs at least 2 nodes, got {node_count}"

@@ -75,6 +75,9 @@ MECHANISMS = ("propinquity", "preferential", "triadic", "uniform")
 # tuned so the shipped preset lands near the observed per-agent request rate.
 NOMINAL_HEARTBEATS_PER_AGENT = 234
 
+# Share of agents that register without tags, the default of every config.
+UNTAGGED_PROBABILITY = 0.42
+
 
 # --- small samplers (single shared random.Random stream) ---
 
@@ -203,7 +206,7 @@ class TagModel:
     successive weighted draws without replacement, one random() per tag."""
 
     vocabulary: tuple[tuple[str, float], ...]
-    untagged_probability: float = 0.42
+    untagged_probability: float = UNTAGGED_PROBABILITY
     count_distribution: tuple[float, float, float] = (0.09, 0.29, 0.62)
 
     @cached_property
@@ -238,20 +241,44 @@ class TagModel:
         return tuple(tags[i] for i in picked)
 
 
-def default_tag_model(untagged_probability: float = 0.42) -> TagModel:
+def default_tag_model(untagged_probability: float = UNTAGGED_PROBABILITY) -> TagModel:
     return TagModel(default_tag_vocabulary(), untagged_probability)
 
 
 # --- configuration documents ---
 
 
-# Field annotation -> test of a value and its name in an error. The
-# annotations are strings because of ``from __future__ import annotations``.
+class Rule(NamedTuple):
+    """A test of one field's value and the tail of the error it raises."""
+
+    accepts: Callable[[Any], bool]
+    message: str
+
+    def apply(self, name: str, value: Any) -> None:
+        if not self.accepts(value):
+            raise ConfigInvalidError(f"{name} {self.message}")
+
+
+# Field annotation -> the rule its values pass first. The annotations are
+# strings because of ``from __future__ import annotations``.
 _FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
-    "float": (is_number, "a finite number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
+    "int": Rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "must be an integer"),
+    "float": Rule(is_number, "must be a finite number"),
+    "str": Rule(lambda v: isinstance(v, str), "must be a string"),
 }
+
+# The bounds a field declares with ``ruled``.
+UNIT = Rule(lambda v: 0 <= v <= 1, "must lie in [0, 1]")
+NON_NEGATIVE = Rule(lambda v: v >= 0, "may not be negative")
+POSITIVE = Rule(lambda v: v > 0, "must be positive")
+AT_LEAST_1 = Rule(lambda v: v >= 1, "must be at least 1")
+# random.Random seeds by absolute value, so -5 would grow seed 5's network.
+SEED = Rule(lambda v: 0 <= v < 2**64, "must fit in 64 bits")
+
+
+def ruled(rule: Rule, default: Any = MISSING) -> Any:
+    """A dataclass field whose value ``ConfigDocument.validate`` tests by rule."""
+    return field(default=default, metadata={"rule": rule})
 
 
 class ConfigDocument:
@@ -263,22 +290,29 @@ class ConfigDocument:
     with a ConfigDocument class is read by that class's ``from_dict``; a
     JSON int for a float field is stored as a float, so ``2`` and ``2.0``
     give the same config. Errors name the document by the class's ``what``.
-    ``validate`` checks, in this order, each field's type by ``_FIELD_TYPES``,
-    each nested document by its ``validate``, then the class's ``check()``.
+    ``validate`` checks each field in order: its type by ``_FIELD_TYPES``
+    (any other annotation names the document class it holds, validated in
+    turn), then the rule it declares with ``ruled``. Last it calls
+    ``check()``, which holds the rules that relate fields.
     """
 
     what: ClassVar[str]
 
     def validate(self) -> None:
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.type in _FIELD_TYPES:
-                accepts, noun = _FIELD_TYPES[f.type]
-                if not accepts(getattr(self, f.name)):
-                    raise ConfigInvalidError(f"{f.name} must be {noun}")
-        for f in fields(self):
-            if f.type not in _FIELD_TYPES:  # every other field is a nested document
-                getattr(self, f.name).validate()
+                _FIELD_TYPES[f.type].apply(f.name, value)
+            elif type(value).__name__ != f.type:
+                raise ConfigInvalidError(f"{f.name} must be a {f.type} document")
+            else:
+                value.validate()
+            if "rule" in f.metadata:
+                f.metadata["rule"].apply(f.name, value)
         self.check()
+
+    def check(self) -> None:
+        """Test the rules that relate two or more fields."""
 
     def to_dict(self) -> dict:
         doc = {}
@@ -324,10 +358,10 @@ class MechanismMix(ConfigDocument):
 
     what = "mix"
 
-    propinquity: float = 0.35
-    preferential: float = 0.25
-    triadic: float = 0.35
-    uniform: float = 0.05
+    propinquity: float = ruled(NON_NEGATIVE, 0.35)
+    preferential: float = ruled(NON_NEGATIVE, 0.25)
+    triadic: float = ruled(NON_NEGATIVE, 0.35)
+    uniform: float = ruled(NON_NEGATIVE, 0.05)
 
     def weights(self) -> tuple[float, float, float, float]:
         return (self.propinquity, self.preferential, self.triadic, self.uniform)
@@ -338,9 +372,6 @@ class MechanismMix(ConfigDocument):
         return fixed_choice(MECHANISMS, self.weights())
 
     def check(self) -> None:
-        for name, value in zip(MECHANISMS, self.weights()):
-            if value < 0:
-                raise ConfigInvalidError(f"mix.{name} may not be negative")
         if abs(sum(self.weights()) - 1.0) > 1e-9:
             raise ConfigInvalidError(
                 f"mix weights sum to {sum(self.weights())!r}, expected 1"
@@ -350,8 +381,7 @@ class MechanismMix(ConfigDocument):
         """Set one weight, rescaling the others to keep the sum at 1."""
         if name not in MECHANISMS:
             raise UnknownParameterError(f"unknown mechanism {name!r}")
-        if not 0 <= value <= 1:
-            raise ConfigInvalidError(f"mix.{name} must lie in [0, 1]")
+        UNIT.apply(f"mix.{name}", value)
         others = [
             (other, weight)
             for other, weight in zip(MECHANISMS, self.weights())
@@ -378,45 +408,25 @@ class GrowthConfig(ConfigDocument):
     what = "growth config"
 
     n: int = 626
-    self_loop_probability: float = 0.64
-    isolate_probability: float = 0.10
-    stub_mean: float = 1.6
-    window: int = 10
+    self_loop_probability: float = ruled(UNIT, 0.64)
+    isolate_probability: float = ruled(UNIT, 0.10)
+    stub_mean: float = ruled(AT_LEAST_1, 1.6)
+    window: int = ruled(AT_LEAST_1, 10)
     mix: MechanismMix = field(default_factory=MechanismMix)
-    untagged_probability: float = 0.42
-    seed: int = 0
+    untagged_probability: float = ruled(UNIT, UNTAGGED_PROBABILITY)
+    seed: int = ruled(SEED, 0)
     # Mean arrival-burst size; 0 disables sessions entirely, making the
     # propinquity window global over all prior arrivals.
-    session_mean: float = 0.0
+    session_mean: float = ruled(NON_NEGATIVE, 0.0)
     # A small population of high-budget arrivals ("connectors") whose stub
     # count is geometric with the given mean instead of 1 + Poisson; they are
     # what produces hub-scale degrees. 0 disables the class.
-    connector_fraction: float = 0.0
-    connector_stub_mean: float = 0.0
+    connector_fraction: float = ruled(UNIT, 0.0)
+    connector_stub_mean: float = ruled(NON_NEGATIVE, 0.0)
 
     def check(self) -> None:
         if self.n < 2:
             raise ConfigInvalidError("n must be at least 2")
-        for name in (
-            "self_loop_probability",
-            "isolate_probability",
-            "untagged_probability",
-            "connector_fraction",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigInvalidError(f"{name} must lie in [0, 1]")
-        if self.stub_mean < 1.0:
-            raise ConfigInvalidError("stub_mean must be at least 1")
-        if self.window < 1:
-            raise ConfigInvalidError("window must be at least 1")
-        # random.Random seeds by absolute value, so -5 would grow seed 5's network.
-        if not 0 <= self.seed < 2**64:
-            raise ConfigInvalidError("seed must fit in 64 bits")
-        if self.session_mean < 0:
-            raise ConfigInvalidError("session_mean may not be negative")
-        if self.connector_stub_mean < 0:
-            raise ConfigInvalidError("connector_stub_mean may not be negative")
         if self.connector_fraction > 0 and self.connector_stub_mean < 1:
             raise ConfigInvalidError(
                 "connector_stub_mean must be at least 1 when connectors are enabled"
@@ -790,7 +800,7 @@ def parse_scalar(name: str, kind: str, value) -> Union[int, float]:
         pass
     if kind not in ("int", "float"):
         raise ConfigInvalidError(f"{name} is not a number field")
-    raise ConfigInvalidError(f"{name} must be {_FIELD_TYPES[kind][1]}, got {value!r}")
+    raise ConfigInvalidError(f"{name} {_FIELD_TYPES[kind].message}, got {value!r}")
 
 
 def set_parameter(config: GrowthConfig, parameter: str, value) -> GrowthConfig:

@@ -41,11 +41,18 @@ from .channel import (
 )
 from .errors import BeaconUnavailableError, ConfigInvalidError
 from .growth import (
+    AT_LEAST_1,
+    NON_NEGATIVE,
+    POSITIVE,
+    SEED,
+    UNIT,
+    UNTAGGED_PROBABILITY,
     AttachmentGraph,
     ConfigDocument,
     MechanismMix,
     default_tag_model,
     pick_target,
+    ruled,
 )
 from .overlay import (
     FRAME_ACCEPT,
@@ -88,10 +95,10 @@ class Distribution(ConfigDocument):
     what = "distribution"
 
     kind: str
-    value: float = 0.0
-    low: float = 0.0
+    value: float = ruled(NON_NEGATIVE, 0.0)
+    low: float = ruled(NON_NEGATIVE, 0.0)
     high: float = 0.0
-    mean: float = 0.0
+    mean: float = ruled(NON_NEGATIVE, 0.0)
 
     @classmethod
     def fixed(cls, value: float) -> "Distribution":
@@ -108,12 +115,8 @@ class Distribution(ConfigDocument):
     def check(self) -> None:
         if self.kind not in DISTRIBUTION_KEYS:
             raise ConfigInvalidError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "fixed" and self.value < 0:
-            raise ConfigInvalidError("fixed value may not be negative")
-        if self.kind == "uniform" and not 0 <= self.low <= self.high:
-            raise ConfigInvalidError("uniform bounds need 0 <= low <= high")
-        if self.kind == "exponential" and self.mean < 0:
-            raise ConfigInvalidError("exponential mean may not be negative")
+        if self.kind == "uniform" and self.low > self.high:
+            raise ConfigInvalidError("uniform bounds need low <= high")
 
     def sample(self, rng: random.Random) -> float:
         if self.kind == "fixed":
@@ -178,8 +181,7 @@ def transport_deliver(
     milliseconds, returned as seconds). Because each hop draws its own
     latency, deliveries may overtake each other: ordering is not guaranteed.
     """
-    if not 0 <= loss_rate <= 1:
-        raise ConfigInvalidError("loss_rate must lie in [0, 1]")
+    UNIT.apply("loss_rate", loss_rate)
     if rng.random() < loss_rate:
         return None
     return latency.sample(rng) / 1000.0, datagram
@@ -238,24 +240,14 @@ class BehaviorPolicy(ConfigDocument):
 
     what = "behavior"
 
-    self_trust_probability: float = 0.0
+    self_trust_probability: float = ruled(UNIT, 0.0)
     peer_selection: MechanismMix = field(default_factory=MechanismMix)
     target_links: Distribution = field(
         default_factory=lambda: Distribution.fixed(2.0)
     )
-    untagged_probability: float = 0.42
-    heartbeat_interval: float = HEARTBEAT_INTERVAL
-    window: int = 10
-
-    def check(self) -> None:
-        if not 0 <= self.self_trust_probability <= 1:
-            raise ConfigInvalidError("self_trust_probability must lie in [0, 1]")
-        if self.heartbeat_interval <= 0:
-            raise ConfigInvalidError("heartbeat_interval must be positive")
-        if self.window < 1:
-            raise ConfigInvalidError("window must be at least 1")
-        if not 0 <= self.untagged_probability <= 1:
-            raise ConfigInvalidError("untagged_probability must lie in [0, 1]")
+    untagged_probability: float = ruled(UNIT, UNTAGGED_PROBABILITY)
+    heartbeat_interval: float = ruled(POSITIVE, HEARTBEAT_INTERVAL)
+    window: int = ruled(AT_LEAST_1, 10)
 
 
 @dataclass(frozen=True)
@@ -264,31 +256,19 @@ class SimConfig(ConfigDocument):
 
     what = "scenario"
 
-    agent_count: int
+    agent_count: int = ruled(AT_LEAST_1)
     arrival_schedule: Distribution = field(
         default_factory=lambda: Distribution.fixed(10.0)
     )
-    loss_rate: float = 0.0
+    loss_rate: float = ruled(UNIT, 0.0)
     latency: Distribution = field(
         default_factory=lambda: Distribution.uniform(20.0, 80.0)
     )
     behavior: BehaviorPolicy = field(default_factory=BehaviorPolicy)
-    seed: int = 0
-    duration: float = 3600.0
-    symmetric_nat_fraction: float = 0.0
+    seed: int = ruled(SEED, 0)
+    duration: float = ruled(POSITIVE, 3600.0)
+    symmetric_nat_fraction: float = ruled(UNIT, 0.0)
     ping_marker: str = ""
-
-    def check(self) -> None:
-        if self.agent_count < 1:
-            raise ConfigInvalidError("agent_count must be a positive integer")
-        if not 0 <= self.loss_rate <= 1:
-            raise ConfigInvalidError("loss_rate must lie in [0, 1]")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigInvalidError("seed must fit in 64 bits")
-        if self.duration <= 0:
-            raise ConfigInvalidError("duration must be positive")
-        if not 0 <= self.symmetric_nat_fraction <= 1:
-            raise ConfigInvalidError("symmetric_nat_fraction must lie in [0, 1]")
 
 
 def _split_rng(seed: int, label: str) -> random.Random:
@@ -336,7 +316,6 @@ class _Attempt:
     target: VirtualAddress
     request_datagram: bytes
     retries_left: int = HANDSHAKE_RETRIES
-    done: bool = False
 
 
 class _SimAgent:
@@ -419,13 +398,13 @@ class _SimAgent:
         sc.loop.schedule(HANDSHAKE_TIMEOUT, lambda: self._on_timeout(attempt))
 
     def _on_timeout(self, attempt: _Attempt) -> None:
-        if attempt.done:
-            return
+        if self.attempts.get(attempt.target) is not attempt:
+            return  # answered, or given up, already
         if attempt.retries_left > 0:
             attempt.retries_left -= 1
             self._send_request(attempt)
         else:
-            attempt.done = True
+            del self.attempts[attempt.target]
 
     # -- frame dispatch --
 
@@ -446,17 +425,13 @@ class _SimAgent:
             record, session = self.responder.on_confirm(header.src, body)
             self.sessions.setdefault(header.src, session)
         elif frame_type in (FRAME_DECLINE, FRAME_ERROR):
-            attempt = self.attempts.get(header.src)
-            if attempt is not None:
-                attempt.done = True
+            self.attempts.pop(header.src, None)
 
     def _on_accept(self, responder: VirtualAddress, body: bytes) -> None:
-        attempt = self.attempts.get(responder)
-        if attempt is None or attempt.done:
+        attempt = self.attempts.pop(responder, None)  # a late ACCEPT finds none
+        if attempt is None:
             return
         confirm = attempt.initiator.on_accept(body)
-        attempt.done = True  # for its pending timeout; a late ACCEPT finds no attempt
-        del self.attempts[responder]
         self.sessions[responder] = attempt.initiator.session
         sc = self.scenario
         sc.send_via_relay(_handshake_datagram(self.address, responder, confirm))

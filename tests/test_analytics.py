@@ -25,8 +25,6 @@ from trustnet.analytics import (
     components,
     consistency_audit,
     degree_histogram,
-    degree_stats,
-    density,
     dunbar_bins,
     fit_heavy_tail,
     hub_table,
@@ -294,24 +292,28 @@ class TestClusteringShapes:
                 )
 
 
+def density_of(graph: TrustGraph) -> float:
+    return density_from_counts(graph.node_count, graph.edge_count_nonself)
+
+
 class TestDensityAndBaseline:
     def test_complete_graph(self):
         edges = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-        assert density(graph_from(4, edges)) == 1.0
+        assert density_of(graph_from(4, edges)) == 1.0
 
     def test_empty_graph(self):
-        assert density(graph_from(10, [])) == 0.0
+        assert density_of(graph_from(10, [])) == 0.0
 
     def test_degenerate(self):
         with pytest.raises(DegenerateGraphError):
-            density(graph_from(1, []))
+            density_of(graph_from(1, []))
 
     def test_mean_degree_identity(self):
         rng = random.Random(31)
         for _ in range(10):
             n, edges = random_edge_list(rng, max_nodes=40)
             graph = graph_from(n, edges)
-            stats = degree_stats(graph, "nonself")
+            stats = summarize_histogram(degree_histogram(graph, "nonself"))
             assert stats.mean == pytest.approx(
                 2 * graph.edge_count_nonself / n, abs=1e-12
             )

@@ -583,6 +583,7 @@ class TestGrowthConfig:
             {"connector_stub_mean": 10**400},
             {"seed": -1},
             {"seed": 2**64},
+            {"mix": None},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

@@ -6,7 +6,8 @@ may load them. Only `simulate` loads cryptography; the registry daemon relays
 handshake frames without loading it or the channel. `import trustnet.cli`
 loads none of growth, analytics and charts, and each pipeline command loads
 only its own one of them. Every module but a package's re-exporting
-`__init__.py` uses each name it imports.
+`__init__.py` uses each name it imports, and no two config errors in `src/`
+are raised with the same message.
 """
 
 import ast
@@ -196,3 +197,22 @@ def test_module_uses_every_name_it_imports(module):
     tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [(line, name) for line, name in imported_names(tree) if name not in used] == []
+
+
+def config_error_messages(tree: ast.Module):
+    """(line, source of the message) of each `raise ConfigInvalidError(message)`."""
+    for node in ast.walk(tree):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                and call.func.id == "ConfigInvalidError" and call.args):
+            yield node.lineno, ast.unparse(call.args[0])
+
+
+def test_no_config_error_message_is_raised_twice():
+    """A rule written out twice can drift apart; state it once as a growth.Rule."""
+    raised: dict[str, list[str]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for line, message in config_error_messages(tree):
+            raised.setdefault(message, []).append(f"{path.relative_to(SRC)}:{line}")
+    assert {message: at for message, at in raised.items() if len(at) > 1} == {}

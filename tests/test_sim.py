@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,13 +12,18 @@ from hypothesis import strategies as st
 from _oracles import event_lines
 from trustnet.analytics.report import consistency_audit
 from trustnet.errors import BeaconUnavailableError, ConfigInvalidError
-from trustnet.growth import GrowthConfig, MechanismMix
+from trustnet.growth import (
+    AT_LEAST_1, NON_NEGATIVE, POSITIVE, SEED, UNIT, GrowthConfig, MechanismMix,
+)
 from trustnet.sim import (
+    HANDSHAKE_RETRIES,
+    HANDSHAKE_TIMEOUT,
     Beacon,
     BehaviorPolicy,
     Distribution,
     EventLoop,
     SimConfig,
+    _Scenario,
     relay_via_beacon,
     run_scenario,
     transport_deliver,
@@ -211,6 +217,7 @@ class TestBehaviorPolicy:
             {"window": 2.5},
             {"untagged_probability": "x"},
             {"heartbeat_interval": float("inf")},
+            {"target_links": 2.0},
         ],
     )
     def test_invalid_values_rejected(self, overrides):
@@ -270,6 +277,7 @@ class TestSimConfig:
             {"behavior": BehaviorPolicy(window=0)},
             {"latency": Distribution(kind="gaussian")},
             {"arrival_schedule": Distribution.fixed(-1.0)},
+            {"behavior": {"window": 2}},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -313,6 +321,80 @@ class TestSimConfig:
         assert SimConfig.read(path) == config
 
 
+# A valid config of each class, and each field that declares a rule with a
+# value just outside its bound. A rule dropped from a field, or a field given
+# a rule and no case here, fails test_every_ruled_field_has_a_case.
+VALID_CONFIGS = {
+    MechanismMix: MechanismMix(),
+    GrowthConfig: GrowthConfig(n=50),
+    Distribution: Distribution.fixed(1.0),
+    BehaviorPolicy: BehaviorPolicy(),
+    SimConfig: scenario(),
+}
+RULE_CASES = [
+    (MechanismMix, "propinquity", -1e-9),
+    (MechanismMix, "preferential", -1e-9),
+    (MechanismMix, "triadic", -1e-9),
+    (MechanismMix, "uniform", -1e-9),
+    (GrowthConfig, "self_loop_probability", 1.000001),
+    (GrowthConfig, "isolate_probability", -1e-9),
+    (GrowthConfig, "stub_mean", 0.999),
+    (GrowthConfig, "window", 0),
+    (GrowthConfig, "untagged_probability", 1.000001),
+    (GrowthConfig, "seed", -1),
+    (GrowthConfig, "seed", 2**64),
+    (GrowthConfig, "session_mean", -1e-9),
+    (GrowthConfig, "connector_fraction", 1.000001),
+    (GrowthConfig, "connector_stub_mean", -1e-9),
+    (Distribution, "value", -1e-9),
+    (Distribution, "low", -1e-9),
+    (Distribution, "mean", -1e-9),
+    (BehaviorPolicy, "self_trust_probability", -1e-9),
+    (BehaviorPolicy, "untagged_probability", -1e-9),
+    (BehaviorPolicy, "heartbeat_interval", 0.0),
+    (BehaviorPolicy, "window", 0),
+    (SimConfig, "agent_count", 0),
+    (SimConfig, "loss_rate", 1.000001),
+    (SimConfig, "seed", -1),
+    (SimConfig, "seed", 2**64),
+    (SimConfig, "duration", 0.0),
+    (SimConfig, "symmetric_nat_fraction", -1e-9),
+]
+
+
+def test_every_ruled_field_has_a_case():
+    declared = {
+        (cls, f.name) for cls in VALID_CONFIGS for f in fields(cls) if "rule" in f.metadata
+    }
+    assert declared == {(cls, name) for cls, name, _ in RULE_CASES}
+
+
+@pytest.mark.parametrize(
+    "cls, name, value", RULE_CASES, ids=[f"{c.__name__}.{n}={v}" for c, n, v in RULE_CASES]
+)
+def test_value_outside_a_rule_is_rejected_by_name(cls, name, value):
+    VALID_CONFIGS[cls].validate()
+    with pytest.raises(ConfigInvalidError) as raised:
+        replace(VALID_CONFIGS[cls], **{name: value}).validate()
+    assert str(raised.value).startswith(f"{name} ")
+
+
+@pytest.mark.parametrize(
+    "rule, inside, outside",
+    [
+        (UNIT, [0, 0.5, 1], [-1e-9, 1.000001]),
+        (NON_NEGATIVE, [0, 1e9], [-1e-9]),
+        (POSITIVE, [1e-9, 1], [0, -1]),
+        (AT_LEAST_1, [1, 1.5], [0.999, 0]),
+        (SEED, [0, 2**64 - 1], [-1, 2**64]),
+    ],
+    ids=["UNIT", "NON_NEGATIVE", "POSITIVE", "AT_LEAST_1", "SEED"],
+)
+def test_rule_bounds(rule, inside, outside):
+    assert all(rule.accepts(v) for v in inside)
+    assert not any(rule.accepts(v) for v in outside)
+
+
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),
@@ -353,6 +435,19 @@ def test_config_readers_raise_only_config_errors(cls, base, data):
     except ConfigInvalidError:
         return
     config.validate()
+
+
+@pytest.mark.parametrize("loss_rate", [0.5, 1.0])
+def test_every_handshake_attempt_is_forgotten_once_it_ends(loss_rate):
+    """Answered or given up after its last retry, no attempt stays behind."""
+    config = scenario(agent_count=8, loss_rate=loss_rate,
+                      behavior=BehaviorPolicy(self_trust_probability=0.5))
+    sim = _Scenario(config)
+    sim.schedule_arrivals()
+    last_try_ends = (config.agent_count - 1) * 10.0 + (HANDSHAKE_RETRIES + 1) * HANDSHAKE_TIMEOUT
+    sim.loop.run_until(last_try_ends + 1.0)
+    assert any(e["event"] == "handshake-start" for e in sim.events)
+    assert [agent.attempts for agent in sim.by_address.values()] == [{}] * config.agent_count
 
 
 class TestScenarioExamples:
