@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -673,9 +673,84 @@ def noncanonical_node_snapshot() -> StatsSnapshot:
     return snap
 
 
+def one_more_isolated(histogram: dict[int, int]) -> dict[int, int]:
+    return {**histogram, 0: histogram.get(0, 0) + 1}
+
+
+def one_degree_up(histogram: dict[int, int]) -> dict[int, int]:
+    top = max(histogram)
+    return {**histogram, top: histogram[top] - 1, top + 1: 1}
+
+
+# Each corruption of a (snapshot, report) pair trips one audit check. Over
+# random_snapshot() (35 nodes, 75 non-self edges, 5 self-loops, 80 edge
+# entries) it gives the expected and actual values and the text beside it.
+AUDIT_CORRUPTIONS = {
+    "histogram-total-api": (
+        lambda snap, report: (snap, replace(
+            report, degree_histogram_api=one_more_isolated(report.degree_histogram_api)
+        )),
+        35, 36, "histogram-total-api: expected 35, actual 36 (delta +1)",
+    ),
+    "histogram-total-nonself": (
+        lambda snap, report: (snap, replace(
+            report,
+            degree_histogram_nonself=one_more_isolated(report.degree_histogram_nonself),
+        )),
+        35, 36, "histogram-total-nonself: expected 35, actual 36 (delta +1)",
+    ),
+    "degree-sum-nonself": (
+        lambda snap, report: (snap, replace(
+            report, degree_histogram_nonself=one_degree_up(report.degree_histogram_nonself)
+        )),
+        150, 151, "degree-sum-nonself: expected 150, actual 151 (delta +1)",
+    ),
+    "trust-links-identity": (
+        lambda snap, report: (replace(snap, nodes=[
+            snap.nodes[0]._replace(trust_links=snap.nodes[0].trust_links + 1),
+            *snap.nodes[1:],
+        ]), report),
+        160, 161, "trust-links-identity: expected 160, actual 161 (delta +1)",
+    ),
+    "summary-vs-list": (
+        lambda snap, report: (
+            replace(snap, summary_trust_links=snap.summary_trust_links + 3), report
+        ),
+        80, 83, "summary-vs-list: expected 80, actual 83 (delta +3)",
+    ),
+    "component-cover": (
+        lambda snap, report: (snap, replace(
+            report, component_sizes=(*report.component_sizes, 1)
+        )),
+        35, 36, "component-cover: expected 35, actual 36 (delta +1)",
+    ),
+}
+
+
 class TestReportAndAudit:
     def make_snapshot(self):
         return random_snapshot()
+
+    @pytest.mark.parametrize("check", list(AUDIT_CORRUPTIONS))
+    def test_each_audit_check_trips_on_its_own(self, check):
+        snap = self.make_snapshot()
+        corrupt, expected, actual, text = AUDIT_CORRUPTIONS[check]
+        snap, report = corrupt(snap, analyze_snapshot(snap))
+        [finding] = consistency_audit(snap, report)
+        assert (finding.check, finding.expected, finding.actual) == (
+            check, expected, actual
+        )
+        assert str(finding) == text
+
+    def test_audit_findings_keep_the_check_order(self):
+        snap = self.make_snapshot()
+        report = analyze_snapshot(snap)
+        for corrupt, *_ in reversed(AUDIT_CORRUPTIONS.values()):
+            snap, report = corrupt(snap, report)
+        findings = consistency_audit(snap, report)
+        assert [str(f) for f in findings] == [
+            text for *_, text in AUDIT_CORRUPTIONS.values()
+        ]
 
     def test_report_is_deterministic_and_order_independent(self):
         snap = self.make_snapshot()

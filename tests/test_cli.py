@@ -411,6 +411,18 @@ class TestAnalyzeAndReport:
         assert main(["analyze", str(snapshot_path), "--audit"]) == 0
         assert "audit: no findings" in capsys.readouterr().out
 
+    def test_audit_flag_prints_each_finding(self, snapshot_path, capsys):
+        document = json.loads(snapshot_path.read_text())
+        entries = len(document["trust_edges"])
+        document["summary_trust_links"] = entries + 3
+        snapshot_path.write_text(json.dumps(document))
+        assert main(["analyze", str(snapshot_path), "--audit"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("audit:")] == [
+            f"audit: summary-vs-list: expected {entries}, actual {entries + 3}"
+            " (delta +3)"
+        ]
+
     def test_audit_reuses_the_report(self, snapshot_path, monkeypatch):
         calls = []
 

@@ -13,6 +13,8 @@ import random
 import pytest
 
 from _oracles import assert_matches_scipy_fit, record_trust
+import trustnet.cli
+from trustnet.analytics import render_table
 from trustnet.channel import FRAME_ACCEPT, FRAME_CONFIRM, FRAME_REQUEST
 from trustnet.cli import main
 from trustnet.overlay import (
@@ -27,37 +29,43 @@ from trustnet.registry import REGISTRY_ADDRESS, RegistryService
 from trustnet.server import NULL_ADDRESS, RegistryServer
 
 # Keyed by pytest id: a paper-2026 seed, a GROWTH_CONFIGS entry or a
-# PRESET_RUNS entry.
+# PRESET_RUNS entry. "table" is the summary table `analyze` prints.
 GENERATE_DIGESTS = {
     "0": {
         "snapshot": "1b318adafb1f979b4dee7f8c8c0bb62425ce9709a53c01126bfba12fef13401c",
         "trace": "91e837a47fd8105654c190e9a342b5f09bb9ea6e46f6b9e731c3acc631246afa",
         "metrics": "35dd5a3172e2ccf4c3033f503d807ec73ef75353b9fe8df81a00031ed6dee24e",
+        "table": "be0dcb6811b11324d83356a6ccbb8bf24b70d425874dfb82c62c0fc4b63f6e3b",
     },
     "7": {
         "snapshot": "e53239c4611bcb13cd5166eef428cfecdb925d6cc954de6a3a60fa8a74929d9b",
         "trace": "7d711ad9ab1b0c5d3c76bf38aa450230501e9b6b617c7386722402c4f6d71cc2",
         "metrics": "2f482524dc1a1222e8a1116ca5791f5604aa491cd72a28a2dc7dda925fe2e548",
+        "table": "96a76e7aff9f37d4a96db98710c47b08b01cf7e73f238983ed5668d4db8ee54f",
     },
     "2026": {
         "snapshot": "32aab3b568a41cb7d261934e2763272c3592c0773ff21b46446018e815513c63",
         "trace": "be3d7fb84282f2d576ee745a4571bfa38f5e0d18a8e8ef98152c3706d05e3f35",
         "metrics": "35b44cee39cbda944e782fa9a60b58eca39043cbdf2b3ecda0c492b6d24c7f17",
+        "table": "42f7656464b14ae75d790713aa374c189d977abe1c7e25866ed22f448caaa523",
     },
     "config-n2000-seed5": {
         "snapshot": "57169d51df6bb6b6970f3573a2f2b731371bd94fc14bb70fdecde953d42b2097",
         "trace": "014fbae58112b9d83e1e40851aaa8d58da6e1114ffc337f8643fe144c845025b",
         "metrics": "5176e4541d3eb4ee90d7f3f4ba1a2a354a4c5e914dafc5a39731cd5293b73f39",
+        "table": "a9d5901d2271f085b99a424da2b215e73d804a6e643ca70fce6f024178235392",
     },
     "config-n1500-seed4": {
         "snapshot": "114d673f09aed5f64c60b4288436cf56dc4f4927f933f9e51fc160fd6ab5b680",
         "trace": "cbb12f1e718d2a0eecd3ae83317d5f20ab00347abf758fba32b7a94afd9785df",
         "metrics": "dfba3e0b0ca28e830e07451d9c4ff13c16da25afab54f3521df3124a827e1d27",
+        "table": "f800a34cbe2fc1ccf92d0ef949bf085f937bed539fbb39b3eb62025f56e357de",
     },
     "paper-n10000-seed7": {
         "snapshot": "5c191cd82f5c34c89e5cf336cdddcf4b8d857dc8b69f7f3d727f07533823de1b",
         "trace": "b6a3bd753289c16a4e02fe1be730adb268454b1e1241e60a3958560fb18a48c7",
         "metrics": "55c4716a8a908f4962df9a40d8dc8f938d25b1b2827ba68d9518b44c34f3174c",
+        "table": "562bb4cc6dd0542154295e1332553c114b032ad75fdc6713890a7a24b159fb7e",
     },
 }
 
@@ -205,7 +213,7 @@ def analyze_to(snapshot, metrics) -> None:
 
 
 @pytest.mark.parametrize("case", sorted(GENERATE_DIGESTS))
-def test_paper_preset_digests(tmp_path, case):
+def test_paper_preset_digests(tmp_path, monkeypatch, case):
     snapshot = tmp_path / "snapshot.json"
     trace = tmp_path / "trace.jsonl"
     metrics = tmp_path / "metrics.json"
@@ -224,8 +232,16 @@ def test_paper_preset_digests(tmp_path, case):
     expected = GENERATE_DIGESTS[case]
     observed = {"snapshot": sha256(snapshot), "trace": sha256(trace)}
     if "metrics" in expected:
+        tables = []  # what `analyze` prints: render_table of the report it wrote
+        monkeypatch.setattr(
+            trustnet.cli,
+            "render_table",
+            lambda report: tables.append(render_table(report)) or tables[-1],
+        )
         analyze_to(snapshot, metrics)
         observed["metrics"] = sha256(metrics)
+        [table] = tables
+        observed["table"] = hashlib.sha256(table.encode("utf-8")).hexdigest()
         fit = json.loads(metrics.read_text())["powerlaw_fit"]
         assert_matches_scipy_fit(fit, SCIPY_FITS[case])
     assert observed == expected
