@@ -80,27 +80,21 @@ class MetricsReport:
 
     def to_dict(self) -> dict:
         """The metrics document: each dataclass in the report becomes a dict of
-        its fields, and every other value is shared with the report, not copied."""
-        doc = _fields_of(self)
-        doc["degree_histogram_api"] = _text_keys(self.degree_histogram_api)
-        doc["degree_histogram_nonself"] = _text_keys(self.degree_histogram_nonself)
-        doc["address_delta_histogram"]["histogram"] = _text_keys(
-            self.address_delta_histogram.histogram
-        )
-        return doc
+        its fields, each histogram a dict keyed by text in key order, and every
+        other value is shared with the report, not copied."""
+        return _fields_of(self)
 
 
 def _fields_of(value):
-    """value with each dataclass in it, a tuple's items included, as a dict of its fields."""
+    """value with each dataclass in it, a tuple's items included, as a dict of
+    its fields, and each int-keyed dict as a text-keyed dict in key order."""
     if is_dataclass(value):
         return {f.name: _fields_of(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple) and value and is_dataclass(value[0]):
         return [_fields_of(item) for item in value]
+    if isinstance(value, dict) and all(isinstance(k, int) for k in value):
+        return {str(k): v for k, v in sorted(value.items())}
     return value
-
-
-def _text_keys(histogram: dict[int, int]) -> dict[str, int]:
-    return {str(k): v for k, v in sorted(histogram.items())}
 
 
 def analyze_snapshot(snapshot: StatsSnapshot, *, k_min: int = 10) -> MetricsReport:
@@ -177,22 +171,18 @@ def _fmt_int(value: int) -> str:
     return f"{value:,}"
 
 
-def _fmt_pct(part: float, whole: float) -> str:
-    if whole == 0:
-        return "0.0%"
-    return f"{100.0 * part / whole:.1f}%"
+def _share(part: int, whole: int) -> str:
+    """part with its share of whole, e.g. "412 (65.8%)"; no whole is a 0.0% share."""
+    return f"{_fmt_int(part)} ({100.0 * part / whole if whole else 0.0:.1f}%)"
 
 
 def render_table(report: MetricsReport) -> str:
     """Human-readable two-column summary of the headline network metrics."""
     tags = report.tag_stats
+    n = report.node_count
     rows: list[tuple[str, str]] = [
-        ("Total registered agents", _fmt_int(report.node_count)),
-        (
-            "Online agents",
-            f"{_fmt_int(report.online_count)} "
-            f"({_fmt_pct(report.online_count, report.node_count)})",
-        ),
+        ("Total registered agents", _fmt_int(n)),
+        ("Online agents", _share(report.online_count, n)),
         ("Networks", _fmt_int(report.network_count)),
         (
             "Registry requests served",
@@ -204,28 +194,16 @@ def render_table(report: MetricsReport) -> str:
         ("Self-loops", _fmt_int(report.self_loop_count)),
         ("Non-self edges", _fmt_int(report.edge_count_nonself)),
         ("Unique capability tags", _fmt_int(tags.unique_tags)),
-        (
-            "Agents with tags",
-            f"{_fmt_int(tags.agents_with_tags)} "
-            f"({_fmt_pct(tags.agents_with_tags, report.node_count)})",
-        ),
+        ("Agents with tags", _share(tags.agents_with_tags, n)),
         ("Tag assignments", _fmt_int(tags.assignments_total)),
         ("Mean degree (API)", f"{report.mean_degree_api:.2f}"),
         ("Mean degree (non-self)", f"{report.mean_degree_nonself:.2f}"),
         ("Median degree", _fmt_int(report.median_degree)),
         ("Modal trust degree", _fmt_int(report.mode_degree)),
         ("Max degree", _fmt_int(report.max_degree)),
-        (
-            "Isolated agents",
-            f"{_fmt_int(report.isolated_nonself)} "
-            f"({_fmt_pct(report.isolated_nonself, report.node_count)})",
-        ),
+        ("Isolated agents", _share(report.isolated_nonself, n)),
         ("Components", _fmt_int(report.component_count)),
-        (
-            "Giant component",
-            f"{_fmt_int(report.component_census.giant_size)} "
-            f"({_fmt_pct(report.component_census.giant_size, report.node_count)})",
-        ),
+        ("Giant component", _share(report.component_census.giant_size, n)),
         ("Graph density (non-self)", f"{report.density:.4f}"),
         ("Avg. clustering coefficient", f"{report.avg_clustering_all:.3f}"),
         (
@@ -273,43 +251,20 @@ def consistency_audit(
     """
     if report is None:
         report = analyze_snapshot(snapshot)
-    findings: list[Finding] = []
     graph = build_graph(snapshot)
     node_count = graph.node_count
-    true_edges = graph.edge_count_nonself
-    true_loops = graph.self_loop_count
-
-    hist_api_total = sum(report.degree_histogram_api.values())
-    if hist_api_total != node_count:
-        findings.append(Finding("histogram-total-api", node_count, hist_api_total))
-    hist_nonself_total = sum(report.degree_histogram_nonself.values())
-    if hist_nonself_total != node_count:
-        findings.append(
-            Finding("histogram-total-nonself", node_count, hist_nonself_total)
-        )
-
-    degree_sum = sum(k * n for k, n in report.degree_histogram_nonself.items())
-    if degree_sum != 2 * true_edges:
-        findings.append(Finding("degree-sum-nonself", 2 * true_edges, degree_sum))
-
-    claimed_links = sum(node.trust_links for node in snapshot.nodes)
-    expected_links = 2 * true_edges + 2 * true_loops
-    if claimed_links != expected_links:
-        findings.append(
-            Finding("trust-links-identity", expected_links, claimed_links)
-        )
-
-    if snapshot.summary_trust_links != len(snapshot.trust_edges):
-        findings.append(
-            Finding(
-                "summary-vs-list",
-                len(snapshot.trust_edges),
-                snapshot.summary_trust_links,
-            )
-        )
-
-    size_total = sum(report.component_sizes)
-    if size_total != node_count:
-        findings.append(Finding("component-cover", node_count, size_total))
-
-    return findings
+    edge_ends = 2 * graph.edge_count_nonself
+    nonself = report.degree_histogram_nonself
+    checks = [
+        Finding("histogram-total-api", node_count, sum(report.degree_histogram_api.values())),
+        Finding("histogram-total-nonself", node_count, sum(nonself.values())),
+        Finding("degree-sum-nonself", edge_ends, sum(k * n for k, n in nonself.items())),
+        Finding(
+            "trust-links-identity",
+            edge_ends + 2 * graph.self_loop_count,
+            sum(node.trust_links for node in snapshot.nodes),
+        ),
+        Finding("summary-vs-list", len(snapshot.trust_edges), snapshot.summary_trust_links),
+        Finding("component-cover", node_count, sum(report.component_sizes)),
+    ]
+    return [finding for finding in checks if finding.delta]
