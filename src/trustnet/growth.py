@@ -504,7 +504,10 @@ class GrowthEvent(NamedTuple):
 
     def to_line(self) -> str:
         """The bytes of snapshot.compact_json on the event's dict form (fields in
-        order, an attempt as mechanism, target, accepted), by template."""
+        order, an attempt as mechanism, target, accepted), by template. A lone
+        high surrogate then a lone low one is written as two escapes, which any
+        JSON reader, from_line too, reads as one character: chr(0xD800) +
+        chr(0xDC00) comes back as chr(0x10000). Every other text reads back equal."""
         q = encode_basestring_ascii
         attempts = ",".join([
             f'{{"mechanism":{q(mechanism)},'

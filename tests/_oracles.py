@@ -10,6 +10,10 @@ fits recorded before the fit was ported to pure math. The tag-draw oracle
 rebuilds the list of entries left before every pick. record_trust stores a
 trust pair directly, as the relay does on a CONFIRM, for tests that build a
 registry's edges without handshakes.
+
+Shared reference data closes the module: the census of the observed
+626-agent network, the RFC 7748 and AES-256-GCM vectors, and the hypothesis
+strategies for JSON values that the reader fuzz tests draw from.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import json
 import math
 import random
+
+from hypothesis import strategies as st
 
 
 def snapshot_document(snapshot) -> dict:
@@ -239,3 +245,108 @@ def assert_matches_scipy_fit(
     ):
         close = math.isclose(fit[field], expected[field], rel_tol=rel_tol, abs_tol=abs_tol)
         assert close, (field, fit[field], expected[field])
+
+
+# --- reference data ---
+
+# Frozen reference census of the observed 626-agent network (API-degree
+# histogram): the fixed reference the analyzer must reproduce statistics from.
+REFERENCE_API_HISTOGRAM = {
+    0: 9, 1: 38, 2: 76, 3: 102, 4: 70, 5: 50, 6: 51, 7: 39, 8: 35, 9: 23,
+    10: 21, 11: 24, 12: 19, 13: 13, 14: 9, 15: 11, 16: 8, 17: 8, 18: 6,
+    19: 5, 20: 4, 21: 2, 28: 1, 29: 1, 39: 1,
+}
+
+REFERENCE_NODE_COUNT = 626
+REFERENCE_NONSELF_EDGES = 1567
+REFERENCE_SELF_LOOPS = 401
+REFERENCE_TRIANGLES = 5061
+REFERENCE_OPEN_TRIPLES = 13168
+REFERENCE_ASSIGNMENTS = 917
+REFERENCE_UNIQUE_TAGS = 276
+
+# RFC 7748 sections 5.2 and 6.1 test vectors.
+X25519_SCALARMULT_VECTORS = [
+    (
+        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
+        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
+        "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
+    ),
+    (
+        "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
+        "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
+        "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
+    ),
+]
+
+X25519_DH_VECTOR = {
+    "a_private": "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
+    "a_public": "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
+    "b_private": "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
+    "b_public": "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
+    "shared": "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742",
+}
+
+# AES-256-GCM canonical vectors (zero-key cases and the feffe992... case)
+GCM_VECTORS = [
+    {
+        "key": "00" * 32,
+        "iv": "00" * 12,
+        "plaintext": "",
+        "aad": "",
+        "ciphertext": "",
+        "tag": "530f8afbc74536b9a963b4f1c4cb738b",
+    },
+    {
+        "key": "00" * 32,
+        "iv": "00" * 12,
+        "plaintext": "00" * 16,
+        "aad": "",
+        "ciphertext": "cea7403d4d606b6e074ec5d3baf39d18",
+        "tag": "d0d1c8a799996bf0265b98b5d48ab919",
+    },
+    {
+        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+        "iv": "cafebabefacedbaddecaf888",
+        "plaintext": (
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
+        ),
+        "aad": "",
+        "ciphertext": (
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
+        ),
+        "tag": "b094dac5d93471bdec1a502270e3cc6c",
+    },
+    {
+        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
+        "iv": "cafebabefacedbaddecaf888",
+        "plaintext": (
+            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
+            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
+        ),
+        "aad": "feedfacedeadbeeffeedfacedeadbeefabaddad2",
+        "ciphertext": (
+            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
+            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
+        ),
+        "tag": "76fc6ece0f4e1768cddf8853bb2d551b",
+    },
+]
+
+
+# --- hypothesis strategies ---
+
+# Any JSON value, nested up to 8 leaves.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=8,
+)
+# Numbers a JSON text may hold, integers beyond a float's range included.
+numbers = (
+    st.integers()
+    | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
+    | st.floats()
+)

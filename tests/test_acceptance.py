@@ -22,6 +22,16 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from _oracles import (
     BruteGraph,
+    GCM_VECTORS,
+    REFERENCE_API_HISTOGRAM,
+    REFERENCE_ASSIGNMENTS,
+    REFERENCE_NODE_COUNT,
+    REFERENCE_NONSELF_EDGES,
+    REFERENCE_OPEN_TRIPLES,
+    REFERENCE_TRIANGLES,
+    REFERENCE_UNIQUE_TAGS,
+    X25519_DH_VECTOR,
+    X25519_SCALARMULT_VECTORS,
     random_edge_list,
     tail_sampler_exponential,
     tail_sampler_lognormal,
@@ -54,91 +64,6 @@ from trustnet.growth import preset
 from trustnet.overlay import PacketHeader, VirtualAddress, decode_packet, encode_packet
 from trustnet.sim import BehaviorPolicy, Distribution, SimConfig, run_scenario
 from trustnet.snapshot import NetworkView, NodeView, StatsSnapshot
-
-# --- frozen reference figures ---
-
-REFERENCE_API_HISTOGRAM = {
-    0: 9, 1: 38, 2: 76, 3: 102, 4: 70, 5: 50, 6: 51, 7: 39, 8: 35, 9: 23,
-    10: 21, 11: 24, 12: 19, 13: 13, 14: 9, 15: 11, 16: 8, 17: 8, 18: 6,
-    19: 5, 20: 4, 21: 2, 28: 1, 29: 1, 39: 1,
-}
-
-REFERENCE_NODE_COUNT = 626
-REFERENCE_NONSELF_EDGES = 1567
-REFERENCE_TRIANGLES = 5061
-REFERENCE_OPEN_TRIPLES = 13168
-REFERENCE_ASSIGNMENTS = 917
-REFERENCE_UNIQUE_TAGS = 276
-
-# RFC 7748 sections 5.2 and 6.1 test vectors.
-X25519_SCALARMULT_VECTORS = [
-    (
-        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
-        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
-        "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
-    ),
-    (
-        "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
-        "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
-        "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
-    ),
-]
-
-X25519_DH_VECTOR = {
-    "a_private": "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
-    "a_public": "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
-    "b_private": "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
-    "b_public": "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
-    "shared": "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742",
-}
-
-# AES-256-GCM canonical vectors (zero-key cases and the feffe992... case).
-GCM_VECTORS = [
-    {
-        "key": "00" * 32,
-        "iv": "00" * 12,
-        "plaintext": "",
-        "aad": "",
-        "ciphertext": "",
-        "tag": "530f8afbc74536b9a963b4f1c4cb738b",
-    },
-    {
-        "key": "00" * 32,
-        "iv": "00" * 12,
-        "plaintext": "00" * 16,
-        "aad": "",
-        "ciphertext": "cea7403d4d606b6e074ec5d3baf39d18",
-        "tag": "d0d1c8a799996bf0265b98b5d48ab919",
-    },
-    {
-        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
-        "iv": "cafebabefacedbaddecaf888",
-        "plaintext": (
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
-        ),
-        "aad": "",
-        "ciphertext": (
-            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
-            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
-        ),
-        "tag": "b094dac5d93471bdec1a502270e3cc6c",
-    },
-    {
-        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
-        "iv": "cafebabefacedbaddecaf888",
-        "plaintext": (
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
-        ),
-        "aad": "feedfacedeadbeeffeedfacedeadbeefabaddad2",
-        "ciphertext": (
-            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
-            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
-        ),
-        "tag": "76fc6ece0f4e1768cddf8853bb2d551b",
-    },
-]
 
 
 # --- helpers ---

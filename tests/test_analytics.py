@@ -8,6 +8,14 @@ import pytest
 
 from _oracles import (
     BruteGraph,
+    REFERENCE_API_HISTOGRAM,
+    REFERENCE_ASSIGNMENTS,
+    REFERENCE_NODE_COUNT,
+    REFERENCE_NONSELF_EDGES,
+    REFERENCE_OPEN_TRIPLES,
+    REFERENCE_SELF_LOOPS,
+    REFERENCE_TRIANGLES,
+    REFERENCE_UNIQUE_TAGS,
     assert_matches_scipy_fit,
     random_edge_list,
     snapshot_document,
@@ -46,44 +54,6 @@ from trustnet.errors import (
 )
 from trustnet.overlay import VirtualAddress
 from trustnet.snapshot import NetworkView, NodeView, StatsSnapshot
-
-# Frozen reference census of the observed 626-agent network (API-degree
-# histogram): the fixed reference the analyzer must reproduce statistics from.
-REFERENCE_API_HISTOGRAM = {
-    0: 9,
-    1: 38,
-    2: 76,
-    3: 102,
-    4: 70,
-    5: 50,
-    6: 51,
-    7: 39,
-    8: 35,
-    9: 23,
-    10: 21,
-    11: 24,
-    12: 19,
-    13: 13,
-    14: 9,
-    15: 11,
-    16: 8,
-    17: 8,
-    18: 6,
-    19: 5,
-    20: 4,
-    21: 2,
-    28: 1,
-    29: 1,
-    39: 1,
-}
-
-REFERENCE_NODE_COUNT = 626
-REFERENCE_NONSELF_EDGES = 1567
-REFERENCE_SELF_LOOPS = 401
-REFERENCE_TRIANGLES = 5061
-REFERENCE_OPEN_TRIPLES = 13168
-REFERENCE_ASSIGNMENTS = 917
-REFERENCE_UNIQUE_TAGS = 276
 
 
 def addr(i: int) -> VirtualAddress:

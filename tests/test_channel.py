@@ -15,6 +15,7 @@ import pytest
 from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
+from _oracles import GCM_VECTORS, X25519_DH_VECTOR, X25519_SCALARMULT_VECTORS
 import trustnet.channel
 from trustnet.channel import (
     SEAL_OVERHEAD,
@@ -34,6 +35,7 @@ from trustnet.channel import (
 )
 from trustnet.errors import (
     AuthFailureError,
+    ChannelError,
     CounterExhaustedError,
     HandshakeError,
     LowOrderPointError,
@@ -42,77 +44,6 @@ from trustnet.errors import (
     SignatureInvalidError,
 )
 from trustnet.overlay import FRAME_ACCEPT, FRAME_DECLINE, PacketHeader, VirtualAddress
-
-# --- frozen vectors (RFC 7748 sections 5.2 and 6.1) ---
-
-X25519_SCALARMULT_VECTORS = [
-    (
-        "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4",
-        "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c",
-        "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552",
-    ),
-    (
-        "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d",
-        "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493",
-        "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957",
-    ),
-]
-
-X25519_DH_VECTOR = {
-    "a_private": "77076d0a7318a57d3c16c17251b26645df4c2f87ebc0992ab177fba51db92c2a",
-    "a_public": "8520f0098930a754748b7ddcb43ef75a0dbf3a0d26381af4eba4a98eaa9b4e6a",
-    "b_private": "5dab087e624a8a4b79e17f8b83800ee66f3bb1292618b6fd1c2f8b27ff88e0eb",
-    "b_public": "de9edb7d7b7dc1b4d35b61c2ece435373f8343c85b78674dadfc7e146f882b4f",
-    "shared": "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742",
-}
-
-# AES-256-GCM canonical vectors (zero-key cases and the feffe992... case)
-GCM_VECTORS = [
-    {
-        "key": "00" * 32,
-        "iv": "00" * 12,
-        "plaintext": "",
-        "aad": "",
-        "ciphertext": "",
-        "tag": "530f8afbc74536b9a963b4f1c4cb738b",
-    },
-    {
-        "key": "00" * 32,
-        "iv": "00" * 12,
-        "plaintext": "00" * 16,
-        "aad": "",
-        "ciphertext": "cea7403d4d606b6e074ec5d3baf39d18",
-        "tag": "d0d1c8a799996bf0265b98b5d48ab919",
-    },
-    {
-        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
-        "iv": "cafebabefacedbaddecaf888",
-        "plaintext": (
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b391aafd255"
-        ),
-        "aad": "",
-        "ciphertext": (
-            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
-            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662898015ad"
-        ),
-        "tag": "b094dac5d93471bdec1a502270e3cc6c",
-    },
-    {
-        "key": "feffe9928665731c6d6a8f9467308308feffe9928665731c6d6a8f9467308308",
-        "iv": "cafebabefacedbaddecaf888",
-        "plaintext": (
-            "d9313225f88406e5a55909c5aff5269a86a7a9531534f7da2e4c303d8a318a72"
-            "1c3c0c95956809532fcf0e2449a6b525b16aedf5aa0de657ba637b39"
-        ),
-        "aad": "feedfacedeadbeeffeedfacedeadbeefabaddad2",
-        "ciphertext": (
-            "522dc1f099567d07f47f37a32a84427d643a8cdcbfe5c0c97598a2bd2555d1aa"
-            "8cb08e48590dbb3da7b08b1056828838c5f61e6393ba7a0abcc9f662"
-        ),
-        "tag": "76fc6ece0f4e1768cddf8853bb2d551b",
-    },
-]
 
 # --- independent X25519 oracle: RFC 7748 Montgomery ladder ---
 
@@ -322,6 +253,25 @@ class TestSealOpen:
             receiver.open(header, bytes(tampered))
         assert receiver.open(header, sealed) == b"original"
 
+    def test_message_shorter_than_nonce_plus_tag_fails_auth(self) -> None:
+        sender, receiver, header = make_pair()
+        with pytest.raises(AuthFailureError) as caught:
+            receiver.open(header, bytes(SEAL_OVERHEAD - 1))
+        assert str(caught.value) == "sealed message shorter than nonce plus tag"
+
+    @pytest.mark.parametrize(
+        "key, prefix, message",
+        [
+            (bytes(31), bytes(4), "session key must be 32 bytes"),
+            (bytes(32), bytes(3), "nonce prefix must be 4 bytes"),
+        ],
+    )
+    def test_session_sizes_checked(self, key: bytes, prefix: bytes, message: str) -> None:
+        with pytest.raises(ChannelError) as caught:
+            SecureSession(key, prefix)
+        assert type(caught.value) is ChannelError
+        assert str(caught.value) == message
+
 
 class TestReplayWindowOracle:
     """Window behavior must match a naive unbounded-set oracle."""
@@ -528,3 +478,51 @@ class TestHandshake:
         bogus_confirm = alice.sign(b"trustnet-hs-cfm" + bytes(32))
         with pytest.raises(SignatureInvalidError):
             responder.on_confirm(alice.address, bogus_confirm)
+
+    def test_handshake_frame_of_wrong_length_fails(self) -> None:
+        alice, bob, directory = make_identities()
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        responder = HandshakeResponder(
+            bob, AcceptAllPolicy(), directory.__getitem__, random.Random(3)
+        )
+        request = initiator.request_payload()[1:]
+        with pytest.raises(HandshakeError) as caught:
+            responder.on_request(alice.address, request[:-1])
+        assert str(caught.value) == "bad handshake frame length 127"
+        accept = responder.on_request(alice.address, request)[1:]
+        with pytest.raises(HandshakeError) as caught:
+            initiator.on_accept(accept + b"\x00")
+        assert str(caught.value) == "bad handshake frame length 129"
+
+    def test_accept_from_an_unregistered_key_fails_at_the_initiator(self) -> None:
+        alice, bob, directory = make_identities()
+        stranger = AgentIdentity.generate(bob.address, random.Random(666))
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        # The responder answers with its own key, which the registry does not hold.
+        responder = HandshakeResponder(
+            stranger, AcceptAllPolicy(), directory.__getitem__, random.Random(3)
+        )
+        accept = responder.on_request(alice.address, initiator.request_payload()[1:])
+        with pytest.raises(SignatureInvalidError) as caught:
+            initiator.on_accept(accept[1:])
+        assert str(caught.value) == "responder key does not match the registered identity"
+
+    def test_confirm_without_pending_handshake_or_of_wrong_length_fails(self) -> None:
+        alice, bob, directory = make_identities()
+        responder = HandshakeResponder(
+            bob, AcceptAllPolicy(), directory.__getitem__, random.Random(3)
+        )
+        with pytest.raises(HandshakeError) as caught:
+            responder.on_confirm(alice.address, bytes(64))
+        assert str(caught.value) == f"no pending handshake with {alice.address}"
+        initiator = HandshakeInitiator(
+            alice, bob.address, directory.__getitem__, random.Random(2)
+        )
+        responder.on_request(alice.address, initiator.request_payload()[1:])
+        with pytest.raises(HandshakeError) as caught:
+            responder.on_confirm(alice.address, bytes(63))
+        assert str(caught.value) == "bad CONFIRM length 63"

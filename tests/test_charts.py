@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import numbers
 from trustnet.charts import (
     PLOT_H,
     binned_csv,
@@ -189,11 +190,6 @@ METRICS_OBJECTS = {
     ("address_delta_histogram", "histogram"): ["1", "2"],
     ("dunbar_bins",): ["boundaries", "counts"],
 }
-numbers = (
-    st.integers()
-    | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
-    | st.floats()
-)
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text(),
     lambda children: st.lists(children) | st.dictionaries(st.text(), children),

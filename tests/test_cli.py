@@ -217,6 +217,22 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_option_overrides_the_scenario_seed(self, tmp_path, capsys):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(scenario_doc()))
+        seeded = tmp_path / "seeded.json"
+        args = ["simulate", "--config", str(config), "--seed"]
+        assert main([*args, "5", "--out", str(seeded)]) == 0
+        config.write_text(json.dumps({**scenario_doc(), "seed": 5}))
+        written = tmp_path / "written.json"
+        assert main(["simulate", "--config", str(config), "--out", str(written)]) == 0
+        assert seeded.read_bytes() == written.read_bytes()
+        capsys.readouterr()
+        refused = tmp_path / "refused.json"
+        assert main([*args, "-1", "--out", str(refused)]) == 2
+        assert capsys.readouterr().err == "error: seed must fit in 64 bits\n"
+        assert not refused.exists()
+
     def test_invalid_scenario_is_input_error(self, tmp_path):
         config = tmp_path / "scenario.json"
         for doc in ({"agent_count": 0}, {"agent_count": 5, "loss_rate": "x"}):
@@ -562,6 +578,21 @@ class TestExitCodes:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", *args, "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "values, code, message",
+        [
+            ("1:2", 1, "Error: range must be start:stop:step"),
+            ("0:inf:1", 2, "error: range bounds must be finite, got '0:inf:1'"),
+            ("1:2:0", 1, "Error: range step must be positive"),
+        ],
+        ids=["two-parts", "infinite-bound", "zero-step"],
+    )
+    def test_bad_sweep_range_is_refused(self, tmp_path, capsys, values, code, message):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "n", values, "--out", str(out)]) == code
+        assert capsys.readouterr().err.splitlines()[-1] == message
         assert not out.exists()
 
     @pytest.mark.parametrize("base", ["0", "1"])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import reference_tag_draw, snapshot_document, trace_lines
+from _oracles import json_values, reference_tag_draw, snapshot_document, trace_lines
 from trustnet.errors import (
     ConfigInvalidError,
     SchemaViolationError,
@@ -672,15 +672,39 @@ def event_dict(event: GrowthEvent) -> dict:
     }
 
 
+def as_read(event: GrowthEvent) -> GrowthEvent:
+    """The event a JSON reader gets back from its line: each text through
+    json.loads(json.dumps(text)), which reads a high-then-low pair of lone
+    surrogates as the one character their two escapes spell."""
+
+    def text(value):
+        return value if value is None else json.loads(json.dumps(value))
+
+    return event._replace(
+        address=text(event.address),
+        attempts=tuple(
+            attempt._replace(mechanism=text(attempt.mechanism), target=text(attempt.target))
+            for attempt in event.attempts
+        ),
+        tags=tuple(map(text, event.tags)),
+    )
+
+
+SURROGATE_PAIR = chr(0xD800) + chr(0xDC00)  # written "\ud800\udc00", read as U+10000
+
+
 @given(event=growth_events)
 @example(event=GrowthEvent(1, "0:0000.0000.0001", True, True, (), ()))
 @example(event=GrowthEvent(2, "x", False, False,
                            (LinkAttempt("triadic", None, False),), ('"q\\',)))
+@example(event=GrowthEvent(3, SURROGATE_PAIR, False, False,
+                           (LinkAttempt(SURROGATE_PAIR, SURROGATE_PAIR, True),),
+                           ("a" + SURROGATE_PAIR,)))
 @settings(max_examples=300, deadline=None)
 def test_trace_writer_matches_compact_json(event):
     line = event.to_line()
     assert line == compact_json(event_dict(event))
-    assert GrowthEvent.from_line(line) == event
+    assert GrowthEvent.from_line(line) == as_read(event)
 
 
 TRACE_DOC = event_dict(GrowthEvent(
@@ -688,11 +712,6 @@ TRACE_DOC = event_dict(GrowthEvent(
     (LinkAttempt("triadic", "0:0000.0000.0001", True), LinkAttempt("uniform", None, False)),
     ("coding", "writing"),
 ))
-trace_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=8,
-)
 
 
 def trace_key_paths(doc, prefix=()) -> list[tuple]:
@@ -717,7 +736,7 @@ def test_trace_reader_raises_only_trustnet_errors(data):
     parent = doc
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = data.draw(trace_values)
+    parent[path[-1]] = data.draw(json_values)
     try:
         event = GrowthEvent.from_line(json.dumps(doc))
     except TrustNetError:

@@ -6,8 +6,9 @@ may load them. Only `simulate` loads cryptography; the registry daemon relays
 handshake frames without loading it or the channel. `import trustnet.cli`
 loads none of growth, analytics and charts, and each pipeline command loads
 only its own one of them. Every module but a package's re-exporting
-`__init__.py` uses each name it imports, and no two config errors in `src/`
-are raised with the same message.
+`__init__.py` uses each name it imports, no two config errors in `src/`
+are raised with the same message, and no handler in `src/` swallows an
+exception silently unless it is listed with its reason.
 """
 
 import ast
@@ -216,3 +217,50 @@ def test_no_config_error_message_is_raised_twice():
         for line, message in config_error_messages(tree):
             raised.setdefault(message, []).append(f"{path.relative_to(SRC)}:{line}")
     assert {message: at for message, at in raised.items() if len(at) > 1} == {}
+
+
+# Each `except` in src/ whose whole body is `continue`, `pass` or a bare
+# `return`, as (module, function, exception, why it may stay silent).
+SILENT_HANDLERS = [
+    ("trustnet.growth", "parse_scalar", "(TypeError, ValueError, OverflowError)",
+     "falls through to the raise after it, which names the field and the value"),
+    ("trustnet.server", "_udp_loop", "socket.timeout",
+     "a poll tick: the loop wakes to check its stop flag"),
+    ("trustnet.server", "_udp_loop", "OSError",
+     "the socket is closed; not yet counted among the datagram outcomes"),
+    ("trustnet.server", "_tcp_loop", "socket.timeout",
+     "a poll tick: the loop wakes to check its stop flag"),
+    ("trustnet.server", "_tcp_loop", "OSError",
+     "the socket is closed; not yet counted among the stats-read outcomes"),
+    ("trustnet.server", "_tcp_loop", "OSError",
+     "a client's request line could not be read; not yet counted"),
+    ("trustnet.server", "_tcp_loop", "OSError",
+     "the stats reply could not be sent; not yet counted"),
+]
+
+
+def silent_handlers(node: ast.AST, function: str = "<module>"):
+    """(function, exception) of each handler under node whose whole body is
+    `continue`, `pass` or a bare `return`."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from silent_handlers(child, child.name)
+            continue
+        if isinstance(child, ast.ExceptHandler) and all(
+            isinstance(statement, (ast.Continue, ast.Pass))
+            or (isinstance(statement, ast.Return) and statement.value is None)
+            for statement in child.body
+        ):
+            yield function, ast.unparse(child.type) if child.type else "(bare)"
+        yield from silent_handlers(child, function)
+
+
+def test_every_silent_handler_is_listed_with_its_reason():
+    """A handler that drops an error without a trace hides a fault; list it
+    in SILENT_HANDLERS with its reason, or make it count or raise."""
+    found = [
+        (".".join(path.relative_to(SRC).with_suffix("").parts), function, exception)
+        for path in sorted(SRC.rglob("*.py"))
+        for function, exception in silent_handlers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(found) == sorted(entry[:3] for entry in SILENT_HANDLERS)

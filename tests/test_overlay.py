@@ -148,6 +148,11 @@ class TestAddressText:
         assert len(raw) == 6
         assert VirtualAddress.from_bytes(raw) == addr
 
+    def test_from_bytes_needs_six_bytes(self) -> None:
+        with pytest.raises(MalformedAddressError) as caught:
+            VirtualAddress.from_bytes(b"\x00" * 5)
+        assert str(caught.value) == "address needs 6 bytes, got 5"
+
     @given(st.binary(min_size=6, max_size=6))
     @settings(max_examples=300)
     def test_decoded_address_is_a_valid_address(self, raw: bytes) -> None:
@@ -193,6 +198,13 @@ class TestPacketCodec:
     def test_oversize_payload_rejected(self) -> None:
         with pytest.raises(OversizePayloadError):
             encode_packet(make_header(), b"\x00" * (MAX_PAYLOAD_SIZE + 1))
+
+    def test_oversize_datagram_rejected_on_decode(self) -> None:
+        datagram = make_header().to_bytes() + b"\x00" * (MAX_PAYLOAD_SIZE + 1)
+        assert len(datagram) == HEADER_SIZE + 65_488
+        with pytest.raises(OversizePayloadError) as caught:
+            decode_packet(datagram)
+        assert str(caught.value) == "payload of 65488 bytes exceeds 65487"
 
     def test_truncated_rejected(self) -> None:
         with pytest.raises(TruncatedPacketError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import event_lines
+from _oracles import event_lines, json_values
 from trustnet.analytics.report import consistency_audit
 from trustnet.errors import BeaconUnavailableError, ConfigInvalidError
 from trustnet.growth import (
@@ -393,13 +393,6 @@ def test_value_outside_a_rule_is_rejected_by_name(cls, name, value):
 def test_rule_bounds(rule, inside, outside):
     assert all(rule.accepts(v) for v in inside)
     assert not any(rule.accepts(v) for v in outside)
-
-
-json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
-    max_leaves=8,
-)
 
 
 def key_paths(doc: dict, prefix=()) -> list[tuple[str, ...]]:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import record_trust, reference_snapshot_json, snapshot_document
+from _oracles import numbers, record_trust, reference_snapshot_json, snapshot_document
 
 from trustnet.analytics.graph import TrustGraph, build_graph
 from trustnet.analytics.report import analyze_snapshot, consistency_audit
@@ -345,11 +345,6 @@ def key_paths(doc, prefix=()) -> list[tuple]:
 
 
 SNAPSHOT_DOC = snapshot_document(sample_snapshot())
-numbers = (
-    st.integers()
-    | st.integers(min_value=2**1024).flatmap(lambda i: st.sampled_from([i, -i]))
-    | st.floats()
-)
 addresses = st.sampled_from(["0:0000.0000.0001", "0:0000.0000.000a", "0:0000.0000.00FF"])
 json_values = st.recursive(
     st.none() | st.booleans() | numbers | st.text() | addresses,
