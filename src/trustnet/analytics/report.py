@@ -224,7 +224,8 @@ def render_table(report: MetricsReport) -> str:
 
 @dataclass(frozen=True)
 class Finding:
-    """One internal-consistency violation: what was expected vs observed."""
+    """One internal-consistency check: what was expected vs observed. The audit
+    reports it when its delta is not zero."""
 
     check: str
     expected: float
@@ -247,7 +248,8 @@ def consistency_audit(
     """Cross-check a snapshot (and optionally a report) against itself.
 
     Ground truth is always re-derived from the snapshot's own node and edge
-    lists; every finding carries the expected and actual values.
+    lists; every finding carries the expected and actual values. The checks
+    run in a fixed order, and findings keep it.
     """
     if report is None:
         report = analyze_snapshot(snapshot)

@@ -233,11 +233,12 @@ def test_paper_preset_digests(tmp_path, monkeypatch, case):
     observed = {"snapshot": sha256(snapshot), "trace": sha256(trace)}
     if "metrics" in expected:
         tables = []  # what `analyze` prints: render_table of the report it wrote
-        monkeypatch.setattr(
-            trustnet.cli,
-            "render_table",
-            lambda report: tables.append(render_table(report)) or tables[-1],
-        )
+
+        def recorded(report):
+            tables.append(render_table(report))
+            return tables[-1]
+
+        monkeypatch.setattr(trustnet.cli, "render_table", recorded)
         analyze_to(snapshot, metrics)
         observed["metrics"] = sha256(metrics)
         [table] = tables
