@@ -29,21 +29,32 @@ registry keeps them as bytes and hands the same objects to every snapshot
 until a row changes or an edge is stored. write_lines writes the growth trace
 and the simulator's event log the same way, _CHUNK lines per write.
 
-StatsSnapshot.read hands the file's bytes to read_json, and the parsed
-document to from_dict, as temporaries that it keeps no name for. read_json
-rebinds its argument to the decoded text, so the bytes are freed before the
-parse; from_dict drops the document once it has read the vertex ids of the
-edge ends, and only then builds the edge tuples. From Python 3.11 a called
-Python function owns such a temporary argument, so the document is freed
-there; on 3.10 the caller's stack keeps it until from_dict returns.
+StatsSnapshot.read hands the file's bytes to from_json, which decodes them to
+text and reads the text's top-level object key by key with the stdlib
+decoder's own scanner. It decodes nodes and trust_edges one entry at a time,
+and the row and edge readers that from_dict uses check each entry before the
+next is decoded: the reader holds the text, the rows and one entry, never the
+parsed document; read frees the bytes once they are decoded. The row reader
+keeps one str per distinct tag text.
+
+Every other case goes to from_dict(read_json(text)), which reads the same
+text whole. That covers any defect, so an invalid document raises the error
+and message it always has, a JSON syntax error before any schema error. It
+also covers the valid layouts the stream does not take: trust_edges before
+nodes, a repeated top-level key, and a section that is not a list. So a valid
+document gives one snapshot by either path. One difference is left. On 3.10
+and 3.11 json's nesting limit counts the caller's stack frames too, and the
+stream decodes three levels nearer the top, so a key that no reader reads,
+nested within three levels of the limit, can be read where json.loads would
+refuse it.
 
 A snapshot owns one trust graph, StatsSnapshot.graph, and builds it on first
 use. Its vertex table is the snapshot's node table: node i is vertex i, each
 address text maps to its node's index, and each distinct text is parsed once,
-by VirtualAddress.from_text; a canonical text is not formatted again. from_dict
+by VirtualAddress.from_text; a canonical text is not formatted again. The reader
 builds the table while it validates, looks each edge end up in it once, and
 keeps the table with the vertex ids of the edge ends; the first use of the
-graph links those ids, by then without the parsed document in memory. A
+graph links those ids, by then without any parsed entry in memory. A
 snapshot built in code builds the table on first use too, with the reader's
 checks and messages. The graph is kept, so a snapshot's nodes and trust_edges
 must not change once it has been analysed.
@@ -60,7 +71,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Union
 
-from .errors import DanglingEdgeError, SchemaViolationError
+from .errors import DanglingEdgeError, SchemaViolationError, TrustNetError
 from .overlay import VirtualAddress
 
 
@@ -304,56 +315,165 @@ class StatsSnapshot:
         MalformedAddressError on unparseable addresses, and
         DanglingEdgeError when edges reference unknown nodes.
         """
-        fields = read_fields(
-            read_object(doc, "snapshot document"), _FIELDS, {"requests_per_agent": 0.0}
-        )
-
+        fields = read_fields(read_object(doc, "snapshot document"), _FIELDS, _DEFAULTS)
         table = TrustGraph()
-        nodes = []
-        for i, raw in enumerate(fields["nodes"]):
-            for name in NodeView._fields:
-                if name not in raw:
-                    raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
-            canonical = table.add_node(raw["address"], i)
-            tags, online, trust_links = raw["tags"], raw["online"], raw["trust_links"]
-            if not (isinstance(tags, list) and all(isinstance(tag, str) for tag in tags)):
-                read_list_of(tags, f"nodes[{i}].tags", str)
-            if not isinstance(online, bool):
-                read_bool(online, f"nodes[{i}].online")
-            if type(trust_links) is not int or trust_links < 0:
-                read_count(trust_links, f"nodes[{i}].trust_links")
-            nodes.append(NodeView(canonical, tuple(tags), online, trust_links))
-
-        # Each end is one lookup in the table's index; anything else (a text
-        # in another form, an unknown address, a missing field or a non-string)
-        # takes TrustGraph.edge, which raises the reader's error for it.
-        # ends holds the vertex ids a0, b0, a1, b1, ... for the first graph.
-        index, ends = table.index, []
-        for i, raw in enumerate(fields["trust_edges"]):
-            try:
-                ends += (index[raw["a"]], index[raw["b"]])
-            except (KeyError, TypeError):  # TypeError: an unhashable end
-                if "a" not in raw or "b" not in raw:
-                    raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
-                ends += table.edge(raw["a"], raw["b"], i)
-
+        nodes = _read_nodes(table, fields["nodes"])
+        ends = _read_ends(table, fields["trust_edges"])
         # The edge tuples are built once the parsed document can be freed.
-        doc = raw = fields["nodes"] = fields["trust_edges"] = None
+        doc = fields["nodes"] = fields["trust_edges"] = None
+        return cls._built(fields, nodes, table, ends)
+
+    @classmethod
+    def _built(cls, fields: dict, nodes: list, table: TrustGraph, ends: list) -> "StatsSnapshot":
+        """The snapshot of the read fields, rows, table and edge-end vertex ids."""
         texts, pairs = [node.address for node in nodes], iter(ends)
         edges = [(texts[a], texts[b]) for a, b in zip(pairs, pairs)]
         snapshot = cls(**{**fields, "nodes": nodes, "trust_edges": edges})
-        snapshot._table = table, ends  # linked by the first snapshot.graph, once doc is freed
+        snapshot._table = table, ends  # linked by the first snapshot.graph
         return snapshot
 
     @classmethod
     def from_json(cls, text: Union[str, bytes]) -> "StatsSnapshot":
-        return cls.from_dict(read_json(text, "snapshot"))
+        """from_dict(read_json(text, "snapshot")), read entry by entry where it can be."""
+        try:
+            if isinstance(text, bytes):
+                text = text.decode("utf-8")  # frees bytes no caller holds
+            return cls._built(*_streamed(text))
+        except (TrustNetError, ValueError, StopIteration, RuntimeError):
+            # A defect, or a layout the stream does not take. RuntimeError is
+            # too deep a nesting, or the scanner's StopIteration re-raised by
+            # the generator of entries. The whole-document reader reads the
+            # same text and raises what it raises for a defect.
+            return cls.from_dict(read_json(text, "snapshot"))
 
     @classmethod
     def read(cls, path: Union[str, Path]) -> "StatsSnapshot":
-        # The bytes and the parsed document are temporaries, so each is freed
-        # as soon as read_json and from_dict are done with it.
-        return cls.from_dict(read_json(Path(path).read_bytes(), "snapshot"))
+        # Decoded here, so the bytes are freed before the parse on 3.10 too,
+        # where a caller's stack keeps a temporary argument until the call returns.
+        data = Path(path).read_bytes()
+        try:
+            text, data = data.decode("utf-8"), None
+        except UnicodeDecodeError:
+            return cls.from_json(data)  # raises the reader's error for it
+        return cls.from_json(text)
+
+
+def _read_nodes(table: TrustGraph, raws: Iterable[dict]) -> list[NodeView]:
+    """The rows of the nodes entries, each entered in table; equal tags share one str."""
+    nodes, shared = [], {}  # shared holds each tag text met so far, so only strings
+    for i, raw in enumerate(raws):
+        for name in NodeView._fields:
+            if name not in raw:
+                raise SchemaViolationError(f"nodes[{i}] missing {name!r}")
+        canonical = table.add_node(raw["address"], i)
+        tags, online, trust_links = raw["tags"], raw["online"], raw["trust_links"]
+        if not isinstance(tags, list):
+            read_list_of(tags, f"nodes[{i}].tags", str)
+        try:
+            tags = tuple(map(shared.__getitem__, tags))
+        except (KeyError, TypeError):  # a text not met before, or an unhashable tag
+            read_list_of(tags, f"nodes[{i}].tags", str)
+            tags = tuple(map(shared.setdefault, tags, tags))
+        if not isinstance(online, bool):
+            read_bool(online, f"nodes[{i}].online")
+        if type(trust_links) is not int or trust_links < 0:
+            read_count(trust_links, f"nodes[{i}].trust_links")
+        nodes.append(NodeView(canonical, tags, online, trust_links))
+    return nodes
+
+
+def _read_ends(table: TrustGraph, raws: Iterable[dict]) -> list[int]:
+    """The vertex ids a0, b0, a1, b1, ... of the trust_edges entries' ends.
+
+    Each end is one lookup in the table's index; anything else (a text in
+    another form, an unknown address, a missing field or a non-string) takes
+    TrustGraph.edge, which raises the reader's error for it.
+    """
+    index, ends = table.index, []
+    for i, raw in enumerate(raws):
+        try:
+            ends += (index[raw["a"]], index[raw["b"]])
+        except (KeyError, TypeError):  # TypeError: an unhashable end
+            if "a" not in raw or "b" not in raw:
+                raise SchemaViolationError(f"trust_edges[{i}] needs fields a and b")
+            ends += table.edge(raw["a"], raw["b"], i)
+    return ends
+
+
+# The stdlib decoder's scanner, json.loads's own: scan(s, i) decodes the value
+# that starts at s[i] and returns it with the index past it, or raises
+# StopIteration(i) when no value starts there. _space(s, i).end() is the index
+# past the JSON whitespace at s[i].
+_scan = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
+# The writer's separator and the "{" of the next entry.
+_NEXT_ENTRY = _SEPARATOR + "{"
+
+
+def _streamed(s: str) -> tuple[dict, list[NodeView], TrustGraph, list[int]]:
+    """from_dict's fields, rows, table and edge ends for json.loads(s), with
+    nodes and trust_edges read entry by entry.
+
+    Raises where json.loads or from_dict would raise, though not always the
+    same error or the first one, and also for the valid layouts it does not
+    take: a repeated top-level key, a section that is not a list, or
+    trust_edges before nodes, whose first edge finds no node.
+    """
+    doc, nodes, ends = {}, [], []
+    table, at = TrustGraph(), [0]
+    end = _space(s, 0).end()
+    if not s.startswith("{", end):
+        raise ValueError("not an object")
+    delimiter = ","  # read before each key; the first one is the "{"
+    while delimiter == ",":
+        end = _space(s, end + 1).end()
+        if not s.startswith('"', end):
+            raise ValueError("no key")
+        key, end = _scan(s, end)
+        end = _space(s, end).end()
+        if not s.startswith(":", end) or key in doc:
+            raise ValueError("no colon, or a repeated key")
+        end = _space(s, end + 1).end()
+        if key == "nodes" or key == "trust_edges":
+            if not s.startswith("[", end):
+                raise ValueError("a section that is not a list")
+            at[0] = end
+            if key == "nodes":
+                nodes = _read_nodes(table, _entries(s, at))
+            else:
+                ends = _read_ends(table, _entries(s, at))
+            # Both readers have checked every entry; the section's field reader
+            # sees an empty list in its place.
+            doc[key], end = [], at[0]
+        else:
+            doc[key], end = _scan(s, end)
+        end = _space(s, end).end()
+        delimiter = s[end : end + 1]
+    if delimiter != "}" or _space(s, end + 1).end() != len(s):
+        raise ValueError("no closing brace, or data after it")
+    return read_fields(doc, _FIELDS, _DEFAULTS), nodes, table, ends
+
+
+def _entries(s: str, at: list[int]) -> Iterator[dict]:
+    """Each object of the list that opens at s[at[0]], decoded when it is asked
+    for; at[0] is then set past the list's "]"."""
+    end = _space(s, at[0] + 1).end()
+    more = not s.startswith("]", end)
+    while more:
+        entry, end = _scan(s, end)
+        if type(entry) is not dict:
+            raise ValueError("an entry that is not an object")
+        yield entry
+        if s.startswith(_NEXT_ENTRY, end):
+            end += len(_SEPARATOR)
+            continue
+        end = _space(s, end).end()
+        more = s.startswith(",", end)
+        if more:
+            end = _space(s, end + 1).end()
+        elif not s.startswith("]", end):
+            raise ValueError("no comma or closing bracket")
+    at[0] = end + 1
 
 
 # The writer of every compact JSON line and body: the bytes of
@@ -475,7 +595,7 @@ def _read_networks(value: Any, name: str) -> list[NetworkView]:
 
 
 # The readers of a snapshot document's fields, in the order they are checked;
-# from_dict reads each entry of nodes and trust_edges itself.
+# _read_nodes and _read_ends read each entry of nodes and trust_edges.
 _FIELDS = {
     "generated_at": read_number,
     "requests_served": read_count,
@@ -485,3 +605,4 @@ _FIELDS = {
     "trust_edges": partial(read_list_of, kind=dict),
     "summary_trust_links": read_count,
 }
+_DEFAULTS = {"requests_per_agent": 0.0}

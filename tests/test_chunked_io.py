@@ -2,14 +2,11 @@
 
 The bytes are checked at the chunk boundaries (1,024 entries or lines per
 part). The memory bounds are tracemalloc peaks over one call, against the
-size of what it writes or against json.loads on the same text. On Python
-3.10 a caller's stack keeps a temporary argument alive until the call
-returns, so the reader keeps its parsed document longer there.
+size of what it writes or against json.loads on the same text.
 """
 
 import json
 import random
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -97,11 +94,11 @@ def test_trace_write_holds_no_whole_trace(tmp_path):
 
 
 def test_snapshot_read_frees_its_input(tmp_path):
-    """The file's bytes kept through the parse, or the parsed document kept
-    while the edge tuples are built, put the peak above 1.38 times that of
-    json.loads on the same text; the reader stays near 1.26. On 3.10 the
-    document stays alive under the caller, near 1.53, and the parent's 1.65
-    is still above the bound."""
+    """Reading the node and edge sections entry by entry holds the text and the
+    rows, near 0.7 times the peak of json.loads on the same text (0.61 to 0.71
+    on Python 3.10 to 3.13). A reader that parses the whole document, as the
+    fallback for other layouts does, is above 1.26; so is a writer's document
+    that stops taking the entry-by-entry path."""
     path = tmp_path / "snapshot.json"
     synthetic_snapshot(5000, 15000).write(path)
     text = path.read_text()
@@ -109,5 +106,4 @@ def test_snapshot_read_frees_its_input(tmp_path):
     del doc, text
     read_peak, snapshot = traced_peak(StatsSnapshot.read, path)
     assert len(snapshot.trust_edges) == 15000
-    bound = 1.33 if sys.version_info >= (3, 11) else 1.59
-    assert read_peak < bound * loads_peak
+    assert read_peak < 0.85 * loads_peak

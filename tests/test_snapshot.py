@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from trustnet.snapshot import (
     NetworkView,
     NodeView,
     StatsSnapshot,
+    read_json,
 )
 
 
@@ -94,10 +96,53 @@ class TestSerialization:
         assert loaded.summary_trust_links == len(loaded.trust_edges) + 3
 
 
+def outcome(read, source):
+    """What read(source) gives: the snapshot's text, or the class and message it raises."""
+    try:
+        return read(source).to_json()
+    except TrustNetError as exc:
+        return type(exc), str(exc)
+
+
+def read_whole(text):
+    """The whole-document reader: from_dict of the parsed text."""
+    return StatsSnapshot.from_dict(read_json(text, "snapshot"))
+
+
+def readers_agree(text: str, path) -> object:
+    """The outcome of read_whole(text), once from_json (of the text and of its
+    UTF-8 bytes) and read (of the text written to path) have given the same."""
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(read_whole, text)
+    assert outcome(StatsSnapshot.from_json, text) == expected
+    assert outcome(StatsSnapshot.from_json, text.encode("utf-8")) == expected
+    assert outcome(StatsSnapshot.read, path) == expected
+    return expected
+
+
+@pytest.fixture
+def read_all(tmp_path):
+    """read_all(text): readers_agree on a file in tmp_path."""
+    return lambda text: readers_agree(text, tmp_path / "snapshot.json")
+
+
+@pytest.fixture
+def read_error(read_all):
+    """read_error(doc, kind, match): the error from_dict raises for doc, once
+    the readers of its JSON text have raised the same class and message."""
+
+    def read_error(doc, kind=SchemaViolationError, match=None):
+        with pytest.raises(kind, match=match) as caught:
+            StatsSnapshot.from_dict(doc)
+        assert read_all(json.dumps(doc, indent=2)) == (type(caught.value), str(caught.value))
+        return caught.value
+
+    return read_error
+
+
 class TestValidation:
-    def test_rejects_non_object(self):
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict([1, 2, 3])
+    def test_rejects_non_object(self, read_error):
+        read_error([1, 2, 3])
 
     @pytest.mark.parametrize(
         "missing",
@@ -110,101 +155,185 @@ class TestValidation:
             "summary_trust_links",
         ],
     )
-    def test_missing_required_field(self, missing):
+    def test_missing_required_field(self, missing, read_error):
         doc = snapshot_document(sample_snapshot())
         del doc[missing]
-        with pytest.raises(SchemaViolationError, match=missing):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, match=missing)
 
-    def test_requests_per_agent_is_optional(self):
+    def test_requests_per_agent_is_optional(self, read_all):
         doc = snapshot_document(sample_snapshot())
         del doc["requests_per_agent"]
         assert StatsSnapshot.from_dict(doc).requests_per_agent == 0.0
+        expected = replace(sample_snapshot(), requests_per_agent=0.0)
+        assert read_all(json.dumps(doc)) == expected.to_json()
 
-    def test_bool_is_not_an_integer(self):
+    def test_bool_is_not_an_integer(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["requests_served"] = True
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc)
 
-    def test_negative_counter_rejected(self):
+    def test_negative_counter_rejected(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["summary_trust_links"] = -1
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc)
 
-    def test_online_must_be_boolean(self):
+    def test_online_must_be_boolean(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["online"] = 1
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc)
 
-    def test_duplicate_node_address_rejected(self):
+    def test_duplicate_node_address_rejected(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"].append(dict(doc["nodes"][0]))
-        with pytest.raises(SchemaViolationError, match="duplicate"):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, match="duplicate")
 
-    def test_lowercase_address_is_canonicalized(self):
+    def test_lowercase_address_is_canonicalized(self, read_all):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["address"] = "0:0000.0000.000a"
         doc["trust_edges"] = []
         loaded = StatsSnapshot.from_dict(doc)
         assert loaded.nodes[0].address == "0:0000.0000.000A"
+        assert read_all(json.dumps(doc)) == loaded.to_json()
 
-    def test_malformed_address_raises(self):
+    def test_malformed_address_raises(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["address"] = "0:00.00"
-        with pytest.raises(MalformedAddressError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, MalformedAddressError)
 
-    def test_dangling_edge_rejected(self):
+    def test_dangling_edge_rejected(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["trust_edges"].append({"a": "0:0000.0000.0001", "b": "0:0000.0000.00FF"})
-        with pytest.raises(DanglingEdgeError, match="00FF"):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, DanglingEdgeError, match="00FF")
 
-    def test_edge_missing_endpoint_field(self):
+    def test_edge_missing_endpoint_field(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["trust_edges"][0] = {"a": "0:0000.0000.0001"}
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc)
 
-    def test_invalid_json_text(self):
-        with pytest.raises(SchemaViolationError, match="JSON"):
-            StatsSnapshot.from_json("{not json")
+    def test_invalid_json_text(self, read_all):
+        kind, message = read_all("{not json")
+        assert kind is SchemaViolationError and "JSON" in message
 
-    def test_tags_must_be_strings(self):
+    def test_tags_must_be_strings(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"][0]["tags"] = [7]
-        with pytest.raises(SchemaViolationError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc)
 
     @pytest.mark.parametrize(
         "value", [10**400, float("nan"), float("inf"), "1"], ids=["1e400", "nan", "inf", "str"]
     )
     @pytest.mark.parametrize("field", ["generated_at", "requests_per_agent"])
-    def test_number_must_be_finite(self, field, value):
+    def test_number_must_be_finite(self, field, value, read_error):
         doc = snapshot_document(sample_snapshot())
         doc[field] = value
-        with pytest.raises(SchemaViolationError, match=f"{field} must be a finite number"):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, match=f"{field} must be a finite number")
 
     @pytest.mark.parametrize("missing", ["id", "name"])
-    def test_network_missing_field_is_named(self, missing):
+    def test_network_missing_field_is_named(self, missing, read_error):
         doc = snapshot_document(sample_snapshot())
         del doc["networks"][0][missing]
-        with pytest.raises(SchemaViolationError) as caught:
-            StatsSnapshot.from_dict(doc)
-        assert str(caught.value) == f"missing required field 'networks[0].{missing}'"
+        error = read_error(doc)
+        assert str(error) == f"missing required field 'networks[0].{missing}'"
 
-    def test_first_defect_in_reader_order_is_reported(self):
+    def test_first_defect_in_reader_order_is_reported(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["generated_at"] = "1234.5"
         del doc["nodes"]
-        with pytest.raises(SchemaViolationError) as caught:
-            StatsSnapshot.from_dict(doc)
-        assert str(caught.value) == "generated_at must be a finite number, got str"
+        error = read_error(doc)
+        assert str(error) == "generated_at must be a finite number, got str"
+
+
+def whole_reader_unused(doc):
+    raise AssertionError("the whole-document reader was called")
+
+
+class TestStreamedReader:
+    """Layouts and defects that only the entry-by-entry reader of from_json meets."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [None, {"separators": (",", ":")}, {"indent": 4}, {"indent": 2, "sort_keys": True}],
+        ids=["writer", "compact", "indent4", "sort_keys"],
+    )
+    def test_layout_is_read_entry_by_entry(self, layout, read_all, monkeypatch):
+        expected = sample_snapshot().to_json()
+        if layout is not None:
+            text = json.dumps(snapshot_document(sample_snapshot()), **layout)
+        else:
+            text = expected
+        assert read_all(text) == expected
+        monkeypatch.setattr(StatsSnapshot, "from_dict", whole_reader_unused)
+        assert StatsSnapshot.from_json(text).to_json() == expected
+
+    def test_edges_before_nodes(self, read_all):
+        doc = snapshot_document(sample_snapshot())
+        edges_first = {"trust_edges": doc.pop("trust_edges"), **doc}
+        assert read_all(json.dumps(edges_first, indent=2)) == sample_snapshot().to_json()
+        edges_first["trust_edges"].append({"a": "0:0000.0000.0001", "b": "0:0000.0000.00FF"})
+        kind, message = read_all(json.dumps(edges_first, indent=2))
+        assert kind is DanglingEdgeError and "00FF" in message
+
+    def test_repeated_key_the_last_one_wins(self, read_all):
+        edge = ("0:0000.0000.0001", "0:0000.0000.0002")
+        text = replace(sample_snapshot(), trust_edges=[edge]).to_json()
+        node = '{"address": "0:0000.0000.0009", "tags": [], "online": true, "trust_links": 0}'
+        assert read_all(f'{{"nodes": [{node}], "generated_at": null,' + text[1:]) == text
+        # A last, empty nodes section leaves every edge dangling.
+        kind, _ = read_all(text[: -len("\n}\n")] + ',\n  "nodes": []\n}\n')
+        assert kind is DanglingEdgeError
+
+    @pytest.mark.parametrize("section", ["nodes", "trust_edges"])
+    @pytest.mark.parametrize("value", [None, {}, "[]", [1]], ids=["null", "object", "str", "int"])
+    def test_section_that_is_no_list_of_objects(self, section, value, read_error):
+        doc = snapshot_document(sample_snapshot())
+        doc[section] = value
+        read_error(doc, match=section)
+
+    def test_too_deep_a_tag_takes_the_recursion_error(self, read_all):
+        depth = 100_000
+        text = sample_snapshot().to_json().replace('"coding"', "[" * depth + "]" * depth, 1)
+        kind, message = read_all(text)
+        assert kind is SchemaViolationError and "recursion" in message
+
+    @pytest.mark.parametrize("extra", ["x", "{}", "}", "\n\n[]"])
+    def test_data_after_the_closing_brace(self, extra, read_all):
+        kind, message = read_all(sample_snapshot().to_json() + extra)
+        assert kind is SchemaViolationError and "Extra data" in message
+
+    @pytest.mark.parametrize(
+        "after", ["", "]", ",", ",\n    ", ",\n    {", " x", ",]"],
+        ids=["nothing", "bracket", "comma", "separator", "brace", "junk", "trailing-comma"],
+    )
+    def test_text_that_ends_after_the_first_node(self, after, read_all):
+        text = sample_snapshot().to_json()
+        first_node = text[: text.index("}", text.index('"nodes"')) + 1]
+        kind, message = read_all(first_node + after)
+        assert kind is SchemaViolationError and message.startswith("snapshot is not valid JSON")
+
+    def test_junk_in_place_of_a_closing_bracket(self, read_all):
+        text = sample_snapshot().to_json()
+        kind, message = read_all(text.replace('\n  ],\n  "trust_edges"', '\n  x,\n  "trust_edges"'))
+        assert kind is SchemaViolationError and message.startswith("snapshot is not valid JSON")
+
+    def test_syntax_error_wins_over_an_earlier_schema_error(self, read_all):
+        doc = snapshot_document(sample_snapshot())
+        doc["nodes"][0]["online"] = 1
+        kind, message = read_all(json.dumps(doc, indent=2)[: -len("\n}")] + ",\n}")
+        assert kind is SchemaViolationError and message.startswith("snapshot is not valid JSON")
+
+    def test_undecodable_bytes(self, tmp_path):
+        path = tmp_path / "snapshot.json"
+        path.write_bytes(b'{"nodes": "\xff"}')
+        expected = outcome(read_whole, path.read_bytes())
+        assert expected[0] is SchemaViolationError and "utf-8" in expected[1]
+        assert outcome(StatsSnapshot.from_json, path.read_bytes()) == expected
+        assert outcome(StatsSnapshot.read, path) == expected
+
+    def test_equal_tags_share_one_string(self):
+        doc = snapshot_document(sample_snapshot())
+        doc["nodes"][1]["tags"] = ["writing", "coding"]
+        nodes = StatsSnapshot.from_json(json.dumps(doc)).nodes
+        assert nodes[1].tags[0] is nodes[2].tags[0] and nodes[1].tags[1] is nodes[0].tags[0]
 
 
 class TestRows:
@@ -299,12 +428,13 @@ class TestAddressCanonicaliser:
         self.assert_one_graph(snapshot, linked)
         assert parsed == [node.address for node in snapshot.nodes]
 
-    def test_edge_in_other_case_is_canonicalized(self):
+    def test_edge_in_other_case_is_canonicalized(self, read_all):
         doc = snapshot_document(sample_snapshot())
         doc["nodes"][1]["address"] = "0:0000.0000.00AB"
         doc["trust_edges"] = [{"a": "0:0000.0000.00ab", "b": "0:0000.0000.0001"}]
         loaded = StatsSnapshot.from_dict(doc)
         assert loaded.trust_edges == [("0:0000.0000.00AB", "0:0000.0000.0001")]
+        assert read_all(json.dumps(doc)) == loaded.to_json()
 
     @given(
         address=st.builds(VirtualAddress, st.integers(0, 0xFFFF), st.integers(0, 0xFFFF_FFFF)),
@@ -325,11 +455,10 @@ class TestAddressCanonicaliser:
         assert loaded.trust_edges == [(canonical, canonical)]
         assert loaded.graph.self_loop_ids == {0}
 
-    def test_malformed_b_is_found_before_dangling_a(self):
+    def test_malformed_b_is_found_before_dangling_a(self, read_error):
         doc = snapshot_document(sample_snapshot())
         doc["trust_edges"].append({"a": "0:0000.0000.00FF", "b": "0:00.00"})
-        with pytest.raises(MalformedAddressError):
-            StatsSnapshot.from_dict(doc)
+        read_error(doc, MalformedAddressError)
 
 
 def key_paths(doc, prefix=()) -> list[tuple]:
@@ -402,3 +531,56 @@ snapshots = st.builds(
 @settings(max_examples=500)
 def test_writer_matches_json_dumps(snapshot):
     assert snapshot.to_json() == reference_snapshot_json(snapshot)
+
+
+# Documents near the writer's: valid, or with a duplicate, malformed, dangling
+# or ill-typed value here and there.
+node_addresses = st.sampled_from(
+    ["0:0000.0000.0001", "0:0000.0000.000a", "00:0000.0000.0002", "1:0001.0000.0003", "0:00"]
+)
+documents = st.fixed_dictionaries(
+    {
+        "generated_at": st.sampled_from([0, 1234.5, -0.0, 1e308]),
+        "requests_served": st.sampled_from([0, 4, 2**64, -1]),
+        "requests_per_agent": st.sampled_from([0.0, 4 / 3]),
+        "networks": st.just([{"id": 0, "name": "backbone"}]),
+        "nodes": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "address": node_addresses,
+                    "tags": st.lists(st.sampled_from(["coding", "é", "日"]), max_size=3)
+                    | st.sampled_from([[7], "coding"]),
+                    "online": st.booleans() | st.just(1),
+                    "trust_links": st.integers(0, 5),
+                }
+            ),
+            max_size=4,
+        ),
+        "trust_edges": st.lists(
+            st.fixed_dictionaries({"a": node_addresses, "b": node_addresses}), max_size=4
+        ),
+        "summary_trust_links": st.integers(0, 5),
+    }
+)
+layouts = st.fixed_dictionaries(
+    {
+        "indent": st.sampled_from([None, 0, 2, 4, "\t"]),
+        "separators": st.sampled_from([None, (",", ":"), (" ,\r", " : ")]),
+        "sort_keys": st.booleans(),
+        "ensure_ascii": st.booleans(),
+    }
+)
+
+
+@given(
+    doc=documents, data=st.data(), layout=layouts, around=st.sampled_from(["", " \n", "\t\r\n "])
+)
+@settings(max_examples=300)
+def test_every_layout_reads_as_the_whole_document(doc, data, layout, around, tmp_path_factory):
+    """In any key order and layout, from_json and read give what from_dict of
+    the parsed text gives: the same snapshot, or the same error."""
+    keys = data.draw(st.permutations(sorted(doc)))
+    if data.draw(st.booleans()):
+        keys.remove("requests_per_agent")
+    text = around + json.dumps({key: doc[key] for key in keys}, **layout) + around
+    readers_agree(text, tmp_path_factory.getbasetemp() / "layout.json")
