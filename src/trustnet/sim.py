@@ -25,7 +25,6 @@ ground-truth edge set exactly.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -38,6 +37,7 @@ from .channel import (
     HandshakeResponder,
     AgentIdentity,
     SecureSession,
+    sha256,
 )
 from .errors import BeaconUnavailableError, ConfigInvalidError
 from .growth import (
@@ -272,8 +272,13 @@ class SimConfig(ConfigDocument):
 
 
 def _split_rng(seed: int, label: str) -> random.Random:
-    """Independent deterministic substream derived from the root seed."""
-    digest = hashlib.sha256(f"{seed}|{label}".encode()).digest()
+    """Independent deterministic substream derived from the root seed.
+
+    The stream is seeded with SHA-256 of `"{seed}|{label}"`, read as a
+    big-endian integer. The digest goes through `channel.sha256`, which
+    gives hashlib's bytes without loading hashlib's second OpenSSL.
+    """
+    digest = sha256(f"{seed}|{label}".encode())
     return random.Random(int.from_bytes(digest, "big"))
 
 

@@ -3,11 +3,13 @@
 The X25519 route is checked three ways: frozen published vectors, a
 pure-Python Montgomery ladder oracle, and cross-agreement between the two on
 random inputs. AEAD wiring is checked against frozen AES-256-GCM vectors and
-a manual reconstruction of the seal layout.
+a manual reconstruction of the seal layout. The cryptography-backed SHA-256
+is checked against `hashlib`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 
@@ -44,6 +46,7 @@ from trustnet.errors import (
     SignatureInvalidError,
 )
 from trustnet.overlay import FRAME_ACCEPT, FRAME_DECLINE, PacketHeader, VirtualAddress
+from trustnet.sim import _split_rng
 
 # --- independent X25519 oracle: RFC 7748 Montgomery ladder ---
 
@@ -140,6 +143,24 @@ class TestAEADVectors:
             assert sealed.hex() == vec["ciphertext"] + vec["tag"]
 
 
+class TestSHA256:
+    def test_transcript_hash_is_hashlib_over_label_and_parts(self) -> None:
+        initiator, responder = VirtualAddress(0, 10), VirtualAddress(3, 77)
+        eph_a, eph_b = bytes(range(32)), bytes(range(32, 64))
+        expected = hashlib.sha256(
+            b"trustnet-hs-v1" + initiator.to_bytes() + responder.to_bytes() + eph_a + eph_b
+        ).digest()
+        assert transcript_hash(initiator, responder, eph_a, eph_b) == expected
+
+    def test_split_rng_draws_the_hashlib_derivation(self) -> None:
+        seed = int.from_bytes(hashlib.sha256(b"7|agent-0").digest(), "big")
+        expected = random.Random(seed)
+        drawn = _split_rng(7, "agent-0")
+        assert [drawn.getrandbits(64) for _ in range(8)] == [
+            expected.getrandbits(64) for _ in range(8)
+        ]
+
+
 def make_pair(seed: int = 7) -> tuple[SecureSession, SecureSession, PacketHeader]:
     rng = random.Random(seed)
     a_addr, b_addr = VirtualAddress(0, 10), VirtualAddress(0, 11)
@@ -182,6 +203,14 @@ class TestSealOpen:
         assert struct.unpack("!Q", nonce[4:])[0] == 0
         manual = AESGCM(sender.session_key).encrypt(nonce, b"payload", header.to_bytes())
         assert sealed[12:] == manual
+
+    def test_session_keeps_no_cipher_context(self) -> None:
+        """A kept AESGCM holds 2.8 KB of native memory for the session's life;
+        seal and open build one per message instead."""
+        sender, receiver, header = make_pair()
+        receiver.open(header, sender.seal(header, b"payload"))
+        for session in (sender, receiver):
+            assert not any(isinstance(value, AESGCM) for value in vars(session).values())
 
     def test_counter_increments_per_seal(self) -> None:
         sender, _, header = make_pair()
