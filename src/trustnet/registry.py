@@ -12,15 +12,19 @@ MISSED_HEARTBEATS * HEARTBEAT_INTERVAL seconds old.
 
 The node table is columnar: one list per field (public key, last heartbeat,
 snapshot row, rendered entry), indexed by node_id - base_node_id, so an
-address is its own index. A row's JSON entry is rendered when the row is set:
-at registration, on a trust_links change and on an online flip a snapshot
-finds. snapshot() keeps each document section as bytes and hands them, with
-its row and edge lists, to every snapshot it builds (incremental view
-maintenance): the node section is joined again only after a row changed, and
-the edge section, as edges are only appended, is extended by the entries of
-the edges stored since the last read, each rendered once. Two heartbeat
-bounds tell whether any row's online flag can flip; only then does snapshot()
-scan the rows. So a read of an unchanged registry does no per-row work.
+address is its own index. A write renders nothing. Registration, a
+trust_links change and an online flip a snapshot finds mark the row; a new
+trust pair is kept as one int, i << 32 | j of its two indices. snapshot()
+renders each marked row and each new pair once, as ASCII bytes. It keeps each
+document section as a list of blocks of 1,024 entries (snapshot._CHUNK) and
+hands the lists, with its row and edge lists, to every snapshot it builds
+(incremental view maintenance at block granularity): a node block is joined
+again only when one of its rows was marked, and as edges are only appended,
+a full edge block never changes and new edges are joined into the last,
+short block. Two heartbeat bounds tell whether any row's online flag can
+flip; only then does snapshot() scan the rows. So a read of an unchanged
+registry does no per-row work, and a read after a few writes renders their
+rows and joins their blocks.
 
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from itertools import starmap
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, TextIO, Union
 
@@ -67,6 +72,7 @@ from .overlay import (
     encode_packet,
 )
 from .snapshot import (
+    _CHUNK,
     BACKBONE,
     NodeView,
     StatsSnapshot,
@@ -183,18 +189,23 @@ class RegistryService:
         self._keys: list[bytes] = []
         self._heartbeats: list[float] = []
         self._rows: list[NodeView] = []
-        self._entries: list[str] = []  # each row's NodeView.render text
+        self._entries: list[bytes] = []  # each row's render as of the last snapshot
+        self._tags: dict[str, str] = {}  # one str per distinct tag text
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
-        # ordered set of index pairs, each mapped to its two address texts
-        self._edges: dict[tuple[int, int], tuple[str, str]] = {}
-        # What the last snapshot() handed out: the rows and the node section,
-        # _entries joined and encoded (None once a row changed), and the
-        # edges and the edge section, their render_edge texts joined.
+        self._edges: set[int] = set()  # each stored pair as i << 32 | j, i <= j
+        # What the next snapshot() renders: the rows changed and the pairs
+        # stored since the last one.
+        self._marked: set[int] = set()
+        self._new_edges: list[int] = []
+        # What the last snapshot() handed out: the rows and the node blocks,
+        # and the edge texts and the edge blocks; _edge_tail holds the
+        # rendered entries of the last edge block while it is short.
         self._nodes_view: list[NodeView] = []
-        self._nodes_text: Optional[bytes] = b""
+        self._node_blocks: list[bytes] = []
         self._edges_view: list[tuple[str, str]] = []
-        self._edges_text = b""
+        self._edge_blocks: list[bytes] = []
+        self._edge_tail: list[bytes] = []
         # _online_min <= the last heartbeat of every online row and
         # _offline_max >= that of every offline row (online as of the last scan).
         self._online_min = math.inf
@@ -307,17 +318,18 @@ class RegistryService:
     ) -> VirtualAddress:
         if public_key in self._by_key:
             raise DuplicateKeyError("public key is already registered")
-        normalized = normalize_tags(tags, TAG_LIMIT)
+        normalized = tuple(self._tags.setdefault(t, t) for t in normalize_tags(tags, TAG_LIMIT))
         host = hostname.lower() if hostname is not None else None
         if host is not None and host in self._hostnames:
             raise DuplicateKeyError(f"hostname {host!r} is already bound")
-        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._rows))
+        i = len(self._rows)
+        address = VirtualAddress(NETWORK_ID, self.base_node_id + i)
         text = address.to_text()
         self._keys.append(public_key)
         self._heartbeats.append(at_time)
         self._rows.append(NodeView(text, normalized, True, 0))
-        self._entries.append(self._rows[-1].render())
-        self._nodes_text = None
+        self._entries.append(b"")
+        self._marked.add(i)
         self._online_min = min(self._online_min, at_time)
         self._by_key[public_key] = address
         if host is not None:
@@ -358,28 +370,28 @@ class RegistryService:
 
     def _record_trust_pair(self, a: VirtualAddress, b: VirtualAddress) -> bool:
         """Store an unordered trust pair; returns False when already present."""
-        pair = tuple(sorted((self._index(a), self._index(b))))
+        i, j = sorted((self._index(a), self._index(b)))
         # The summary counter is monotonic over recording attempts, so it can
         # run ahead of the deduplicated edge list when the same pair is
         # recorded twice (e.g. both endpoints initiated a handshake).
         self._summary_trust_links += 1
         rows = self._rows
-        texts = (rows[pair[0]].address, rows[pair[1]].address)
-        self._log_event("trust", *texts)
+        self._log_event("trust", rows[i].address, rows[j].address)
+        pair = i << 32 | j
         if pair in self._edges:
             return False
-        self._edges[pair] = texts
-        # each end gains a link; a self-loop's one node gains both, rendered once
-        for i in dict.fromkeys(pair):
-            address, tags, online, links = rows[i]
-            self._set_row(i, NodeView(address, tags, online, links + pair.count(i)))
+        self._edges.add(pair)
+        self._new_edges.append(pair)
+        # each end gains a link; a self-loop's one node gains both
+        for k in {i, j}:
+            address, tags, online, links = rows[k]
+            self._set_row(k, NodeView(address, tags, online, links + 1 + (i == j)))
         return True
 
     def _set_row(self, i: int, row: NodeView) -> None:
-        """Replace node i's row and its rendered entry."""
+        """Replace node i's row and mark it for the next snapshot() to render."""
         self._rows[i] = row
-        self._entries[i] = row.render()
-        self._nodes_text = None
+        self._marked.add(i)
 
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
@@ -407,17 +419,14 @@ class RegistryService:
         # one that runs backwards included.
         if now - self._online_min > OFFLINE_AFTER or now - self._offline_max <= OFFLINE_AFTER:
             self._scan_online(now)
-        # A change makes a new list and a new text, and never alters one a
+        # A change makes new lists and blocks, and never alters one a
         # snapshot holds, so the snapshot may be serialised after the lock
-        # is released.
-        if self._nodes_text is None:
-            self._nodes_view = self._rows.copy()
-            self._nodes_text = join_entries(self._entries)
-        joined = len(self._edges_view)
-        if joined < len(self._edges):
-            self._edges_view = list(self._edges.values())
-            new = [render_edge(a, b) for a, b in self._edges_view[joined:]]
-            self._edges_text = join_entries(new, self._edges_text)
+        # is released. Each view is copied after its blocks are joined, so
+        # the copies and a join's buffer table are not allocated at once.
+        if self._new_edges:
+            self._render_edges()
+        if self._marked:
+            self._render_rows()
         nodes = self._nodes_view
         per_agent = self.requests_served / len(nodes) if nodes else 0.0
         snapshot = StatsSnapshot(
@@ -429,8 +438,35 @@ class RegistryService:
             summary_trust_links=self._summary_trust_links,
             requests_per_agent=per_agent,
         )
-        snapshot.entries = self._nodes_text, self._edges_text
+        snapshot.entries = self._node_blocks, self._edge_blocks
         return snapshot
+
+    def _render_rows(self) -> None:
+        """Render each marked row once and join again each block that holds one."""
+        rows, entries, marked = self._rows, self._entries, self._marked
+        for i in sorted(marked):
+            entries[i] = rows[i].render()
+        # The last list is let go first, so a block no snapshot holds is
+        # freed as its replacement is joined.
+        blocks = self._node_blocks = self._node_blocks.copy()
+        blocks += [b""] * (-(-len(rows) // _CHUNK) - len(blocks))
+        for k in {i // _CHUNK for i in marked}:
+            blocks[k] = join_entries(entries[k * _CHUNK : (k + 1) * _CHUNK])
+        marked.clear()
+        self._nodes_view = rows.copy()
+
+    def _render_edges(self) -> None:
+        """Render each new pair once: the full edge blocks are kept, and the
+        new entries are joined with the short last block's."""
+        rows, tail = self._rows, self._edge_tail
+        new = [(rows[p >> 32].address, rows[p & 0xFFFF_FFFF].address) for p in self._new_edges]
+        self._new_edges = []
+        blocks = self._edge_blocks[: len(self._edges_view) // _CHUNK]
+        tail += starmap(render_edge, new)
+        blocks += [join_entries(tail[k : k + _CHUNK]) for k in range(0, len(tail), _CHUNK)]
+        del tail[: len(tail) - len(tail) % _CHUNK]
+        self._edge_blocks = blocks
+        self._edges_view = self._edges_view + new
 
     def _scan_online(self, now: float) -> None:
         """Flip each row whose online flag changed and set both bounds exactly.

@@ -28,12 +28,15 @@ them, and never decoded.
 All registry mutations funnel through one lock, preserving the serialized
 single-writer contract while the UDP and TCP threads run concurrently. The
 stats thread holds the lock only for RegistryService.snapshot(), which hands
-out the registry's kept node and edge sections as bytes: it scans the rows
-only when a heartbeat bound says an online flag may flip, joins the node
-section again only after a row changed, and renders only the edges stored
-since the last read. After the release, StatsSnapshot.json_parts wraps those
-sections in a few small parts and _send_parts writes the parts to the
-socket as they are, so an unchanged read copies none of the document.
+out the registry's kept node and edge sections as lists of blocks of 1,024
+entries. Under the lock it scans the rows only when a heartbeat bound says
+an online flag may flip, renders the rows changed and the edges stored since
+the last read, joins again only the node blocks that hold such a row and the
+last, short edge block, and copies the row and edge lists once one of them
+changed. After the release, StatsSnapshot.json_parts wraps the blocks in a
+few small parts and _send_parts writes the parts to the socket as they are,
+at most 1,024 buffers per sendmsg, so an unchanged read copies none of the
+document, and no block outlives the read unless the registry keeps it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ NULL_ADDRESS = VirtualAddress(0, 0)
 STATS_PATH = "/api/stats"
 _RECV_SIZE = 65_535
 _POLL_INTERVAL = 0.2
+# Most buffers one sendmsg may pass: UIO_MAXIOV on Linux, where a longer
+# list fails with EMSGSIZE.
+_IOV_MAX = 1024
 # Characters of an error message an error reply echoes; at most 12 JSON bytes
 # each, so the reply fits one datagram whatever the body held.
 _MESSAGE_LIMIT = 500
@@ -232,32 +238,37 @@ class RegistryServer:
                     line = conn.makefile("rb").readline(_RECV_SIZE)
                 except OSError:
                     continue
-                # The line stays bytes: nothing is decoded, so nothing fails.
-                if STATS_PATH.encode() in line.split():
-                    with self._lock:
-                        snapshot = self.registry.snapshot()
-                    parts = snapshot.json_parts()
-                else:
-                    parts = [json.dumps({"ok": False, "error": "unknown-path"}).encode()]
                 try:
-                    _send_parts(conn, parts + [b"\n"])
+                    _send_parts(conn, self._response(line))
                 except OSError:
                     continue
+
+    def _response(self, line: bytes) -> list[bytes]:
+        """The parts of the answer to a request line; none is kept once it is sent."""
+        # The line stays bytes: nothing is decoded, so nothing fails.
+        if STATS_PATH.encode() not in line.split():
+            return [json.dumps({"ok": False, "error": "unknown-path"}).encode(), b"\n"]
+        with self._lock:
+            snapshot = self.registry.snapshot()
+        return snapshot.json_parts() + [b"\n"]
 
 
 def _send_parts(conn: socket.socket, parts: list[bytes]) -> None:
     """Send the concatenation of parts without joining them.
 
-    A socket with a timeout may take part of a write, so each sendmsg resumes
-    where the last one stopped.
+    One sendmsg takes at most _IOV_MAX buffers, and a socket with a timeout
+    may take part of a write, so each sendmsg resumes where the last one
+    stopped.
     """
     views = [memoryview(part) for part in parts if part]
-    while views:
-        sent = conn.sendmsg(views)
-        while views and sent >= len(views[0]):
-            sent -= len(views.pop(0))
+    first = 0  # the index of the first view not wholly sent
+    while first < len(views):
+        sent = conn.sendmsg(views[first : first + _IOV_MAX])
+        while first < len(views) and sent >= len(views[first]):
+            sent -= len(views[first])
+            first += 1
         if sent:
-            views[0] = views[0][sent:]
+            views[first] = views[first][sent:]
 
 
 # --- client helpers ---

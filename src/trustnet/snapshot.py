@@ -18,16 +18,16 @@ two-space indent, strings ASCII-escaped. The oracle test
 test_snapshot.py::test_writer_matches_json_dumps holds it to those bytes.
 Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
 (address, tags, online, trust_links); BACKBONE is the registry's one network.
-The document is a run of ASCII byte parts: each node's entry is rendered by
-NodeView.render and each edge's by render_edge, and join_entries joins them
-into sections, one part per 1,024 entries (_CHUNK), so no one string or
-bytes object holds a whole section. StatsSnapshot.json_parts returns the
-parts as a list, which the stats server sends unjoined; write() writes each
-part as it is rendered, so it holds one chunk, not the document. A snapshot
-may carry both sections already joined instead (StatsSnapshot.entries): the
-registry keeps them as bytes and hands the same objects to every snapshot
-until a row changes or an edge is stored. write_lines writes the growth trace
-and the simulator's event log the same way, _CHUNK lines per write.
+The document is a run of ASCII byte parts: NodeView.render and render_edge
+render each entry as bytes, and join_entries joins them into blocks of 1,024
+entries (_CHUNK), one part each, so no one string or bytes object holds a
+whole section. StatsSnapshot.json_parts returns the parts as a list, which
+the stats server sends unjoined; write() writes each part as it is rendered,
+so it holds one block, not the document. A snapshot may carry both sections
+as lists of blocks already joined instead (StatsSnapshot.entries): the
+registry keeps them and hands the same block objects to every snapshot until
+a row of the block changes. write_lines writes the growth trace and the
+simulator's event log the same way, _CHUNK lines per write.
 
 StatsSnapshot.read hands the file's bytes to from_json, which decodes them to
 text and reads the text's top-level object key by key with the stdlib
@@ -91,14 +91,13 @@ def _batches(items: Iterable[str]) -> Iterator[list[str]]:
         yield batch
 
 
-def join_entries(entries: Iterable[str], section: bytes = b"") -> bytes:
-    """The entries joined by _SEPARATOR and encoded; a non-empty section is extended."""
-    joined = _SEPARATOR.join(entries).encode("ascii")
-    return _SEPARATOR_BYTES.join((section, joined)) if section else joined
+def join_entries(entries: Iterable[bytes]) -> bytes:
+    """The rendered entries joined by _SEPARATOR: one block of a section."""
+    return _SEPARATOR_BYTES.join(entries)
 
 
-def _rendered(entries: Iterable[str]) -> Iterator[bytes]:
-    """The entries as join_entries sections, one part per _CHUNK entries."""
+def _rendered(entries: Iterable[bytes]) -> Iterator[bytes]:
+    """The entries as join_entries blocks, one part per _CHUNK entries."""
     return map(join_entries, _batches(entries))
 
 
@@ -120,7 +119,7 @@ class NodeView(NamedTuple):
     online: bool = True
     trust_links: int = 0
 
-    def render(self) -> str:
+    def render(self) -> bytes:
         """The row as json.dumps(indent=2) lays it out inside the nodes list."""
         q, field, tags = encode_basestring_ascii, _FIELD, self.tags
         tags = "[\n        " + ",\n        ".join(map(q, tags)) + "\n      ]" if tags else "[]"
@@ -128,13 +127,13 @@ class NodeView(NamedTuple):
             f'{{\n      "address": {q(self.address)}{field}"tags": {tags}{field}'
             f'"online": {"true" if self.online else "false"}{field}'
             f'"trust_links": {int.__repr__(self.trust_links)}\n    }}'
-        )
+        ).encode("ascii")
 
 
-def render_edge(a: str, b: str) -> str:
+def render_edge(a: str, b: str) -> bytes:
     """The edge {a, b} as json.dumps(indent=2) lays it out inside the trust_edges list."""
     q = encode_basestring_ascii
-    return f'{{\n      "a": {q(a)}{_FIELD}"b": {q(b)}\n    }}'
+    return f'{{\n      "a": {q(a)}{_FIELD}"b": {q(b)}\n    }}'.encode("ascii")
 
 
 class NetworkView(NamedTuple):
@@ -242,9 +241,10 @@ class StatsSnapshot:
     trust_edges: list[tuple[str, str]]
     summary_trust_links: int
     requests_per_agent: float = 0.0
-    # The node and the edge sections, as join_entries gives them, when the
-    # snapshot's builder kept them; json_parts renders them otherwise.
-    entries: Optional[tuple[bytes, bytes]] = field(
+    # The node and the edge sections as lists of join_entries blocks of
+    # _CHUNK entries, when the snapshot's builder kept them; json_parts
+    # renders them otherwise.
+    entries: Optional[tuple[list[bytes], list[bytes]]] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -253,8 +253,8 @@ class StatsSnapshot:
         return b"".join(self._parts()).decode("ascii")
 
     def json_parts(self) -> list[bytes]:
-        """The document's bytes in parts: a rendered section is one part per
-        _CHUNK entries, and a kept section is passed on without a copy."""
+        """The document's bytes in parts, one per _CHUNK entries of a section;
+        the blocks of a kept section are passed on without a copy."""
         return list(self._parts())
 
     def _parts(self) -> Iterator[bytes]:
@@ -262,13 +262,13 @@ class StatsSnapshot:
         q = encode_basestring_ascii
         networks = _rendered(
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
-            for net in self.networks
+            .encode("ascii") for net in self.networks
         )
         if self.entries is None:
             nodes = _rendered(map(NodeView.render, self.nodes))
             edges = _rendered(starmap(render_edge, self.trust_edges))
         else:
-            nodes, edges = ([text] if text else [] for text in self.entries)
+            nodes, edges = self.entries
         head = (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'

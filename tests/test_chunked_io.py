@@ -12,9 +12,10 @@ from dataclasses import replace
 
 import pytest
 
-from _oracles import event_lines, snapshot_document, trace_lines
+from _oracles import event_lines, record_trust, snapshot_document, trace_lines
 from trustnet.growth import GrowthTrace, generate, preset
 from trustnet.overlay import VirtualAddress
+from trustnet.registry import RegistryService
 from trustnet.sim import ScenarioResult
 from trustnet.snapshot import NetworkView, NodeView, StatsSnapshot
 
@@ -91,6 +92,21 @@ def test_trace_write_holds_no_whole_trace(tmp_path):
     path = tmp_path / "trace.jsonl"
     peak, _ = traced_peak(trace.write, path)
     assert peak < 1.0 * path.stat().st_size
+
+
+def test_registry_read_after_one_pair_joins_only_what_changed():
+    """A read after one new pair, at 10,000 nodes and 10,000 edges, joins two
+    node blocks and the short edge block and copies the row and edge lists,
+    near 0.41 MiB; joining a whole section again peaks near 2.3 MiB."""
+    registry, rng = RegistryService(clock=lambda: 0.0), random.Random(11)
+    nodes = [registry.register(i.to_bytes(32, "big")) for i in range(10_000)]
+    stored = 0
+    while stored < 10_000:
+        stored += record_trust(registry, *rng.sample(nodes, 2))
+    registry.snapshot().json_parts()
+    assert record_trust(registry, nodes[0], nodes[-1])
+    peak, _ = traced_peak(lambda: registry.snapshot().json_parts())
+    assert peak < 0.5 * 2**20
 
 
 def test_snapshot_read_frees_its_input(tmp_path):

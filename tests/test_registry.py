@@ -400,6 +400,59 @@ class TestSnapshotRows:
         assert rendered == [addresses[2].to_text()]
         assert [node.online for node in snap.nodes] == [n == 2 for n in range(6)]
 
+    def test_a_read_renders_each_changed_row_once_and_joins_only_its_blocks(self, rendered):
+        """A read after one new pair renders its two rows and joins their two
+        blocks again; a node that gains k links between two reads is rendered
+        once. The other blocks are the last read's objects."""
+        registry, _ = make_registry()
+        addresses = [registry.register(n.to_bytes(32, "big")) for n in range(3 * 1024 + 10)]
+        first = registry.snapshot()
+        rendered.clear()
+        record_trust(registry, addresses[5], addresses[2 * 1024 + 7])
+        second = registry.snapshot()
+        assert rendered == [addresses[5].to_text(), addresses[2 * 1024 + 7].to_text()]
+        kept = [new is old for new, old in zip(second.entries[0], first.entries[0])]
+        assert kept == [False, True, False, True]
+        hub = addresses[1500]
+        rendered.clear()
+        for other in addresses[:8]:
+            record_trust(registry, hub, other)
+        third = registry.snapshot()
+        assert sorted(rendered) == sorted(a.to_text() for a in [hub, *addresses[:8]])
+        kept = [new is old for new, old in zip(third.entries[0], second.entries[0])]
+        assert kept == [False, False, True, True]
+        assert b"".join(third.json_parts()) == dataclasses.replace(third).to_json().encode()
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_blocks_match_the_render_path_at_block_boundaries(self, n):
+        """n rows and n edges: changes in the first, a middle and the last
+        block, and an edge tail that fills at exactly 1,024, write the bytes
+        of the rendered path; full edge blocks are kept from read to read."""
+        registry, clock = make_registry()
+        tags = ("coding", "café", 'say "hi"')
+        addresses = [registry.register(i.to_bytes(32, "big"), tags=tags[: i % 4]) for i in range(n)]
+
+        def read():
+            snap = registry.snapshot()
+            assert b"".join(snap.json_parts()) == dataclasses.replace(snap).to_json().encode()
+            assert len(snap.entries[0]) == -(-n // 1024)
+            return snap
+
+        for a, b in zip(addresses, addresses[1:]):
+            record_trust(registry, a, b)
+        before = read()
+        assert record_trust(registry, addresses[0], addresses[-1])  # the n-th edge
+        after = read()
+        assert len(after.trust_edges) == n and len(after.entries[1]) == -(-n // 1024)
+        full = (n - 1) // 1024  # the edge blocks full before the n-th edge
+        assert all(new is old for new, old in zip(after.entries[1][:full], before.entries[1]))
+        middle = addresses[n // 2]
+        record_trust(registry, middle, middle)
+        read()
+        clock.advance(OFFLINE_AFTER + 1.0)
+        registry.heartbeat(middle)
+        assert [node.online for node in read().nodes].count(True) == 1
+
     def test_kept_entries_match_the_render_path(self):
         """At every read, the registry's kept entries write the bytes that the
         snapshot's rows and edges render, through liveness flips both ways."""

@@ -426,14 +426,25 @@ class TestStatsEndpoint:
         _send_parts(conn, parts)
         assert bytes(conn.received) == b"".join(parts)
 
+    def test_send_parts_passes_at_most_iov_max_buffers(self):
+        """3,000 parts arrive whole: one sendmsg passes at most 1,024 buffers,
+        where a longer list fails with EMSGSIZE on Linux."""
+        parts = [bytes([n % 251]) * (1 + n % 5) for n in range(3000)]
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            _send_parts(sender, parts)
+            sender.shutdown(socket.SHUT_WR)
+            received = b"".join(iter(lambda: receiver.recv(65536), b""))
+        assert received == b"".join(parts)
+
     def test_unchanged_reads_share_the_node_section(self, server):
-        """Two reads with no write between them hand out the same node text."""
+        """Two reads with no write between them hand out the same block list."""
         rng = random.Random(3)
         with RegistryClient(server.endpoint) as client:
             client.register(AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key)
         with server._lock:
             first, second = server.registry.snapshot(), server.registry.snapshot()
-        assert first.entries[0] is second.entries[0] and first.entries[0]
+        assert first.entries[0] is second.entries[0] and len(first.entries[0]) == 1
         assert fetch_stats(server.endpoint).nodes == first.nodes
 
     def test_fresh_registry_serves_empty_snapshot(self, server):
