@@ -9,7 +9,10 @@ timeout/retry discipline; registrations, heartbeats, and key lookups are
 reliable control-plane calls. The registry's snapshot at the end of the run
 is the simulator's output, alongside a ground-truth event log that records
 what actually happened (arrivals, registrations, handshake starts and
-completions, heartbeats, drops).
+completions, heartbeats, drops). The log keeps each event as the line it
+writes: rendered by compact_json when it happens, and joined, every 1,024
+lines, into one ASCII block (EventLog). Reading the log decodes the lines
+back to dicts in order.
 
 Determinism: one root seed is split hierarchically (scenario stream for the
 arrival schedule, one independent stream per agent for its decisions and key
@@ -26,10 +29,11 @@ ground-truth edge set exactly.
 from __future__ import annotations
 
 import heapq
+import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .channel import (
     AcceptAllPolicy,
@@ -69,7 +73,7 @@ from .overlay import (
     encode_packet,
 )
 from .registry import HEARTBEAT_INTERVAL, RegistryService
-from .snapshot import StatsSnapshot, compact_json, write_lines
+from .snapshot import _CHUNK, StatsSnapshot, compact_json
 
 HANDSHAKE_TIMEOUT = 3.0
 HANDSHAKE_RETRIES = 2
@@ -285,13 +289,50 @@ def _split_rng(seed: int, label: str) -> random.Random:
 # --- scenario result ---
 
 
+class EventLog:
+    """The ground-truth event log, kept as the bytes it writes.
+
+    append renders each event at once by compact_json, whose lines are ASCII
+    and hold no newline, onto the tail; every _CHUNK lines the tail becomes
+    one block. Iterating decodes the lines back to dicts, in order.
+    """
+
+    def __init__(self) -> None:
+        self.blocks: list[bytes] = []
+        self.tail = bytearray()  # the lines after the last block, each ended by a newline
+        self.pending = 0  # the number of lines in the tail
+
+    def append(self, event: dict) -> None:
+        self.tail += compact_json(event).encode("ascii")
+        self.tail += b"\n"
+        self.pending += 1
+        if self.pending == _CHUNK:
+            self.blocks.append(bytes(self.tail))
+            self.tail.clear()
+            self.pending = 0
+
+    def __iter__(self) -> Iterator[dict]:
+        for block in (*self.blocks, self.tail):
+            yield from map(json.loads, block.splitlines())
+
+    def write(self, path: Union[str, Path]) -> None:
+        """Write each line ended by a newline; an empty log writes one newline."""
+        with Path(path).open("wb") as handle:
+            handle.writelines(self.blocks)
+            handle.write(self.tail if self.blocks or self.pending else b"\n")
+
+
 @dataclass
 class ScenarioResult:
-    """Snapshot plus ground truth for one completed scenario."""
+    """Snapshot plus ground truth for one completed scenario.
+
+    events is the scenario's EventLog: the log as the rendered blocks that
+    write_events writes, decoded to dicts when iterated.
+    """
 
     config: SimConfig
     snapshot: StatsSnapshot
-    events: list[dict]
+    events: EventLog
     registry: RegistryService
     beacon: Beacon
     pings: list[tuple[str, str, bytes]]
@@ -307,9 +348,8 @@ class ScenarioResult:
         return edges
 
     def write_events(self, path: Union[str, Path]) -> None:
-        """Write each event as one compact_json line, ended by a newline, in
-        chunks: no string holds the whole log."""
-        write_lines(path, map(compact_json, self.events))
+        """Write each event as its compact_json line, ended by a newline."""
+        self.events.write(path)
 
 
 # --- agents ---
@@ -497,7 +537,7 @@ class _Scenario:
         self.loop = EventLoop()
         self.registry = RegistryService(clock=lambda: self.loop.now)
         self.beacon = Beacon()
-        self.events: list[dict] = []
+        self.events = EventLog()
         self.pings: list[tuple[str, str, bytes]] = []
         self.by_address: dict[VirtualAddress, _SimAgent] = {}
         self.graph = AttachmentGraph()  # completed non-self handshakes

@@ -26,8 +26,9 @@ the stats server sends unjoined; write() writes each part as it is rendered,
 so it holds one block, not the document. A snapshot may carry both sections
 as lists of blocks already joined instead (StatsSnapshot.entries): the
 registry keeps them and hands the same block objects to every snapshot until
-a row of the block changes. write_lines writes the growth trace and the
-simulator's event log the same way, _CHUNK lines per write.
+a row of the block changes. write_lines writes the growth trace the same way,
+_CHUNK lines per write; the simulator's event log (sim.EventLog) keeps its
+compact_json lines as blocks of _CHUNK lines from the start.
 
 StatsSnapshot.read hands the file's bytes to from_json, which decodes them to
 text and reads the text's top-level object key by key with the stdlib

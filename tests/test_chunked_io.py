@@ -2,9 +2,11 @@
 
 The bytes are checked at the chunk boundaries (1,024 entries or lines per
 part). The memory bounds are tracemalloc peaks over one call, against the
-size of what it writes or against json.loads on the same text.
+size of what it writes or against json.loads on the same text; the
+simulator's event log is held to what it still holds after a run.
 """
 
+import inspect
 import json
 import random
 import tracemalloc
@@ -16,7 +18,10 @@ from _oracles import event_lines, record_trust, snapshot_document, trace_lines
 from trustnet.growth import GrowthTrace, generate, preset
 from trustnet.overlay import VirtualAddress
 from trustnet.registry import RegistryService
-from trustnet.sim import ScenarioResult
+from trustnet.sim import (
+    BehaviorPolicy, Distribution, EventLog, ScenarioResult, SimConfig, _Scenario,
+    run_scenario,
+)
 from trustnet.snapshot import NetworkView, NodeView, StatsSnapshot
 
 SIZES = [0, 1, 1023, 1024, 1025, 2049]
@@ -64,8 +69,12 @@ def test_line_writer_chunk_boundaries(n, events, tmp_path):
     trace.write(tmp_path / "trace.jsonl")
     expected = "\n".join(trace_lines(trace)) + "\n"
     assert (tmp_path / "trace.jsonl").read_bytes() == expected.encode("ascii")
-    log = [{"t": i / 4, "event": "heartbeat", "address": f"0:{i}"} for i in range(n)]
+    logged = [{"t": i / 4, "event": "heartbeat", "address": f"0:{i}"} for i in range(n)]
+    log = EventLog()
+    for event in logged:
+        log.append(event)
     result = ScenarioResult(None, None, log, None, None, [])
+    assert list(result.events) == logged
     result.write_events(tmp_path / "events.jsonl")
     expected = "\n".join(event_lines(result)) + "\n"
     assert (tmp_path / "events.jsonl").read_bytes() == expected.encode("ascii")
@@ -92,6 +101,62 @@ def test_trace_write_holds_no_whole_trace(tmp_path):
     path = tmp_path / "trace.jsonl"
     peak, _ = traced_peak(trace.write, path)
     assert peak < 1.0 * path.stat().st_size
+
+
+def lossy_scenario(agent_count: int) -> SimConfig:
+    """perfbench's sim-lossy-800 scenario at another size: 5 % loss, tagged agents."""
+    return SimConfig(
+        agent_count=agent_count,
+        arrival_schedule=Distribution.fixed(1.0),
+        loss_rate=0.05,
+        latency=Distribution.uniform(20.0, 80.0),
+        behavior=BehaviorPolicy(self_trust_probability=0.64, target_links=Distribution.fixed(2.0)),
+        symmetric_nat_fraction=0.3,
+        seed=7,
+        duration=agent_count + 120.0,
+    )
+
+
+def test_scenario_keeps_its_event_log_as_the_bytes_it_writes(tmp_path):
+    """What the scenario's log() allocated and still holds when the run ends:
+    near 2.3 times the file when each event is kept as a dict, near 1.04 as
+    rendered blocks and a tail of rendered lines."""
+    lines, first = inspect.getsourcelines(_Scenario.log)
+    source, logged = _Scenario.log.__code__.co_filename, range(first, first + len(lines))
+    tracemalloc.start(4)
+    try:
+        result = run_scenario(lossy_scenario(200))
+        traces = tracemalloc.take_snapshot().traces
+    finally:
+        tracemalloc.stop()
+    kept = sum(
+        trace.size for trace in traces
+        if any(frame.filename == source and frame.lineno in logged
+               for frame in trace.traceback)
+    )
+    path = tmp_path / "events.jsonl"
+    result.write_events(path)
+    assert kept <= 1.25 * path.stat().st_size
+
+
+def test_event_log_reads_back_as_written(tmp_path):
+    """Iterating the log gives json.loads of each written line, in order:
+    float times, int drop frames and tag lists, across a block boundary."""
+    result = run_scenario(lossy_scenario(100))
+    path = tmp_path / "events.jsonl"
+    result.write_events(path)
+    written = [json.loads(line) for line in path.read_bytes().splitlines()]
+    assert len(written) > 1024
+    assert list(result.events) == written
+    kinds = {event["event"] for event in written}
+    assert {"drop", "register", "handshake-complete"} <= kinds
+    assert all(type(event["t"]) is float for event in written)
+    assert all(type(e["frame"]) is int for e in written if e["event"] == "drop")
+    assert any(e["tags"] for e in written if e["event"] == "register")
+    assert result.ground_truth_edges == {
+        tuple(sorted((e["initiator"], e["responder"])))
+        for e in written if e["event"] == "handshake-complete"
+    }
 
 
 def test_registry_read_after_one_pair_joins_only_what_changed():
