@@ -10,21 +10,15 @@ trust_links, so the sum of trust_links over all nodes is always
 Liveness: a node is online while the last heartbeat is at most
 MISSED_HEARTBEATS * HEARTBEAT_INTERVAL seconds old.
 
-The node table is columnar: one list per field (public key, last heartbeat,
-snapshot row, rendered entry), indexed by node_id - base_node_id, so an
-address is its own index. A write renders nothing. Registration, a
-trust_links change and an online flip a snapshot finds mark the row; a new
-trust pair is kept as one int, i << 32 | j of its two indices. snapshot()
-renders each marked row and each new pair once, as ASCII bytes. It keeps each
-document section as a list of blocks of 1,024 entries (snapshot._CHUNK) and
-hands the lists, with its row and edge lists, to every snapshot it builds
-(incremental view maintenance at block granularity): a node block is joined
-again only when one of its rows was marked, and as edges are only appended,
-a full edge block never changes and new edges are joined into the last,
-short block. Two heartbeat bounds tell whether any row's online flag can
-flip; only then does snapshot() scan the rows. So a read of an unchanged
-registry does no per-row work, and a read after a few writes renders their
-rows and joins their blocks.
+The node table is columnar, indexed by node_id - base_node_id so an address
+is its own index: public keys, last heartbeats, and the snapshot rows in a
+_Table. The trust pairs are a second _Table, of address-text pairs in the
+order stored, beside a set of each pair as i << 32 | j. A _Table hands its
+blocks of 1,024 items, each joined, to every snapshot, and copies a block
+before its first write after a read: a persistent vector with one level of
+wide leaves. A write renders nothing; a read renders the changed items, joins
+their blocks again, and scans the online flags only when two heartbeat bounds
+say one can flip. So a read of an unchanged registry does no per-row work.
 
 Handshake frames addressed to port 444 are relayed between agents without
 reading anything beyond the overlay header and the leading frame type byte;
@@ -44,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from itertools import starmap
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional, TextIO, Union
 
@@ -74,6 +68,7 @@ from .overlay import (
 from .snapshot import (
     _CHUNK,
     BACKBONE,
+    BlockList,
     NodeView,
     StatsSnapshot,
     compact_json,
@@ -168,6 +163,60 @@ _EVENT_FIELDS = {
 }
 
 
+class _Table:
+    """Items in blocks of _CHUNK, each with its items' rendered entries and
+    their join_entries bytes. view() hands out the blocks themselves; a write
+    copies a block (_CHUNK references) before its first change after a view,
+    so no block a view holds ever changes. The items of an append_only table
+    are never set, so its full blocks keep no entries once joined."""
+
+    def __init__(self, render: Callable[[Any], bytes], append_only: bool = False) -> None:
+        self.blocks: list[list] = []
+        self._entries: list[list[bytes]] = []  # the items' renders as of the last view
+        self._joined: list[bytes] = []
+        self._changed: dict[int, set[int]] = {}  # block -> offsets set since the last view
+        self._render, self._append_only = render, append_only
+        self._view: Optional[BlockList] = BlockList((), ())
+
+    def _written(self, k: int) -> set[int]:
+        """Block k's offsets set since the last view; a block that view holds is copied first."""
+        if k not in self._changed:
+            self.blocks[k] = self.blocks[k].copy()
+            self._changed[k] = set()
+        return self._changed[k]
+
+    def set(self, i: int, item: Any) -> None:
+        k, r = divmod(i, _CHUNK)
+        self._written(k).add(r)
+        self.blocks[k][r] = item
+
+    def append(self, item: Any) -> None:
+        if not self.blocks or len(self.blocks[-1]) == _CHUNK:
+            self.blocks.append([])
+            self._entries.append([])
+            self._joined.append(b"")
+        self._written(len(self.blocks) - 1)
+        self.blocks[-1].append(item)
+
+    def view(self) -> BlockList:
+        """The items now, rendering and joining only what changed since the
+        last view; the same object until a write."""
+        if self._changed:
+            self._view, render = None, self._render  # frees blocks no snapshot holds
+            for k, written in sorted(self._changed.items()):
+                items, entries = self.blocks[k], self._entries[k]
+                done = len(entries)  # the items past it were appended since
+                for r in sorted(r for r in written if r < done):
+                    entries[r] = render(items[r])
+                entries += map(render, items[done:])
+                self._joined[k] = join_entries(entries)
+                if self._append_only and len(items) == _CHUNK:
+                    entries.clear()
+            self._changed.clear()
+            self._view = BlockList(tuple(self.blocks), tuple(self._joined))
+        return self._view
+
+
 class RegistryService:
     """In-process registry state machine with a single serialized writer."""
 
@@ -188,24 +237,13 @@ class RegistryService:
         # base_node_id + i. A row's online flag is as of the last snapshot.
         self._keys: list[bytes] = []
         self._heartbeats: list[float] = []
-        self._rows: list[NodeView] = []
-        self._entries: list[bytes] = []  # each row's render as of the last snapshot
+        self._nodes = _Table(NodeView.render)
         self._tags: dict[str, str] = {}  # one str per distinct tag text
         self._by_key: dict[bytes, VirtualAddress] = {}
         self._hostnames: dict[str, VirtualAddress] = {}
         self._edges: set[int] = set()  # each stored pair as i << 32 | j, i <= j
-        # What the next snapshot() renders: the rows changed and the pairs
-        # stored since the last one.
-        self._marked: set[int] = set()
-        self._new_edges: list[int] = []
-        # What the last snapshot() handed out: the rows and the node blocks,
-        # and the edge texts and the edge blocks; _edge_tail holds the
-        # rendered entries of the last edge block while it is short.
-        self._nodes_view: list[NodeView] = []
-        self._node_blocks: list[bytes] = []
-        self._edges_view: list[tuple[str, str]] = []
-        self._edge_blocks: list[bytes] = []
-        self._edge_tail: list[bytes] = []
+        # each stored pair as its two address texts, in the order stored
+        self._pairs = _Table(lambda pair: render_edge(*pair), append_only=True)
         # _online_min <= the last heartbeat of every online row and
         # _offline_max >= that of every offline row (online as of the last scan).
         self._online_min = math.inf
@@ -322,14 +360,11 @@ class RegistryService:
         host = hostname.lower() if hostname is not None else None
         if host is not None and host in self._hostnames:
             raise DuplicateKeyError(f"hostname {host!r} is already bound")
-        i = len(self._rows)
-        address = VirtualAddress(NETWORK_ID, self.base_node_id + i)
+        address = VirtualAddress(NETWORK_ID, self.base_node_id + len(self._keys))
         text = address.to_text()
         self._keys.append(public_key)
         self._heartbeats.append(at_time)
-        self._rows.append(NodeView(text, normalized, True, 0))
-        self._entries.append(b"")
-        self._marked.add(i)
+        self._nodes.append(NodeView(text, normalized, True, 0))
         self._online_min = min(self._online_min, at_time)
         self._by_key[public_key] = address
         if host is not None:
@@ -348,7 +383,7 @@ class RegistryService:
     def __contains__(self, address: VirtualAddress) -> bool:
         """Whether address is registered; does not count toward requests_served."""
         network_id, node_id = address
-        return network_id == NETWORK_ID and 0 <= node_id - self.base_node_id < len(self._rows)
+        return network_id == NETWORK_ID and 0 <= node_id - self.base_node_id < len(self._keys)
 
     def _index(self, address: VirtualAddress) -> int:
         """The node table index of address; UnknownNodeError if it is not registered."""
@@ -358,7 +393,7 @@ class RegistryService:
 
     def node(self, address: VirtualAddress) -> NodeState:
         i = self._index(address)
-        row = self._rows[i]
+        row = self._nodes.blocks[i // _CHUNK][i % _CHUNK]
         return NodeState(
             address, self._keys[i], row.tags, self._heartbeats[i], row.trust_links, row.address
         )
@@ -375,23 +410,18 @@ class RegistryService:
         # run ahead of the deduplicated edge list when the same pair is
         # recorded twice (e.g. both endpoints initiated a handshake).
         self._summary_trust_links += 1
-        rows = self._rows
-        self._log_event("trust", rows[i].address, rows[j].address)
+        nodes, blocks = self._nodes, self._nodes.blocks
+        row_i, row_j = blocks[i // _CHUNK][i % _CHUNK], blocks[j // _CHUNK][j % _CHUNK]
+        self._log_event("trust", row_i.address, row_j.address)
         pair = i << 32 | j
         if pair in self._edges:
             return False
         self._edges.add(pair)
-        self._new_edges.append(pair)
+        self._pairs.append((row_i.address, row_j.address))
         # each end gains a link; a self-loop's one node gains both
-        for k in {i, j}:
-            address, tags, online, links = rows[k]
-            self._set_row(k, NodeView(address, tags, online, links + 1 + (i == j)))
+        for k, (address, tags, online, links) in {i: row_i, j: row_j}.items():
+            nodes.set(k, NodeView(address, tags, online, links + 1 + (i == j)))
         return True
-
-    def _set_row(self, i: int, row: NodeView) -> None:
-        """Replace node i's row and mark it for the next snapshot() to render."""
-        self._rows[i] = row
-        self._marked.add(i)
 
     def heartbeat(self, address: VirtualAddress) -> None:
         self.requests_served += 1
@@ -400,18 +430,16 @@ class RegistryService:
     def _heartbeat(self, address: VirtualAddress, now: float) -> None:
         i = self._index(address)
         self._heartbeats[i] = now
-        if self._rows[i].online:
+        row = self._nodes.blocks[i // _CHUNK][i % _CHUNK]
+        if row.online:
             self._online_min = min(self._online_min, now)
         else:
             self._offline_max = max(self._offline_max, now)
-        self._log_event("heartbeat", self._rows[i].address, now)
+        self._log_event("heartbeat", row.address, now)
 
     def snapshot(self) -> StatsSnapshot:
-        """Consistent full view; the call itself counts as a request.
-
-        Snapshots read while no row changed and no edge was stored share
-        their nodes and trust_edges lists, so a caller must not change them.
-        """
+        """Consistent full view; the call itself counts as a request. Its
+        nodes and trust_edges are the tables' views (_Table.view)."""
         self.requests_served += 1
         now = self._clock()
         # The bounds tell whether a flag can flip. IEEE subtraction is
@@ -419,65 +447,19 @@ class RegistryService:
         # one that runs backwards included.
         if now - self._online_min > OFFLINE_AFTER or now - self._offline_max <= OFFLINE_AFTER:
             self._scan_online(now)
-        # A change makes new lists and blocks, and never alters one a
-        # snapshot holds, so the snapshot may be serialised after the lock
-        # is released. Each view is copied after its blocks are joined, so
-        # the copies and a join's buffer table are not allocated at once.
-        if self._new_edges:
-            self._render_edges()
-        if self._marked:
-            self._render_rows()
-        nodes = self._nodes_view
-        per_agent = self.requests_served / len(nodes) if nodes else 0.0
-        snapshot = StatsSnapshot(
-            generated_at=now,
-            requests_served=self.requests_served,
-            networks=[BACKBONE],
-            nodes=nodes,
-            trust_edges=self._edges_view,
-            summary_trust_links=self._summary_trust_links,
-            requests_per_agent=per_agent,
-        )
-        snapshot.entries = self._node_blocks, self._edge_blocks
-        return snapshot
-
-    def _render_rows(self) -> None:
-        """Render each marked row once and join again each block that holds one."""
-        rows, entries, marked = self._rows, self._entries, self._marked
-        for i in sorted(marked):
-            entries[i] = rows[i].render()
-        # The last list is let go first, so a block no snapshot holds is
-        # freed as its replacement is joined.
-        blocks = self._node_blocks = self._node_blocks.copy()
-        blocks += [b""] * (-(-len(rows) // _CHUNK) - len(blocks))
-        for k in {i // _CHUNK for i in marked}:
-            blocks[k] = join_entries(entries[k * _CHUNK : (k + 1) * _CHUNK])
-        marked.clear()
-        self._nodes_view = rows.copy()
-
-    def _render_edges(self) -> None:
-        """Render each new pair once: the full edge blocks are kept, and the
-        new entries are joined with the short last block's."""
-        rows, tail = self._rows, self._edge_tail
-        new = [(rows[p >> 32].address, rows[p & 0xFFFF_FFFF].address) for p in self._new_edges]
-        self._new_edges = []
-        blocks = self._edge_blocks[: len(self._edges_view) // _CHUNK]
-        tail += starmap(render_edge, new)
-        blocks += [join_entries(tail[k : k + _CHUNK]) for k in range(0, len(tail), _CHUNK)]
-        del tail[: len(tail) - len(tail) % _CHUNK]
-        self._edge_blocks = blocks
-        self._edges_view = self._edges_view + new
+        served, count = self.requests_served, len(self._keys)
+        nodes, edges, links = self._nodes.view(), self._pairs.view(), self._summary_trust_links
+        per_agent = served / count if count else 0.0
+        return StatsSnapshot(now, served, [BACKBONE], nodes, edges, links, per_agent)
 
     def _scan_online(self, now: float) -> None:
-        """Flip each row whose online flag changed and set both bounds exactly.
-
-        The table is in allocation order, which is address order.
-        """
+        """Flip each row whose online flag changed and set both bounds exactly."""
         online_min, offline_max = math.inf, -math.inf
-        for i, (last, row) in enumerate(zip(self._heartbeats, self._rows)):
+        nodes = self._nodes
+        for i, (last, row) in enumerate(zip(self._heartbeats, chain.from_iterable(nodes.blocks))):
             online = now - last <= OFFLINE_AFTER
             if online is not row.online:
-                self._set_row(i, NodeView(row.address, row.tags, online, row.trust_links))
+                nodes.set(i, NodeView(row.address, row.tags, online, row.trust_links))
             if online:
                 if last < online_min:
                     online_min = last
@@ -534,5 +516,5 @@ class RegistryService:
 
     @property
     def node_count(self) -> int:
-        return len(self._rows)
+        return len(self._keys)
 

@@ -27,16 +27,13 @@ them, and never decoded.
 
 All registry mutations funnel through one lock, preserving the serialized
 single-writer contract while the UDP and TCP threads run concurrently. The
-stats thread holds the lock only for RegistryService.snapshot(), which hands
-out the registry's kept node and edge sections as lists of blocks of 1,024
-entries. Under the lock it scans the rows only when a heartbeat bound says
-an online flag may flip, renders the rows changed and the edges stored since
-the last read, joins again only the node blocks that hold such a row and the
-last, short edge block, and copies the row and edge lists once one of them
-changed. After the release, StatsSnapshot.json_parts wraps the blocks in a
-few small parts and _send_parts writes the parts to the socket as they are,
-at most 1,024 buffers per sendmsg, so an unchanged read copies none of the
-document, and no block outlives the read unless the registry keeps it.
+stats thread holds the lock only for RegistryService.snapshot(), which
+renders and joins only what changed since the last read and shares the
+registry's blocks of 1,024 rows and pairs with the snapshot; a later write
+copies a block before changing it, so the snapshot stays as read once the
+lock is released. json_parts then wraps the joined blocks in a few parts, and
+_send_parts writes them to the socket as they are, at most 1,024 buffers per
+sendmsg, so a read copies none of the document.
 """
 
 from __future__ import annotations

@@ -21,14 +21,11 @@ Rows are plain tuples: a NetworkView is (id, name) and a NodeView is
 The document is a run of ASCII byte parts: NodeView.render and render_edge
 render each entry as bytes, and join_entries joins them into blocks of 1,024
 entries (_CHUNK), one part each, so no one string or bytes object holds a
-whole section. StatsSnapshot.json_parts returns the parts as a list, which
-the stats server sends unjoined; write() writes each part as it is rendered,
-so it holds one block, not the document. A snapshot may carry both sections
-as lists of blocks already joined instead (StatsSnapshot.entries): the
-registry keeps them and hands the same block objects to every snapshot until
-a row of the block changes. write_lines writes the growth trace the same way,
-_CHUNK lines per write; the simulator's event log (sim.EventLog) keeps its
-compact_json lines as blocks of _CHUNK lines from the start.
+whole section; a BlockList section, as the registry hands out, carries its
+blocks joined already. json_parts returns the parts as a list, which the
+stats server sends unjoined; write() writes each part as it is rendered.
+write_lines writes the growth trace _CHUNK lines per write, and sim.EventLog
+keeps its compact_json lines in blocks of _CHUNK lines.
 
 StatsSnapshot.read hands the file's bytes to from_json, which decodes them to
 text and reads the text's top-level object key by key with the stdlib
@@ -65,12 +62,13 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from itertools import islice, starmap
+from itertools import chain, islice, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import DanglingEdgeError, SchemaViolationError, TrustNetError
 from .overlay import VirtualAddress
@@ -97,9 +95,41 @@ def join_entries(entries: Iterable[bytes]) -> bytes:
     return _SEPARATOR_BYTES.join(entries)
 
 
-def _rendered(entries: Iterable[bytes]) -> Iterator[bytes]:
-    """The entries as join_entries blocks, one part per _CHUNK entries."""
-    return map(join_entries, _batches(entries))
+def _rendered(items: Iterable, render: Callable = iter) -> Iterable[bytes]:
+    """The join_entries blocks of render(items), _CHUNK entries each; a BlockList's own."""
+    if isinstance(items, BlockList):
+        return items.joined
+    return map(join_entries, _batches(render(items)))
+
+
+class BlockList(Sequence):
+    """A read-only list over blocks of _CHUNK items (the last may be shorter),
+    with the join_entries bytes of each block in joined. Nothing is copied:
+    the owner never changes a block it has handed out."""
+
+    __slots__ = ("blocks", "joined", "_len")
+
+    def __init__(self, blocks: tuple[list, ...], joined: tuple[bytes, ...]) -> None:
+        self.blocks, self.joined, self._len = blocks, joined, sum(map(len, blocks))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        if not -self._len <= i < self._len:
+            raise IndexError("BlockList index out of range")
+        i %= self._len
+        return self.blocks[i // _CHUNK][i % _CHUNK]
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(self.blocks)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, (list, BlockList)):
+            return list(self) == list(other)
+        return NotImplemented
 
 
 def _listed(chunks: Iterable[bytes]) -> Iterator[bytes]:
@@ -238,16 +268,10 @@ class StatsSnapshot:
     generated_at: float
     requests_served: int
     networks: list[NetworkView]
-    nodes: list[NodeView]
-    trust_edges: list[tuple[str, str]]
+    nodes: Sequence[NodeView]  # a list, or the registry's BlockList
+    trust_edges: Sequence[tuple[str, str]]
     summary_trust_links: int
     requests_per_agent: float = 0.0
-    # The node and the edge sections as lists of join_entries blocks of
-    # _CHUNK entries, when the snapshot's builder kept them; json_parts
-    # renders them otherwise.
-    entries: Optional[tuple[list[bytes], list[bytes]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def to_json(self) -> str:
         """The document's text, by the contract in the module docstring."""
@@ -255,7 +279,7 @@ class StatsSnapshot:
 
     def json_parts(self) -> list[bytes]:
         """The document's bytes in parts, one per _CHUNK entries of a section;
-        the blocks of a kept section are passed on without a copy."""
+        the joined blocks of a BlockList section are passed on without a copy."""
         return list(self._parts())
 
     def _parts(self) -> Iterator[bytes]:
@@ -265,11 +289,8 @@ class StatsSnapshot:
             f'{{\n      "id": {int.__repr__(net.id)}{_FIELD}"name": {q(net.name)}\n    }}'
             .encode("ascii") for net in self.networks
         )
-        if self.entries is None:
-            nodes = _rendered(map(NodeView.render, self.nodes))
-            edges = _rendered(starmap(render_edge, self.trust_edges))
-        else:
-            nodes, edges = self.entries
+        nodes = _rendered(self.nodes, partial(map, NodeView.render))
+        edges = _rendered(self.trust_edges, partial(starmap, render_edge))
         head = (
             f'{{\n  "generated_at": {json.dumps(self.generated_at)},\n'
             f'  "requests_served": {int.__repr__(self.requests_served)},\n'

@@ -72,6 +72,13 @@ def key(n: int) -> bytes:
     return bytes([n]) * 32
 
 
+def rendered_json(snap) -> str:
+    """snap's document rendered from its rows and pairs as plain lists, not
+    from the blocks the registry joined."""
+    plain = dataclasses.replace(snap, nodes=list(snap.nodes), trust_edges=list(snap.trust_edges))
+    return plain.to_json()
+
+
 def frame(
     src: VirtualAddress, dst: VirtualAddress, frame_type: int, body: bytes = b""
 ) -> bytes:
@@ -411,17 +418,19 @@ class TestSnapshotRows:
         record_trust(registry, addresses[5], addresses[2 * 1024 + 7])
         second = registry.snapshot()
         assert rendered == [addresses[5].to_text(), addresses[2 * 1024 + 7].to_text()]
-        kept = [new is old for new, old in zip(second.entries[0], first.entries[0])]
+        kept = [new is old for new, old in zip(second.nodes.joined, first.nodes.joined)]
         assert kept == [False, True, False, True]
+        assert [new is old for new, old in zip(second.nodes.blocks, first.nodes.blocks)] == kept
         hub = addresses[1500]
         rendered.clear()
         for other in addresses[:8]:
             record_trust(registry, hub, other)
         third = registry.snapshot()
         assert sorted(rendered) == sorted(a.to_text() for a in [hub, *addresses[:8]])
-        kept = [new is old for new, old in zip(third.entries[0], second.entries[0])]
+        kept = [new is old for new, old in zip(third.nodes.joined, second.nodes.joined)]
         assert kept == [False, False, True, True]
-        assert b"".join(third.json_parts()) == dataclasses.replace(third).to_json().encode()
+        assert [new is old for new, old in zip(third.nodes.blocks, second.nodes.blocks)] == kept
+        assert b"".join(third.json_parts()) == rendered_json(third).encode()
 
     @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
     def test_blocks_match_the_render_path_at_block_boundaries(self, n):
@@ -434,8 +443,8 @@ class TestSnapshotRows:
 
         def read():
             snap = registry.snapshot()
-            assert b"".join(snap.json_parts()) == dataclasses.replace(snap).to_json().encode()
-            assert len(snap.entries[0]) == -(-n // 1024)
+            assert b"".join(snap.json_parts()) == rendered_json(snap).encode()
+            assert len(snap.nodes.joined) == -(-n // 1024)
             return snap
 
         for a, b in zip(addresses, addresses[1:]):
@@ -443,9 +452,10 @@ class TestSnapshotRows:
         before = read()
         assert record_trust(registry, addresses[0], addresses[-1])  # the n-th edge
         after = read()
-        assert len(after.trust_edges) == n and len(after.entries[1]) == -(-n // 1024)
+        assert len(after.trust_edges) == n and len(after.trust_edges.joined) == -(-n // 1024)
         full = (n - 1) // 1024  # the edge blocks full before the n-th edge
-        assert all(new is old for new, old in zip(after.entries[1][:full], before.entries[1]))
+        edges = after.trust_edges, before.trust_edges
+        assert all(new is old for new, old in zip(edges[0].joined[:full], edges[1].joined))
         middle = addresses[n // 2]
         record_trust(registry, middle, middle)
         read()
@@ -484,7 +494,7 @@ class TestSnapshotRows:
             snap = registry.snapshot()
             body = snap.to_json()
             assert body == json.dumps(snapshot_document(snap), indent=2) + "\n"
-            assert body == dataclasses.replace(snap).to_json()
+            assert body == rendered_json(snap)
             for node in snap.nodes:
                 if previous.get(node.address, node.online) is not node.online:
                     flips.add(node.online)
@@ -505,6 +515,7 @@ class TestSnapshotRows:
         rng = random.Random(47)
         tags = ("coding", "café", 'say "hi"', "back\\slash", "tab\tstop", "日本", "x")
         addresses, snap = [], registry.snapshot()
+        kept = [(snap, b"".join(snap.json_parts()))]
         for _ in range(400):
             step = rng.random()
             if step < 0.2 or len(addresses) < 2:
@@ -524,12 +535,49 @@ class TestSnapshotRows:
             snap = registry.snapshot()
             body = (json.dumps(snapshot_document(snap), indent=2) + "\n").encode()
             assert b"".join(snap.json_parts()) == body
+            kept.append((snap, body))
             for address, node in zip(addresses, snap.nodes):
                 last = registry.node(address).last_heartbeat
                 assert node.online is (clock.now - last <= OFFLINE_AFTER)
         assert {node.online for node in snap.nodes} == {True, False}
         assert 0 < len(scans) < 400 / 2
         assert len(snap.trust_edges) > 50 and any(a == b for a, b in snap.trust_edges)
+        # No later write changed a snapshot taken before it.
+        for snap, body in kept:
+            assert b"".join(snap.json_parts()) == body == rendered_json(snap).encode()
+
+    def test_a_kept_snapshot_never_changes(self):
+        """Writes after a read copy each block the read shares before they
+        change it: rows and pairs appended until both last blocks fill and new
+        ones open, a row changed in the first, a middle and the last node
+        block, and a self-loop leave the kept snapshot's rows, pairs and bytes
+        as read."""
+        registry, _ = make_registry()
+        addresses = [registry.register(n.to_bytes(32, "big")) for n in range(2 * 1024 + 1000)]
+        for a, b in zip(addresses, addresses[1:1001]):
+            record_trust(registry, a, b)
+        kept = registry.snapshot()
+        rows, pairs = list(kept.nodes), list(kept.trust_edges)
+        body = b"".join(kept.json_parts())
+        assert body == rendered_json(kept).encode()
+        assert [len(block) for block in kept.nodes.blocks] == [1024, 1024, 1000]
+        assert [len(block) for block in kept.trust_edges.blocks] == [1000]
+        for n in range(len(addresses), 3 * 1024 + 1):  # fills the last node block, opens one
+            addresses.append(registry.register(n.to_bytes(32, "big")))
+        stored = sum(  # one pair in each node block the kept snapshot holds
+            record_trust(registry, addresses[i], addresses[i + 2]) for i in (7, 1500, 2100)
+        )
+        for n in range(1024):  # fills the last pair block, opens one
+            if stored == 1025 - 1000:
+                break
+            stored += record_trust(registry, addresses[-1 - n], addresses[n + 1100])
+        assert record_trust(registry, addresses[1500], addresses[1500])
+        later = registry.snapshot()
+        assert [len(block) for block in later.nodes.blocks] == [1024, 1024, 1024, 1]
+        assert [len(block) for block in later.trust_edges.blocks] == [1024, 2]
+        assert kept.nodes == rows and rows == kept.nodes and kept.trust_edges == pairs
+        assert b"".join(kept.json_parts()) == body == rendered_json(kept).encode()
+        assert b"".join(later.json_parts()) == rendered_json(later).encode()
 
     def test_each_edge_renders_once(self, monkeypatch):
         """N stored edges over K reads cost N edge renders, not N per read."""
@@ -1071,6 +1119,7 @@ class TestInvariants:
         a = registry.register(key(1))
         record_trust(registry, a, a)
         i = a.node_id - registry.base_node_id
-        registry._rows[i] = registry._rows[i]._replace(trust_links=5)  # rows are immutable
+        row = registry._nodes.blocks[0][i]
+        registry._nodes.set(i, row._replace(trust_links=5))  # rows are immutable
         findings = consistency_audit(registry.snapshot())
         assert [finding.check for finding in findings] == ["trust-links-identity"]

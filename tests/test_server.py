@@ -444,7 +444,7 @@ class TestStatsEndpoint:
             client.register(AgentIdentity.generate(VirtualAddress(0, 0), rng).public_key)
         with server._lock:
             first, second = server.registry.snapshot(), server.registry.snapshot()
-        assert first.entries[0] is second.entries[0] and len(first.entries[0]) == 1
+        assert first.nodes.joined is second.nodes.joined and len(first.nodes.joined) == 1
         assert fetch_stats(server.endpoint).nodes == first.nodes
 
     def test_fresh_registry_serves_empty_snapshot(self, server):

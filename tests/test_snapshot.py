@@ -22,6 +22,7 @@ from trustnet.errors import (
 from trustnet.overlay import VirtualAddress
 from trustnet.registry import RegistryService
 from trustnet.snapshot import (
+    BlockList,
     NetworkView,
     NodeView,
     StatsSnapshot,
@@ -367,6 +368,28 @@ class TestRows:
         assert second.nodes[1] is first.nodes[1]
         assert second.nodes[0] is not first.nodes[0]
         assert rendered == [a.to_text(), b.to_text(), a.to_text()]
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2049])
+    def test_block_list_reads_as_the_list_of_its_blocks(self, n):
+        items = [("item", i) for i in range(n)]
+        blocks = tuple(items[k : k + 1024] for k in range(0, n, 1024))
+        view = BlockList(blocks, tuple(b"" for _ in blocks))
+        assert len(view) == n
+        for i in range(-n, n):
+            assert view[i] is items[i]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                view[i]
+        assert list(view) == items and list(iter(view)) == items
+        assert view == items and items == view and view == BlockList(blocks, ())
+        longer, other = items + [("item", n)], [("other", i) for i in range(n)]
+        assert view != longer and longer != view
+        assert n == 0 or (view != other and other != view and view != items[:-1])
+        assert view[1:3] == items[1:3]
+        with pytest.raises(TypeError):
+            view[0] = ("item", 0)
+        with pytest.raises(TypeError):
+            del view[0]
 
     def test_reference_writer_lists_tags(self):
         snap = sample_snapshot()
